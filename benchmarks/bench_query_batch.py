@@ -11,15 +11,16 @@ held-out contours as queries.  Two modes:
 * ``--mode range`` -- radius search at a paper-style tight radius (a low
   quantile of sampled training distances): the per-query `range_search`
   loop vs the lockstep `bulk_range_search`, plus a direct timing of the
-  banded `pairwise_values_bounded` kernels against the full-table
-  fallback (``REPRO_BANDED_BATCH=0``) on the same candidate workload
-  (for ``--distance marzal_vidal`` that compares the batched banded
-  parametric kernel against the per-pair scalar probe loop);
-* ``--mode repeat`` -- the interned-corpus runtime: the same index
-  serves several consecutive ``bulk_knn`` calls with interning and the
-  persistent pool on (ambient defaults) vs off
-  (``REPRO_INTERN=0 REPRO_PERSISTENT_POOL=0``, the pre-runtime
-  behaviour), results asserted bit-identical.
+  banded `pairwise_values_bounded` engine path against a slot-by-slot
+  ``CountingDistance.within`` loop on the same candidate workload,
+  values asserted equal (for ``--distance marzal_vidal`` that compares
+  the batched banded parametric kernel against the per-pair scalar
+  probe);
+* ``--mode repeat`` -- the engine runtime: the same index serves
+  several consecutive ``bulk_knn`` calls with the persistent pool on
+  (ambient default) vs off (``REPRO_PERSISTENT_POOL=0``: id sweeps then
+  run in-process, since only the persistent pool attaches the
+  shared-memory corpus), results asserted bit-identical.
 
 Either way the batched paths must return bit-identical results and
 identical per-query ``distance_computations`` (asserted, not sampled);
@@ -183,9 +184,11 @@ def run_range_benchmark(
     radius=None,
     seed: int = 0xD161,
 ) -> dict:
-    """Scalar vs lockstep range search, plus banded-vs-full-table kernel
-    timing on the same tight-radius candidate workload."""
+    """Scalar vs lockstep range search, plus the bounded engine path vs
+    a scalar ``within`` loop on the same tight-radius candidate
+    workload."""
     from repro.batch import pairwise_values_bounded
+    from repro.index.base import CountingDistance
 
     train, queries = _workload(per_class, n_train, n_queries, seed)
     if radius is None:
@@ -212,29 +215,22 @@ def run_range_benchmark(
     aesa_batch_seconds = time.perf_counter() - started
     _check_identical(aesa_scalar, aesa_batch, "AESA range")
 
-    # Direct banded-vs-full-table engine comparison on the tight-radius
+    # Direct bounded-engine vs scalar-twin comparison on the tight-radius
     # candidate workload (every query against a training slice at the
-    # radius) -- the tentpole's kernel-level speedup, identity asserted.
+    # radius) -- the kernel-level speedup, identity asserted slot by slot.
     candidates = train[: min(len(train), 80)]
     pairs = [(q, c) for q in queries for c in candidates]
     limits = [radius] * len(pairs)
     started = time.perf_counter()
-    banded_values = pairwise_values_bounded(distance, pairs, limits)
-    banded_seconds = time.perf_counter() - started
-    env_before = os.environ.get("REPRO_BANDED_BATCH")
-    os.environ["REPRO_BANDED_BATCH"] = "0"
-    try:
-        started = time.perf_counter()
-        full_values = pairwise_values_bounded(distance, pairs, limits)
-        full_seconds = time.perf_counter() - started
-    finally:
-        if env_before is None:
-            del os.environ["REPRO_BANDED_BATCH"]
-        else:
-            os.environ["REPRO_BANDED_BATCH"] = env_before
-    if banded_values.tolist() != full_values.tolist():
+    engine_values = pairwise_values_bounded(distance, pairs, limits)
+    engine_seconds = time.perf_counter() - started
+    counter = CountingDistance(get_distance(distance))
+    started = time.perf_counter()
+    within_values = [counter.within(x, y, radius) for x, y in pairs]
+    within_seconds = time.perf_counter() - started
+    if engine_values.tolist() != within_values:
         raise AssertionError(
-            "banded and full-table pairwise_values_bounded disagree"
+            "pairwise_values_bounded disagrees with CountingDistance.within"
         )
 
     comps = [s.distance_computations for _, s in batch]
@@ -256,9 +252,9 @@ def run_range_benchmark(
         "aesa_scalar_seconds": round(aesa_scalar_seconds, 4),
         "aesa_batch_seconds": round(aesa_batch_seconds, 4),
         "aesa_speedup": round(aesa_scalar_seconds / aesa_batch_seconds, 2),
-        "bounded_banded_seconds": round(banded_seconds, 4),
-        "bounded_full_seconds": round(full_seconds, 4),
-        "bounded_speedup": round(full_seconds / banded_seconds, 2),
+        "bounded_engine_seconds": round(engine_seconds, 4),
+        "bounded_within_seconds": round(within_seconds, 4),
+        "bounded_speedup": round(within_seconds / engine_seconds, 2),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -277,16 +273,15 @@ def run_repeat_benchmark(
     rounds: int = 3,
     seed: int = 0xD161,
 ) -> dict:
-    """Repeated bulk queries against one fixed index: interned corpus +
-    persistent pool (ambient defaults) vs the per-call path
-    (``REPRO_INTERN=0 REPRO_PERSISTENT_POOL=0``).
+    """Repeated bulk queries against one fixed index: the persistent
+    pool (ambient default) vs the per-call path
+    (``REPRO_PERSISTENT_POOL=0``).
 
-    The index is built under each regime (interning is a build-time
-    choice) and then serves *rounds* consecutive ``bulk_knn`` calls --
-    the serving-traffic shape where the per-call costs the runtime
-    removes (re-encoding the corpus every round, spawning a pool every
-    sweep) actually repeat.  Neighbours, distances and per-query
-    computation counts are asserted bit-identical between the regimes.
+    The index is built under each regime and then serves *rounds*
+    consecutive ``bulk_knn`` calls -- the serving-traffic shape where
+    the per-call costs the runtime removes (spawning a pool every sweep)
+    actually repeat.  Neighbours, distances and per-query computation
+    counts are asserted bit-identical between the regimes.
     """
     train, queries = _workload(per_class, n_train, n_queries, seed)
 
@@ -296,22 +291,20 @@ def run_repeat_benchmark(
         batches = [index.bulk_knn(queries, k) for _ in range(rounds)]
         return time.perf_counter() - started, batches
 
-    interned_seconds, interned = timed_rounds()
-    overrides = {"REPRO_INTERN": "0", "REPRO_PERSISTENT_POOL": "0"}
-    saved = {key: os.environ.get(key) for key in overrides}
-    os.environ.update(overrides)
+    persistent_seconds, persistent = timed_rounds()
+    saved = os.environ.get("REPRO_PERSISTENT_POOL")
+    os.environ["REPRO_PERSISTENT_POOL"] = "0"
     try:
         percall_seconds, percall = timed_rounds()
     finally:
-        for key, value in saved.items():
-            if value is None:
-                del os.environ[key]
-            else:
-                os.environ[key] = value
-    for r, (new, old) in enumerate(zip(interned, percall)):
+        if saved is None:
+            del os.environ["REPRO_PERSISTENT_POOL"]
+        else:
+            os.environ["REPRO_PERSISTENT_POOL"] = saved
+    for r, (new, old) in enumerate(zip(persistent, percall)):
         _check_identical(old, new, f"repeat round {r}")
 
-    comps = [s.distance_computations for _, s in interned[0]]
+    comps = [s.distance_computations for _, s in persistent[0]]
     return {
         "bench": "query_batch",
         "search": "repeat",
@@ -322,9 +315,9 @@ def run_repeat_benchmark(
         "k": k,
         "rounds": rounds,
         "mean_computations_per_query": round(float(np.mean(comps)), 1),
-        "interned_seconds": round(interned_seconds, 4),
+        "persistent_seconds": round(persistent_seconds, 4),
         "percall_seconds": round(percall_seconds, 4),
-        "speedup": round(percall_seconds / interned_seconds, 2),
+        "speedup": round(percall_seconds / persistent_seconds, 2),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -345,7 +338,7 @@ def main(argv=None) -> int:
         choices=("knn", "range", "repeat"),
         default="knn",
         help="benchmark k-NN (default), radius search, or repeated bulk "
-        "queries (interned runtime vs per-call path)",
+        "queries (persistent vs per-call pool)",
     )
     parser.add_argument(
         "--rounds",
@@ -448,8 +441,8 @@ def main(argv=None) -> int:
         gate, target, label = record["speedup"], 1.0, "repeat bulk"
     elif args.mode == "range" and args.distance == "marzal_vidal":
         # d_MV's pivot phase stays scalar on the numpy backend, so the
-        # tentpole metric here is the candidate-phase kernel: batched
-        # banded probes vs the per-pair scalar probe loop
+        # metric here is the candidate-phase kernel: batched banded
+        # probes vs the per-pair scalar probe (within) loop
         gate, target, label = record["bounded_speedup"], 1.2, "d_MV banded-batch"
     else:
         gate, target, label = record["speedup"], 1.5, f"{args.mode} bulk"

@@ -10,9 +10,14 @@ route their bulk distance needs through here.
 Entry points:
 
 * :func:`pairwise_values` -- distances for an explicit pair list;
-* :func:`pairwise_values_bounded` -- early-exit distances with per-pair
-  limits, bit-identical to ``CountingDistance.within`` (the batched
-  candidate phase of the lockstep ``bulk_knn`` drivers);
+* :func:`pairwise_values_ids` / :func:`pairwise_values_bounded_ids` --
+  the same over ``(id, id)`` pairs of an interned corpus
+  (:func:`intern_corpus`), the only way the indexes reach the engine;
+  the bounded twin returns early-exit distances with per-pair limits,
+  bit-identical to ``CountingDistance.within`` (the batched candidate
+  phase of the lockstep ``bulk_*`` drivers);
+* :func:`pairwise_values_bounded` -- the bounded twin over an explicit
+  pair list (interned into a throwaway corpus per call);
 * :func:`pairwise_matrix` -- a full (or symmetric upper-triangle) matrix;
 * :func:`pairwise_matrix_blocks` -- the matrix streamed as row-block
   shards (bounded memory for paper-scale gene sets);
@@ -33,7 +38,7 @@ results (:data:`DEGRADATION` counts the events,
 suite).
 """
 
-from .corpus import InternedCorpus, PairStore, intern_corpus, interning_enabled
+from .corpus import InternedCorpus, PairStore, intern_corpus
 from .engine import (
     distances_from,
     pairwise_matrix,
@@ -81,7 +86,6 @@ __all__ = [
     "InternedCorpus",
     "PairStore",
     "intern_corpus",
-    "interning_enabled",
     "EngineRuntime",
     "get_runtime",
     "persistent_pool_enabled",

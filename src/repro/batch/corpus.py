@@ -19,7 +19,10 @@ encoding a build-time cost:
   normalisation, hashing or symbol-by-symbol encoding;
 * :func:`intern_corpus` -- the tolerant constructor the indexes call:
   items that cannot be normalised or hashed (arbitrary user objects)
-  return ``None`` and every caller falls back to the raw-pair paths.
+  get a corpus *without an encoding*.  Its stores hold the raw items
+  only (:attr:`PairStore.encoded` is false), and the engine's ``*_ids``
+  entry points answer them through their scalar fallbacks.  A store
+  whose extra batch cannot be encoded is unencoded the same way.
 
 Encoding is equality-preserving by construction: *all* sequences share
 one symbol->code dictionary, so two symbols compare equal after encoding
@@ -28,10 +31,6 @@ This is the same guarantee :func:`~repro.batch.kernels.encode_batch`
 gives per batch, extended to a whole corpus -- cross-representation
 equality (``"ab"`` vs ``("a", "b")``) survives because both encode their
 *normalised* symbols through the shared table.
-
-``REPRO_INTERN=0`` disables interning at index construction (the bulk
-drivers then dispatch raw pairs exactly as before -- a debugging escape
-hatch and the baseline of the interned-vs-raw identity tests).
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from typing import (
 import numpy as np
 
 from ..core.types import Symbols, as_symbols
-from ..tools import knobs
 from .kernels import _PAD_X, _PAD_Y
 
 if TYPE_CHECKING:
@@ -62,14 +60,7 @@ __all__ = [
     "PairStore",
     "gather_rows",
     "intern_corpus",
-    "interning_enabled",
 ]
-
-
-def interning_enabled() -> bool:
-    """Whether indexes intern their items at construction;
-    ``REPRO_INTERN=0`` opts out (read per construction)."""
-    return knobs.get_flag("REPRO_INTERN")
 
 
 class _Block:
@@ -135,7 +126,7 @@ class InternedCorpus:
         self.items: List[Any] = list(items)
         self.symbols: List[Symbols] = [as_symbols(item) for item in self.items]
         self.codes: Dict[Hashable, int] = {}
-        self.block = _encode_block(self.symbols, self.codes)
+        self._block: Optional[_Block] = _encode_block(self.symbols, self.codes)
         #: Stable identity for shared-memory publication: the runtime
         #: keys worker-side block caches by it, so a *republication*
         #: (same corpus, new segments after a runtime shutdown) lands on
@@ -148,6 +139,20 @@ class InternedCorpus:
         #: revalidated per publish so tokens never outlive a runtime
         #: shutdown (one live publication per corpus per process).
         self.shm_token: Optional[Tuple[int, "BlockToken"]] = None
+
+    @classmethod
+    def unencoded(cls, items: Sequence[Any]) -> "InternedCorpus":
+        """A corpus over items the kernels cannot encode: the raw items
+        and nothing else, so every engine call on its stores takes the
+        scalar fallbacks."""
+        corpus = cls.__new__(cls)
+        corpus.items = list(items)
+        corpus.symbols = []
+        corpus.codes = {}
+        corpus._block = None
+        corpus.key = uuid.uuid4().hex[:12]
+        corpus.shm_token = None
+        return corpus
 
     @classmethod
     def from_arrays(
@@ -208,13 +213,25 @@ class InternedCorpus:
                 f"corpus rows are {rows_x.shape[1]} wide but the longest "
                 f"item needs {int(lengths.max())}"
             )
-        corpus.block = _Block(rows_x, rows_y, lengths)
+        corpus._block = _Block(rows_x, rows_y, lengths)
         corpus.key = uuid.uuid4().hex[:12]
         corpus.shm_token = None
         return corpus
 
     def __len__(self) -> int:
         return len(self.items)
+
+    @property
+    def encoded(self) -> bool:
+        """Whether the kernels can sweep this corpus (see :meth:`unencoded`)."""
+        return self._block is not None
+
+    @property
+    def block(self) -> _Block:
+        """The encoded matrices; ``TypeError`` on an unencoded corpus."""
+        if self._block is None:
+            raise TypeError("this corpus holds items the kernels cannot encode")
+        return self._block
 
     @property
     def lengths(self) -> np.ndarray:
@@ -234,33 +251,56 @@ class InternedCorpus:
         return PairStore(self, queries)
 
 
+#: Placeholder extra block of unencoded stores (they sweep no matrices).
+_NO_BLOCK = _Block(
+    np.zeros((0, 0), dtype=np.int32),
+    np.zeros((0, 0), dtype=np.int32),
+    np.zeros(0, dtype=np.int64),
+)
+
+
 class PairStore:
     """The id space interned engine calls dispatch against.
 
     Ids ``[0, n_corpus)`` address the corpus, ids ``[n_corpus,
     n_corpus + n_extra)`` the per-call extra batch (queries).  Kernel
     inputs are *gathered* -- row-sliced out of the stored matrices --
-    instead of re-encoded.
+    instead of re-encoded.  A store over an unencoded corpus, or with
+    extras that cannot be encoded, is not :attr:`encoded`: it serves
+    :meth:`raw` items to the engine's scalar fallbacks and nothing else.
     """
 
     def __init__(self, corpus: InternedCorpus, extras: Sequence[Any] = ()) -> None:
         self.corpus = corpus
         self.raw_items: List[Any] = list(extras)
-        self.extra_symbols, self.extra = corpus.encode(self.raw_items)
         self.n_corpus = len(corpus)
+        self.encoded = corpus.encoded
+        self.extra_symbols: List[Symbols] = []
+        self.extra = _NO_BLOCK
         #: lengths over the whole id space (corpus then extras)
-        self.lengths = (
-            np.concatenate([corpus.block.lengths, self.extra.lengths])
-            if len(self.extra)
-            else corpus.block.lengths
-        )
+        self.lengths = _NO_BLOCK.lengths
+        if self.encoded:
+            try:
+                self.extra_symbols, self.extra = corpus.encode(self.raw_items)
+            except TypeError:
+                self.encoded = False
+                return
+            self.lengths = (
+                np.concatenate([corpus.lengths, self.extra.lengths])
+                if len(self.extra)
+                else corpus.lengths
+            )
 
     def __len__(self) -> int:
-        return self.n_corpus + len(self.extra)
+        return self.n_corpus + len(self.raw_items)
 
     def extra_id(self, position: int) -> int:
         """The store id of extra (query) number *position*."""
         return self.n_corpus + position
+
+    def extra_ids(self) -> np.ndarray:
+        """The store ids of every extra, in order."""
+        return np.arange(self.n_corpus, len(self), dtype=np.int64)
 
     def raw(self, i: int) -> Any:
         """The original item behind id *i* (for scalar fallbacks)."""
@@ -361,10 +401,10 @@ def gather_rows(
     )
 
 
-def intern_corpus(items: Sequence[Any]) -> Optional[InternedCorpus]:
-    """Intern *items*, or ``None`` when they cannot be (non-sequence
-    items, unhashable symbols) -- callers then keep the raw-pair paths."""
+def intern_corpus(items: Sequence[Any]) -> InternedCorpus:
+    """Intern *items*; items that cannot be encoded (non-sequence items,
+    unhashable symbols) get an :meth:`~InternedCorpus.unencoded` corpus."""
     try:
         return InternedCorpus(items)
     except TypeError:
-        return None
+        return InternedCorpus.unencoded(items)

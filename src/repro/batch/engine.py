@@ -32,14 +32,16 @@ one-pool-per-call behaviour bit-identically).
 Interned dispatch
 -----------------
 :func:`pairwise_values_ids` and :func:`pairwise_values_bounded_ids` are
-the id-space twins of the two pair-list entry points: callers holding an
-interned corpus (:mod:`repro.batch.corpus`) dispatch ``(id, id)`` pairs
-against matrices encoded once at index-build time, so repeated bulk
-queries skip normalisation, content hashing and ``encode_batch``
-entirely; sharded fan-out sends workers only id arrays against a
-shared-memory publication of the corpus.  Values are bit-identical to
-the raw-pair entry points (same kernels, same replay arithmetic --
-asserted by the tests).
+the id-space entry points every index uses: callers holding an interned
+corpus (:mod:`repro.batch.corpus`) dispatch ``(id, id)`` pairs against
+matrices encoded once at index-build time, so repeated bulk queries skip
+normalisation, content hashing and ``encode_batch`` entirely; sharded
+fan-out sends workers only id arrays against a shared-memory
+publication of the corpus.  The bounded path has one implementation:
+:func:`pairwise_values_bounded` interns its pair list into a throwaway
+corpus and calls the id twin.  Values are bit-identical to the scalar
+functions either way (same kernels, same replay arithmetic -- asserted
+by the tests).
 
 Which distances are batched
 ---------------------------
@@ -60,7 +62,6 @@ import os
 import time
 import warnings
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -91,22 +92,25 @@ from ..core.contextual import canonical_cost
 from ..core.levenshtein import levenshtein_distance
 from ..core.marzal_vidal import mv_normalized_distance
 from ..core.types import Symbols, as_symbols
+from .corpus import PairStore, intern_corpus
 from .kernels import (
-    contextual_heuristic_batch,
-    contextual_heuristic_batch_bounded,
     contextual_heuristic_batch_bounded_encoded,
     contextual_heuristic_batch_encoded,
     encode_batch,
-    levenshtein_batch,
-    levenshtein_batch_bounded,
     levenshtein_batch_bounded_encoded,
     levenshtein_batch_encoded,
-    mv_banded_probe_batch,
     mv_banded_probe_batch_encoded,
 )
 
-if TYPE_CHECKING:
-    from .corpus import PairStore
+# The pair-list kernels are unused here, but perfbench/tracing.py wraps
+# every kernel under this module's namespace and fails on a missing name.
+from .kernels import (  # noqa: F401
+    contextual_heuristic_batch,
+    contextual_heuristic_batch_bounded,
+    levenshtein_batch,
+    levenshtein_batch_bounded,
+    mv_banded_probe_batch,
+)
 
 __all__ = [
     "pairwise_values",
@@ -133,6 +137,9 @@ _LEV_INT = "__levenshtein_int__"
 #: Registered names whose value is a closed form of ``d_E`` and lengths.
 _LEV_FAMILY = ("levenshtein", "dmax", "dsum", "dmin", "yujian_bo", _LEV_INT)
 
+#: Registered names whose bounded twins the batched kernels replay.
+_BOUNDED_KERNELS = _LEV_FAMILY + ("contextual_heuristic", "marzal_vidal")
+
 #: Default number of pairs per kernel bucket: large enough to amortise the
 #: per-diagonal numpy dispatch over many pairs, small enough that padding
 #: (pairs are sorted by combined length first) stays modest.
@@ -154,13 +161,6 @@ def _min_pairs_per_worker() -> int:
     if value is not None:
         return value
     return _MIN_PAIRS_PER_WORKER
-
-
-def _banded_batch_enabled() -> bool:
-    """Whether :func:`pairwise_values_bounded` may use the banded batch
-    kernels; ``REPRO_BANDED_BATCH=0`` forces the full-table fallback
-    (identical values, more padded work -- a debugging escape hatch)."""
-    return knobs.get_flag("REPRO_BANDED_BATCH")
 
 
 def _is_batched(name: Optional[str]) -> bool:
@@ -751,9 +751,10 @@ def pairwise_values_ids(
     deduplication keys on integer id pairs instead of content, and
     sharded fan-out ships only id arrays against a shared-memory
     publication of the store (persistent pool).  Distances without a
-    batched kernel path fall back to :func:`pairwise_values` on the
-    stored raw items -- identical behaviour, including for arbitrary
-    representation-sensitive callables.
+    batched kernel path, and stores without an encoding, fall back to
+    :func:`pairwise_values` on the stored raw items -- identical
+    behaviour, including for arbitrary representation-sensitive
+    callables.
 
     Two deliberate differences from content-keyed dedupe: distinct ids
     holding equal content are evaluated per id pair (their kernel result
@@ -769,7 +770,7 @@ def pairwise_values_ids(
         )
     n = len(x_ids)
     name, _ = _resolve(distance)
-    if name is None or not _is_batched(name):
+    if name is None or not _is_batched(name) or not store.encoded:
         pairs = [
             (store.raw(int(i)), store.raw(int(j)))
             for i, j in zip(x_ids, y_ids)
@@ -958,319 +959,118 @@ def pairwise_values_bounded(
     """Early-exit twin of :func:`pairwise_values` with per-pair limits.
 
     Entry ``i`` equals what ``CountingDistance.within(x_i, y_i,
-    limits[i])`` returns -- bit for bit -- so a batched candidate phase
-    (the lockstep ``bulk_knn`` drivers) can group the bounded candidate
-    evaluations of many queries into one call without perturbing any
-    search result:
+    limits[i])`` returns, bit for bit (see
+    :func:`pairwise_values_bounded_ids` for the contract).
 
-    * exact value whenever the true distance is ``<= limits[i]``;
-    * some value ``> limits[i]`` otherwise;
-    * ``limits[i] == inf`` (or a distance without a registered twin)
-      degrades to the full distance, exactly like ``within``.
-
-    Kernel-backed distances (the Levenshtein family and the contextual
-    heuristic) run one deduplicated *banded* batched sweep: each unique
-    pair carries the widest edit budget over its requests into the
-    kernels of :mod:`repro.batch.kernels`, which clamp the anti-diagonal
-    window to the bucket's widest surviving band and retire pairs whose
-    diagonal minima bust their budget -- tight limits touch a thin
-    stripe of the padded tables instead of all of them.  Each request's
-    bounded arithmetic is then replayed at its own limit from the
-    ``(value, exact)`` kernel result; buckets with nothing to prune (and
-    runs under ``REPRO_BANDED_BATCH=0``) fall back to the full-table
-    kernels, bit-identically.  ``marzal_vidal`` requests run the batched
-    banded *parametric* kernel: every unique banded-regime ``(pair,
-    limit)`` probe joins one anti-diagonal float sweep whose scores are
-    bit-identical to the scalar probe, and only probes that cannot prune
-    pay a full Dinkelbach evaluation (``REPRO_BANDED_BATCH=0`` restores
-    the one-scalar-probe-per-request loop).  Remaining twins evaluate
-    the scalar twin per unique ``(pair, limit)``.  ``workers`` is
-    accepted for signature parity but the bounded path always runs
-    serially -- the lockstep drivers call it once per (small) round,
-    where a pool could never amortise.
+    An adapter over :func:`pairwise_values_bounded_ids`: the distinct
+    items of *pairs* (keyed by their normalised symbols) are interned
+    into a throwaway corpus, and the pairs dispatch as id pairs against
+    it.  Items that cannot be interned (arbitrary objects, unhashable
+    symbols) get one id per position in a corpus without an encoding,
+    which the id path answers through the scalar twins.  ``workers`` is
+    accepted for signature parity; the bounded path always runs
+    serially.
     """
-    n = len(pairs)
-    if len(limits) != n:
+    if len(limits) != len(pairs):
         raise ValueError(
-            f"{n} pairs but {len(limits)} limits; they must align"
+            f"{len(pairs)} pairs but {len(limits)} limits; they must align"
         )
-    name, fn = _resolve(distance)
-    bounded_fn = bounded_for(fn)
-    if bounded_fn is None:
-        # no early-exit twin registered: within() falls back to the full
-        # distance at every limit, and so does the batched path
-        return pairwise_values(distance, pairs, workers=workers)
-    if name == "marzal_vidal" and _banded_batch_enabled():
-        return _bounded_mv_raw(fn, bounded_fn, pairs, limits)
-    if name not in _LEV_FAMILY and name != "contextual_heuristic":
-        # scalar twin (e.g. d_MV's banded parametric probe): dedupe on
-        # (pair, limit) and call the twin exactly as within() would
-        out = np.empty(n, dtype=float)
-        cache: Dict[Tuple[Symbols, Symbols, float], float] = {}
-        for p, ((raw_x, raw_y), raw_limit) in enumerate(zip(pairs, limits)):
-            limit = float(raw_limit)
-            try:
-                # items with unhashable symbols normalise but cannot key
-                # the cache; evaluate them verbatim like within() would
-                key = (as_symbols(raw_x), as_symbols(raw_y), limit)
-                value = cache.get(key)
-            except TypeError:
-                key = None
-                value = None
-            if value is None:
-                if limit == _INF:
-                    value = fn(raw_x, raw_y)
-                else:
-                    value = bounded_fn(raw_x, raw_y, limit)
-                if key is not None:
-                    cache[key] = value
-            out[p] = value
-        return out
+    items: List[Any] = []
+    ids: List[int] = []
     try:
-        norm = [(as_symbols(x), as_symbols(y)) for x, y in pairs]
-        slot_of: Dict[Tuple[Symbols, Symbols], int] = {}
-        unique: List[Tuple[Symbols, Symbols]] = []
-        take = np.empty(n, dtype=np.int64)
-        for p, pair in enumerate(norm):
-            slot = slot_of.get(pair)
-            if slot is None:
-                slot = len(unique)
-                slot_of[pair] = slot
-                unique.append(pair)
-            take[p] = slot
+        slot_of: Dict[Symbols, int] = {}
+        for x, y in pairs:
+            for item in (x, y):
+                key = as_symbols(item)
+                slot = slot_of.get(key)
+                if slot is None:
+                    slot = slot_of[key] = len(items)
+                    items.append(item)
+                ids.append(slot)
     except TypeError:
-        # non-normalisable items, or symbols the dedupe cannot hash (the
-        # batch kernels could not encode them either): mirror within()
-        # pair by pair -- the scalar twins only compare symbols by ==
-        return np.asarray(
-            [
-                fn(x, y)
-                if float(limit) == _INF
-                else bounded_fn(x, y, float(limit))
-                for (x, y), limit in zip(pairs, limits)
-            ],
-            dtype=float,
-        )
-    contextual = name == "contextual_heuristic"
-    # Per-unique-pair kernel budget: the widest budget over that pair's
-    # requests.  Exactness at the maximum budget decides every smaller
-    # one (exact there and d <= k, or provably above every k).
-    limits_f = [float(limit) for limit in limits]
-    bounds = np.zeros(len(unique), dtype=np.int64)
-    for p, (x, y) in enumerate(norm):
-        slot = take[p]
-        budget = _kernel_budget(name, len(x), len(y), limits_f[p])
-        if budget > bounds[slot]:
-            bounds[slot] = budget
-    banded_enabled = _banded_batch_enabled()
-    d_unique = np.zeros(len(unique), dtype=np.int64)
-    ni_unique = np.zeros(len(unique), dtype=np.int64)
-    exact_unique = np.ones(len(unique), dtype=bool)
-    for bucket in _buckets(unique, _BUCKET_SIZE):
-        chunk = [unique[i] for i in bucket]
-        chunk_bounds = bounds[bucket]
-        # full-table fallback: when no budget in the bucket is below its
-        # pair's combined length the band covers every table anyway, so
-        # the plain kernels (no window/retirement bookkeeping) win
-        banded = banded_enabled and bool(
-            (
-                chunk_bounds
-                < np.asarray([len(x) + len(y) for x, y in chunk])
-            ).any()
-        )
-        if contextual:
-            if banded:
-                d_chunk, ni_chunk, exact_chunk = (
-                    contextual_heuristic_batch_bounded(chunk, chunk_bounds)
-                )
-                exact_unique[bucket] = exact_chunk
-            else:
-                d_chunk, ni_chunk = contextual_heuristic_batch(chunk)
-            d_unique[bucket] = d_chunk
-            ni_unique[bucket] = ni_chunk
-        else:
-            if banded:
-                d_chunk, exact_chunk = levenshtein_batch_bounded(
-                    chunk, chunk_bounds
-                )
-                exact_unique[bucket] = exact_chunk
-            else:
-                d_chunk = levenshtein_batch(chunk)
-            d_unique[bucket] = d_chunk
-    out = np.empty(n, dtype=np.int64 if name == _LEV_INT else float)
-    for p, (x, y) in enumerate(norm):
-        slot = int(take[p])
-        limit = limits_f[p]
-        exact = bool(exact_unique[slot])
-        if contextual:
-            out[p] = _replay_bounded_contextual(
-                x == y,
-                len(x),
-                len(y),
-                limit,
-                int(d_unique[slot]),
-                int(ni_unique[slot]),
-                exact,
-            )
-        else:
-            out[p] = _replay_bounded_lev(
-                name, len(x), len(y), limit, int(d_unique[slot]), exact
-            )
-    return out
-
-
-def _mv_bounded_values(
-    bounded_fn: Callable,
-    syms: List[Tuple[Symbols, Symbols]],
-    sames: List[bool],
-    limits: List[float],
-    gather: Optional[Callable] = None,
-) -> np.ndarray:
-    """Bounded ``d_MV`` values for a list of unique requests.
-
-    Every request is classified by :func:`~repro.core.bounded.mv_bound_plan`
-    (the scalar twin's own regime selector, so the two can never drift):
-    closed-form regimes are answered in place, full-table-probe regimes
-    call the scalar twin (*bounded_fn* -- it IS that path), and all
-    banded-regime probes join length-bucketed
-    :func:`~repro.batch.kernels.mv_banded_probe_batch` sweeps whose
-    scores are bit-identical to the scalar probe; only probes that fail
-    to prune pay a full Dinkelbach evaluation, exactly like the twin.
-    ``gather`` (interned dispatch) supplies pre-encoded kernel inputs for
-    a list of request positions; without it the probe buckets encode
-    their symbol pairs on the fly.
-    """
-    count = len(syms)
-    out = np.empty(count, dtype=float)
-    probe: List[int] = []
-    probe_band: List[int] = []
-    for i in range(count):
-        x, y = syms[i]
-        if sames[i]:
-            out[i] = 0.0
-            continue
-        tag, aux = mv_bound_plan(len(x), len(y), limits[i])
-        if tag == "exact":
-            # the limit cannot prune: within() computes the full distance
-            # (the registered d_MV function) at inf and the twin does the
-            # same from 1.0 up -- one function either way
-            out[i] = mv_normalized_distance(x, y)
-        elif tag == "pruned":
-            out[i] = aux
-        elif tag == "full":
-            # wide band on long strings: the scalar twin already probes
-            # with the full-table parametric kernel there; calling it is
-            # the identity-by-construction path
-            out[i] = bounded_fn(x, y, limits[i])
-        else:
-            probe.append(i)
-            probe_band.append(int(aux))
-    if probe:
-        sizes = [len(syms[i][0]) + len(syms[i][1]) for i in probe]
-        for bucket in _sizes_buckets(sizes, _BUCKET_SIZE):
-            sel = [probe[k] for k in bucket]
-            bands = np.asarray([probe_band[k] for k in bucket], dtype=np.int64)
-            lams = np.asarray([limits[i] for i in sel], dtype=np.float64)
-            if gather is None:
-                scores = mv_banded_probe_batch(
-                    [syms[i] for i in sel], lams, bands
-                )
-            else:
-                X, Y, mx, my = gather(sel)
-                scores = mv_banded_probe_batch_encoded(X, Y, mx, my, lams, bands)
-            for k, i in enumerate(sel):
-                x, y = syms[i]
-                score = float(scores[k])
-                if score <= _MV_EPS:
-                    out[i] = mv_normalized_distance(x, y)
-                else:
-                    out[i] = mv_pruned_value(
-                        limits[i], len(x) + len(y), int(bands[k]), score
-                    )
-    return out
-
-
-def _bounded_mv_raw(
-    fn: Callable,
-    bounded_fn: Callable,
-    pairs: Sequence[Tuple[Any, Any]],
-    limits: Sequence[float],
-) -> np.ndarray:
-    """The ``marzal_vidal`` branch of :func:`pairwise_values_bounded`:
-    dedupe on ``(pair, limit)``, answer through :func:`_mv_bounded_values`."""
-    n = len(pairs)
-    try:
-        norm = [(as_symbols(x), as_symbols(y)) for x, y in pairs]
-        limits_f = [float(limit) for limit in limits]
-        slot_of: Dict[Tuple[Symbols, Symbols, float], int] = {}
-        syms: List[Tuple[Symbols, Symbols]] = []
-        sames: List[bool] = []
-        u_limits: List[float] = []
-        take = np.empty(n, dtype=np.int64)
-        for p, pair in enumerate(norm):
-            key = (pair[0], pair[1], limits_f[p])
-            slot = slot_of.get(key)
-            if slot is None:
-                slot = len(syms)
-                slot_of[key] = slot
-                syms.append(pair)
-                sames.append(pair[0] == pair[1])
-                u_limits.append(limits_f[p])
-            take[p] = slot
-    except TypeError:
-        # unhashable symbols: mirror within() pair by pair
-        return np.asarray(
-            [
-                fn(x, y)
-                if float(limit) == _INF
-                else bounded_fn(x, y, float(limit))
-                for (x, y), limit in zip(pairs, limits)
-            ],
-            dtype=float,
-        )
-    values = _mv_bounded_values(bounded_fn, syms, sames, u_limits)
-    return values[take]
+        items = [item for pair in pairs for item in pair]
+        ids = list(range(len(items)))
+    store = intern_corpus(items).store()
+    return pairwise_values_bounded_ids(
+        distance, store, ids[0::2], ids[1::2], limits
+    )
 
 
 def _bounded_mv_ids(
-    bounded_fn: Callable[..., Tuple[float, bool]],
+    bounded_fn: Callable[..., float],
     store: "PairStore",
     x_ids: np.ndarray,
     y_ids: np.ndarray,
     limits: Sequence[float],
 ) -> np.ndarray:
-    """The ``marzal_vidal`` branch of :func:`pairwise_values_bounded_ids`:
-    dedupe on ``(id, id, limit)``, gather probe inputs from the store."""
-    n = len(x_ids)
-    limits_f = [float(limit) for limit in limits]
+    """The ``marzal_vidal`` branch of :func:`pairwise_values_bounded_ids`.
+
+    Requests are deduplicated on ``(id, id, limit)`` and classified by
+    :func:`~repro.core.bounded.mv_bound_plan` (the scalar twin's own
+    regime selector, so the two can never drift): closed-form regimes
+    are answered in place, full-table-probe regimes call the scalar
+    twin (*bounded_fn* -- it IS that path), and all banded-regime probes
+    join length-bucketed
+    :func:`~repro.batch.kernels.mv_banded_probe_batch_encoded` sweeps
+    over inputs gathered from the store, whose scores are bit-identical
+    to the scalar probe; only probes that fail to prune pay a full
+    Dinkelbach evaluation, exactly like the twin.
+    """
     slot_of: Dict[Tuple[int, int, float], int] = {}
-    u_x: List[int] = []
-    u_y: List[int] = []
-    u_limits: List[float] = []
-    take = np.empty(n, dtype=np.int64)
-    for p in range(n):
-        key = (int(x_ids[p]), int(y_ids[p]), limits_f[p])
+    unique: List[Tuple[int, int, float]] = []
+    take = np.empty(len(x_ids), dtype=np.int64)
+    for p in range(len(x_ids)):
+        key = (int(x_ids[p]), int(y_ids[p]), float(limits[p]))
         slot = slot_of.get(key)
         if slot is None:
-            slot = len(u_x)
-            slot_of[key] = slot
-            u_x.append(key[0])
-            u_y.append(key[1])
-            u_limits.append(limits_f[p])
+            slot = slot_of[key] = len(unique)
+            unique.append(key)
         take[p] = slot
-    syms = [(store.sym(i), store.sym(j)) for i, j in zip(u_x, u_y)]
-    sames = [store.same(i, j) for i, j in zip(u_x, u_y)]
-
-    def gather(
-        sel: List[int],
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return store.gather(
-            np.asarray([u_x[i] for i in sel], dtype=np.int64),
-            np.asarray([u_y[i] for i in sel], dtype=np.int64),
+    out = np.empty(len(unique), dtype=float)
+    probe: List[int] = []
+    probe_band: List[int] = []
+    for u, (i, j, limit) in enumerate(unique):
+        if store.same(i, j):
+            out[u] = 0.0
+            continue
+        x, y = store.sym(i), store.sym(j)
+        tag, aux = mv_bound_plan(len(x), len(y), limit)
+        if tag == "exact":
+            # the limit cannot prune: within() computes the full distance
+            # (the registered d_MV function) at inf and the twin does the
+            # same from 1.0 up -- one function either way
+            out[u] = mv_normalized_distance(x, y)
+        elif tag == "pruned":
+            out[u] = aux
+        elif tag == "full":
+            # wide band on long strings: the scalar twin already probes
+            # with the full-table parametric kernel there; calling it is
+            # the identity-by-construction path
+            out[u] = bounded_fn(x, y, limit)
+        else:
+            probe.append(u)
+            probe_band.append(int(aux))
+    syms = [(store.sym(unique[u][0]), store.sym(unique[u][1])) for u in probe]
+    sizes = [len(x) + len(y) for x, y in syms]
+    for bucket in _sizes_buckets(sizes, _BUCKET_SIZE):
+        sel = [probe[k] for k in bucket]
+        bands = np.asarray([probe_band[k] for k in bucket], dtype=np.int64)
+        lams = np.asarray([unique[u][2] for u in sel], dtype=np.float64)
+        X, Y, mx, my = store.gather(
+            np.asarray([unique[u][0] for u in sel], dtype=np.int64),
+            np.asarray([unique[u][1] for u in sel], dtype=np.int64),
         )
-
-    values = _mv_bounded_values(bounded_fn, syms, sames, u_limits, gather)
-    return values[take]
+        scores = mv_banded_probe_batch_encoded(X, Y, mx, my, lams, bands)
+        for k, b in enumerate(bucket):
+            x, y = syms[b]
+            score = float(scores[k])
+            if score <= _MV_EPS:
+                out[sel[k]] = mv_normalized_distance(x, y)
+            else:
+                out[sel[k]] = mv_pruned_value(
+                    unique[sel[k]][2], len(x) + len(y), int(bands[k]), score
+                )
+    return out[take]
 
 
 def pairwise_values_bounded_ids(
@@ -1280,21 +1080,41 @@ def pairwise_values_bounded_ids(
     y_ids: Sequence[int],
     limits: Sequence[float],
 ) -> np.ndarray:
-    """:func:`pairwise_values_bounded` over interned store ids.
+    """Early-exit twin of :func:`pairwise_values_ids` with per-pair
+    limits.
 
-    Entry ``p`` is bit-identical to ``CountingDistance.within(
-    store.raw(x_ids[p]), store.raw(y_ids[p]), limits[p])`` -- the same
-    guarantee as the raw-pair entry point, with the same banded batch
-    sweeps -- but deduplication keys on integer id pairs and every kernel
-    input is *gathered* from the store's interned matrices instead of
-    normalised, hashed and re-encoded per call.  This is what each
-    lockstep bulk-query round dispatches
-    (:meth:`~repro.index.base.NearestNeighborIndex._lockstep_drive`).
+    Entry ``p`` equals what ``CountingDistance.within(
+    store.raw(x_ids[p]), store.raw(y_ids[p]), limits[p])`` returns --
+    bit for bit -- so a batched candidate phase can group the bounded
+    candidate evaluations of many queries into one call without
+    perturbing any search result.  This is what each lockstep
+    bulk-query round dispatches
+    (:meth:`~repro.index.base.NearestNeighborIndex._lockstep_drive`):
+
+    * exact value whenever the true distance is ``<= limits[p]``;
+    * some value ``> limits[p]`` otherwise;
+    * ``limits[p] == inf`` (or a distance without a registered twin)
+      degrades to the full distance, exactly like ``within``.
+
+    Kernel-backed distances (the Levenshtein family and the contextual
+    heuristic) run one *banded* batched sweep over the unique id pairs:
+    each carries the widest edit budget over its requests into the
+    kernels of :mod:`repro.batch.kernels`, which clamp the anti-diagonal
+    window to the bucket's widest surviving band and retire pairs whose
+    diagonal minima bust their budget -- tight limits touch a thin
+    stripe of the padded tables instead of all of them.  Kernel inputs
+    are *gathered* from the store's interned matrices, never re-encoded.
+    Each request's bounded arithmetic is then replayed at its own limit
+    from the ``(value, exact)`` kernel result; buckets with nothing to
+    prune take the full-table kernels, bit-identically.
+    ``marzal_vidal`` requests run the batched banded *parametric* kernel
+    (:func:`_bounded_mv_ids`).
 
     Distances without a registered twin degrade to full distances
-    (:func:`pairwise_values_ids`); twins outside the kernel families
-    evaluate the scalar twin per unique ``(id pair, limit)`` on the
-    stored raw items, exactly as ``within`` would.
+    (:func:`pairwise_values_ids`); other twins, and every twin on a
+    store without an encoding, evaluate the scalar twin per unique
+    ``(id pair, limit)`` on the stored raw items, exactly as ``within``
+    would.
     """
     x_ids = np.asarray(x_ids, dtype=np.int64)
     y_ids = np.asarray(y_ids, dtype=np.int64)
@@ -1309,9 +1129,7 @@ def pairwise_values_bounded_ids(
     if bounded_fn is None:
         # no early-exit twin: within() computes full distances
         return pairwise_values_ids(distance, store, x_ids, y_ids, workers=None)
-    if name == "marzal_vidal" and _banded_batch_enabled():
-        return _bounded_mv_ids(bounded_fn, store, x_ids, y_ids, limits)
-    if name not in _LEV_FAMILY and name != "contextual_heuristic":
+    if not store.encoded or name not in _BOUNDED_KERNELS:
         # scalar twin: dedupe on (id pair, limit), call the twin on the
         # stored raw items exactly as within() would
         out = np.empty(n, dtype=float)
@@ -1329,6 +1147,8 @@ def pairwise_values_bounded_ids(
                 cache[key] = value
             out[p] = value
         return out
+    if name == "marzal_vidal":
+        return _bounded_mv_ids(bounded_fn, store, x_ids, y_ids, limits)
     contextual = name == "contextual_heuristic"
     lens = store.lengths
     limits_f = [float(limit) for limit in limits]
@@ -1347,7 +1167,6 @@ def pairwise_values_bounded_ids(
         )
         if budget > bounds[slot]:
             bounds[slot] = budget
-    banded_enabled = _banded_batch_enabled()
     d_unique = np.zeros(len(uniq), dtype=np.int64)
     ni_unique = np.zeros(len(uniq), dtype=np.int64)
     exact_unique = np.ones(len(uniq), dtype=bool)
@@ -1357,8 +1176,9 @@ def pairwise_values_bounded_ids(
         X, Y, mx, my = store.gather(ux[idx], uy[idx])
         chunk_bounds = bounds[idx]
         # full-table fallback: when no budget in the bucket is below its
-        # pair's combined length the band covers every table anyway
-        banded = banded_enabled and bool((chunk_bounds < mx + my).any())
+        # pair's combined length the band covers every table anyway, so
+        # the plain kernels (no window/retirement bookkeeping) win
+        banded = bool((chunk_bounds < mx + my).any())
         if contextual:
             if banded:
                 d_chunk, ni_chunk, exact_chunk = (

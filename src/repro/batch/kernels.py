@@ -44,7 +44,6 @@ import numpy.typing as npt
 
 from ..core._kernels import jit_backend as _jit_backend
 from ..core.types import Symbols
-from ..tools import knobs
 
 #: Encoded kernel-input aliases (the ``(X, Y, mx, my)`` contract of
 #: :func:`encode_batch` / :meth:`~repro.batch.corpus.PairStore.gather`):
@@ -81,23 +80,14 @@ _NEG = -(1 << 30)
 _PAD_X = -1
 _PAD_Y = -2
 
-#: Default retirement-sampling cadence for the banded bounded sweeps:
-#: per-pair window minima (the retirement test) are computed every this
-#: many diagonals instead of every diagonal.  Retirement is purely an
+#: Retirement-sampling cadence for the banded bounded sweeps: per-pair
+#: window minima (the retirement test) are computed every this many
+#: diagonals instead of every diagonal.  Retirement is purely an
 #: optimisation -- a pair that retires a few diagonals later produces the
 #: identical ``(value, exact)`` output -- so any cadence is bit-identical
 #: to cadence 1 (asserted by the tests); sampling just shaves the two
 #: window reductions per diagonal on buckets that rarely retire.
 _RETIRE_CADENCE = 4
-
-
-def _retire_cadence() -> int:
-    """The retirement sampling cadence, honouring ``REPRO_RETIRE_CADENCE``
-    (read per call; values < 1 clamp to 1 == check every diagonal)."""
-    value = knobs.get_int("REPRO_RETIRE_CADENCE", minimum=1)
-    if value is not None:
-        return value
-    return _RETIRE_CADENCE
 
 
 def _encode_one(seq: Symbols, codes: Dict[Hashable, int]) -> np.ndarray:
@@ -497,7 +487,7 @@ def _contextual_swept(
 #   ``B = max(bounds[live])``), so tight-radius buckets touch a thin
 #   stripe of the padded table instead of all of it;
 # * per-pair minima of the last two diagonals are sampled every
-#   ``_RETIRE_CADENCE`` diagonals (env ``REPRO_RETIRE_CADENCE``), and a
+#   ``_RETIRE_CADENCE`` diagonals, and a
 #   pair whose minima both exceed its own budget is *retired* (all later
 #   cells derive from those diagonals by non-negative increments, so its
 #   final value provably busts the budget) -- the anti-diagonal analogue
@@ -563,7 +553,7 @@ def _levenshtein_swept_bounded(
     size = M + 1
     inf = M + N + 2
     final = mx + my
-    cadence = _retire_cadence()
+    cadence = _RETIRE_CADENCE
     since_check = 0
     prev_win = (0, min(M, 1))  # written window of diagonal 1
     live = np.ones(len(rows), dtype=bool)
@@ -687,7 +677,7 @@ def _contextual_swept_bounded(
     K = M + N + 2  # strictly above any feasible ni
     inf = (M + N + 1) * K
     final = mx + my
-    cadence = _retire_cadence()
+    cadence = _RETIRE_CADENCE
     since_check = 0
     prev_win = (0, min(M, 1))  # written window of diagonal 1
     live = np.ones(len(rows), dtype=bool)

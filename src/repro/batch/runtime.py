@@ -951,9 +951,13 @@ class EngineRuntime:
         """Publish a :class:`~repro.batch.corpus.PairStore`: the corpus
         block once per corpus (cached on the corpus object, invalidated
         by any :meth:`shutdown`, unlinked when the corpus is garbage
-        collected), the extra block ephemerally per call."""
+        collected), the extra block ephemerally per call.  ``None`` for
+        a store without an encoding: workers would have nothing to
+        sweep."""
         import weakref
 
+        if not store.encoded:
+            return None
         corpus = store.corpus
         cached = corpus.shm_token
         token = None

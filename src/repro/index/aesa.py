@@ -33,6 +33,8 @@ from .base import (
     RequestGenerator,
     SearchResult,
     SearchStats,
+    _validate_k,
+    _validate_radius,
     canonical_key,
 )
 
@@ -66,20 +68,12 @@ class AesaIndex(NearestNeighborIndex):
         self._apply_bulk_gate(bulk_sweep_max_items)
         n = len(self.items)
         # Upper triangle through the pair-batched engine, then mirrored --
-        # the same C(n, 2) computations the scalar loop performed.  With
-        # an interned corpus the whole triangle is an id grid: no pair
+        # the same C(n, 2) computations the scalar loop performed.  The
+        # triangle is an id grid against the interned corpus: no pair
         # list is materialised and the (auto-sharded) fan-out ships only
         # id arrays against the shared-memory corpus.
-        if self._corpus is not None:
-            iu, ju = np.triu_indices(n, k=1)
-            flat = self._counter.many_ids(self._corpus.store(), iu, ju)
-        else:
-            pairs = [
-                (self.items[i], self.items[j])
-                for i in range(n)
-                for j in range(i + 1, n)
-            ]
-            flat = self._counter.many(pairs)
+        iu, ju = np.triu_indices(n, k=1)
+        flat = self._counter.many_ids(self._corpus.store(), iu, ju)
         matrix = np.zeros((n, n), dtype=float)
         pos = 0
         for i in range(n):
@@ -171,25 +165,24 @@ class AesaIndex(NearestNeighborIndex):
         the front-loaded ``queries x items`` sweep.  Hits and per-query
         counts are identical to looping :meth:`range_search`.
         """
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _validate_radius(radius)
         queries = list(queries)
         if not queries:
             return []
         with self._track_degradation():  # grid sweep + lockstep drive
             generators = [self._range_requests(radius) for _ in queries]
-            store = self._interned_store(queries)
+            store = self._corpus.store(queries)
             if not self._sweep_worthwhile():
-                return self._lockstep_drive(queries, generators, store=store)
+                return self._lockstep_drive(queries, generators, store)
             started = time.perf_counter()
-            cache = self._grid_sweep(queries, store)
+            cache = self._grid_sweep(store)
             sweep_seconds = time.perf_counter() - started
             return self._lockstep_drive(
                 queries,
                 generators,
+                store,
                 pivot_cache=cache,
                 extra_elapsed=sweep_seconds,
-                store=store,
             )
 
     def _sweep_worthwhile(self) -> bool:
@@ -208,25 +201,17 @@ class AesaIndex(NearestNeighborIndex):
             return False
         return has_batched_kernel(self._counter._distance)
 
-    def _grid_sweep(
-        self, queries: Sequence[Any], store: Optional["PairStore"]
-    ) -> np.ndarray:
-        """The full ``queries x items`` matrix in one engine sweep -- an
-        id grid against the interned corpus when available, raw items
-        otherwise (identical values; entries are charged only as the
-        elimination loops read them)."""
-        n_queries, n = len(queries), len(self.items)
-        if store is not None:
-            q_ids = np.asarray(
-                [store.extra_id(qi) for qi in range(n_queries)], dtype=np.int64
-            )
-            flat = self._counter.precompute_ids(
-                store,
-                np.repeat(q_ids, n),
-                np.tile(np.arange(n, dtype=np.int64), n_queries),
-            )
-            return flat.reshape(n_queries, n)
-        return self._counter.precompute(queries, self.items)
+    def _grid_sweep(self, store: "PairStore") -> np.ndarray:
+        """The full ``queries x items`` matrix in one engine sweep: an id
+        grid of *store*'s queries against the corpus (entries are
+        charged only as the elimination loops read them)."""
+        q_ids, n = store.extra_ids(), len(self.items)
+        flat = self._counter.precompute_ids(
+            store,
+            np.repeat(q_ids, n),
+            np.tile(np.arange(n, dtype=np.int64), len(q_ids)),
+        )
+        return flat.reshape(len(q_ids), n)
 
     def _search(
         self,
@@ -297,19 +282,17 @@ class AesaIndex(NearestNeighborIndex):
         loop still batches each round's comparisons -- one per active
         query -- into a single engine call.
         """
-        self._validate_k(k)
+        _validate_k(k, len(self.items))
         queries = list(queries)
         if not queries:
             return []
         with self._track_degradation():  # grid sweep + lockstep drive
-            store = self._interned_store(queries)
+            store = self._corpus.store(queries)
             if not self._sweep_worthwhile():
-                return self._bulk_knn_lockstep(
-                    queries, k, pivot_cache=None, store=store
-                )
+                return self._bulk_knn_lockstep(queries, k, store)
             started = time.perf_counter()
-            cache = self._grid_sweep(queries, store)
+            cache = self._grid_sweep(store)
             sweep_seconds = time.perf_counter() - started
             return self._bulk_knn_lockstep(
-                queries, k, pivot_cache=cache, extra_elapsed=sweep_seconds, store=store
+                queries, k, store, pivot_cache=cache, extra_elapsed=sweep_seconds
             )

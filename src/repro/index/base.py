@@ -19,6 +19,7 @@ All indexes share the same contract:
 
 from __future__ import annotations
 
+import numbers
 import time
 from abc import ABC, abstractmethod
 from contextlib import contextmanager
@@ -82,6 +83,22 @@ RequestGenerator = Generator[Request, Optional[float], Any]
 _SCALAR_TAIL_ROUNDS = 2
 
 
+def _validate_k(k: int, n: int) -> None:
+    """Reject a *k* that is not an integer from 1 to *n* (the item count)."""
+    if not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > n:
+        raise ValueError(f"k={k} exceeds the {n} indexed items")
+
+
+def _validate_radius(radius: float) -> None:
+    """Reject a negative or NaN *radius* (NaN fails every comparison)."""
+    if not radius >= 0:
+        raise ValueError(f"radius must be >= 0, got {radius}")
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """One neighbour: the item, its position in the indexed list, and its
@@ -127,12 +144,15 @@ class CountingDistance:
     * :meth:`within` consults the distance's early-exit twin (registered
       via :mod:`repro.core.bounded`) so a search holding a best radius can
       abandon hopeless candidates after a banded DP instead of a full one;
-    * :meth:`many` evaluates a whole pair list through the pair-batched
-      engine (:mod:`repro.batch`);
-    * :meth:`precompute` evaluates a query-batch x reference matrix
-      through the engine *without* counting; batched query phases
-      (LAESA/AESA ``bulk_knn``) then :meth:`charge` individual entries at
-      the moment their elimination loop actually demands that distance.
+    * :meth:`many` / :meth:`many_ids` evaluate a whole pair list (or id
+      grid) through the pair-batched engine (:mod:`repro.batch`);
+    * :meth:`precompute_ids` / :meth:`precompute_bounded_ids` evaluate id
+      grids against an interned corpus *without* counting; batched query
+      phases (the lockstep ``bulk_*`` drivers) then :meth:`charge` or
+      count individual entries at the moment their elimination loop
+      actually demands that distance.  The raw-pair :meth:`precompute`
+      and :meth:`precompute_bounded` are the same contract for callers
+      without a corpus; the indexes never use them.
 
     All of them count exactly like the equivalent sequence of plain calls
     -- the paper's "number of distance computations" metric measures what
@@ -185,10 +205,8 @@ class CountingDistance:
 
         Entry ``i`` is bit-identical to ``within(pairs[i][0],
         pairs[i][1], limits[i])`` (the engine replays each twin's
-        arithmetic from one batched DP sweep).  Lockstep bulk drivers
-        use this for each round's grouped candidate evaluations and
-        account per query themselves, exactly like :meth:`precompute` /
-        :meth:`charge`.
+        arithmetic from one batched DP sweep).  The caller accounts per
+        request itself, exactly like :meth:`precompute` / :meth:`charge`.
         """
         from ..batch import pairwise_values_bounded
 
@@ -204,7 +222,9 @@ class CountingDistance:
         """:meth:`precompute_bounded` over interned store ids: the same
         bit-identical-to-``within`` guarantee, with kernel inputs
         gathered from the index's interned corpus instead of re-encoded
-        per round.  Uncounted, like every precompute."""
+        per round.  Lockstep bulk drivers use this for each round's
+        grouped candidate evaluations.  Uncounted, like every
+        precompute."""
         from ..batch import pairwise_values_bounded_ids
 
         return pairwise_values_bounded_ids(
@@ -269,13 +289,12 @@ class NearestNeighborIndex(ABC, Generic[Item]):
     Construction also *interns* the item list
     (:func:`~repro.batch.corpus.intern_corpus`): the database's symbol
     sequences are normalised and encoded into padded code matrices
-    exactly once, so every bulk query against this index dispatches
-    ``(id, id)`` pairs against those matrices instead of re-encoding the
-    same strings round after round.  Items the corpus cannot represent
-    (arbitrary objects, unhashable symbols) simply leave ``_corpus`` as
-    ``None`` and every bulk path falls back to raw-pair dispatch --
-    identical results either way (``REPRO_INTERN=0`` forces the
-    fallback everywhere, the baseline of the identity tests).
+    exactly once, and every engine call of this index -- build sweeps,
+    pivot sweeps, lockstep rounds -- dispatches ``(id, id)`` pairs
+    against ``_corpus`` instead of re-encoding the same strings round
+    after round.  Items the kernels cannot represent (arbitrary
+    objects, unhashable symbols) get a corpus without an encoding, and
+    the engine answers its ids through the scalar fallbacks.
     """
 
     def __init__(self, items: Sequence[Item], distance: Distance) -> None:
@@ -299,11 +318,9 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         self.items: List[Item] = list(items)
         self._counter = CountingDistance(distance)
         self.preprocessing_computations = 0
-        from ..batch import intern_corpus, interning_enabled
+        from ..batch import intern_corpus
 
-        self._corpus = corpus if corpus is not None else (
-            intern_corpus(self.items) if interning_enabled() else None
-        )
+        self._corpus = corpus if corpus is not None else intern_corpus(self.items)
         #: Degradation events of the *last* bulk call on this index
         #: (``{event: count}``, empty when the call ran on the healthy
         #: path) -- the per-call view of the process-wide
@@ -330,18 +347,6 @@ class NearestNeighborIndex(ABC, Generic[Item]):
                 for event in after
                 if after[event] - before.get(event, 0)
             }
-
-    def _interned_store(self, queries: Sequence[Item]) -> Optional["PairStore"]:
-        """A :class:`~repro.batch.corpus.PairStore` over the interned
-        corpus plus *queries* (encoded once per bulk call against the
-        corpus' shared alphabet), or ``None`` when the corpus or the
-        queries cannot be interned -- callers then use raw pairs."""
-        if self._corpus is None:
-            return None
-        try:
-            return self._corpus.store(queries)
-        except TypeError:
-            return None
 
     # -- persistence (repro.store) -----------------------------------------
 
@@ -468,8 +473,7 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         self, query: Item, radius: float
     ) -> Tuple[List[SearchResult], SearchStats]:
         """All items with ``d(query, item) <= radius``, closest first."""
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _validate_radius(radius)
         self._counter.take()
         started = time.perf_counter()
         results = self._range_search(query, radius)
@@ -485,17 +489,9 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         results, stats = self.knn(query, 1)
         return results[0], stats
 
-    def _validate_k(self, k: int) -> None:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if k > len(self.items):
-            raise ValueError(
-                f"k={k} exceeds the {len(self.items)} indexed items"
-            )
-
     def knn(self, query: Item, k: int) -> Tuple[List[SearchResult], SearchStats]:
         """Return the *k* nearest neighbours of *query*, closest first."""
-        self._validate_k(k)
+        _validate_k(k, len(self.items))
         self._counter.take()
         started = time.perf_counter()
         results = self._search(query, k)
@@ -522,6 +518,7 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         results and per-query ``distance_computations`` identical to this
         loop.
         """
+        _validate_k(k, len(self.items))
         with self._track_degradation():
             return [self.knn(query, k) for query in queries]
 
@@ -608,18 +605,18 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         self,
         queries: Sequence[Item],
         k: int,
+        store: "PairStore",
         pivot_cache: Optional[np.ndarray] = None,
         extra_elapsed: float = 0.0,
-        store: Optional["PairStore"] = None,
     ) -> List[Tuple[List[SearchResult], SearchStats]]:
         """Lockstep driver over :meth:`_search_requests` (see
         :meth:`_lockstep_drive`)."""
         return self._lockstep_drive(
             queries,
             [self._search_requests(k) for _ in queries],
+            store,
             pivot_cache=pivot_cache,
             extra_elapsed=extra_elapsed,
-            store=store,
         )
 
     def bulk_range_search(
@@ -632,15 +629,15 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         query's pruning loop in lockstep
         (:meth:`_lockstep_drive`), grouping each round's candidate
         evaluations -- one bounded comparison per still-active query --
-        into a single banded :func:`~repro.batch.pairwise_values_bounded`
-        engine call; hits, order and per-query
-        ``distance_computations`` are identical to looping
-        :meth:`range_search` (asserted by the tests).  Structures
-        without the generator fall back to exactly that loop.  LAESA
-        and AESA override this to also precompute their pivot sweeps.
+        into a single banded
+        :func:`~repro.batch.pairwise_values_bounded_ids` engine call;
+        hits, order and per-query ``distance_computations`` are
+        identical to looping :meth:`range_search` (asserted by the
+        tests).  Structures without the generator fall back to exactly
+        that loop.  LAESA and AESA override this to also precompute
+        their pivot sweeps.
         """
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _validate_radius(radius)
         queries = list(queries)
         if not queries:
             return []
@@ -649,15 +646,17 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         except NotImplementedError:
             with self._track_degradation():
                 return [self.range_search(query, radius) for query in queries]
-        return self._lockstep_drive(queries, generators)
+        return self._lockstep_drive(
+            queries, generators, self._corpus.store(queries)
+        )
 
     def _lockstep_drive(
         self,
         queries: Sequence[Item],
         generators: List[RequestGenerator],
+        store: "PairStore",
         pivot_cache: Optional[np.ndarray] = None,
         extra_elapsed: float = 0.0,
-        store: Optional["PairStore"] = None,
     ) -> List[Tuple[Any, SearchStats]]:
         """Run every query's request generator in lockstep rounds,
         batching each round's candidate evaluations into one engine call.
@@ -665,13 +664,11 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         All query generators advance together: cached pivot requests are
         served inline from *pivot_cache* (row ``qi``), and the remaining
         requests of the round -- one per still-active query -- are grouped
-        into a single :meth:`CountingDistance.precompute_bounded` call, so
-        the scalar tail of the candidate phase runs through the banded
-        batch DP kernels instead of one bounded Python call per candidate.
-        With an interned *store* (built here when the corpus allows it),
-        each round dispatches ``(query id, item id)`` pairs against the
-        corpus matrices (:meth:`CountingDistance.precompute_bounded_ids`)
-        -- same values, none of the per-round re-encoding.
+        into a single :meth:`CountingDistance.precompute_bounded_ids`
+        call over *store* (the corpus plus *queries*), so the scalar tail
+        of the candidate phase runs through the banded batch DP kernels
+        on ``(query id, item id)`` pairs instead of one bounded Python
+        call per candidate.
 
         Each query's request stream depends only on its own distances, so
         lockstep scheduling returns bit-identical results, distances
@@ -683,20 +680,18 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         """
         with self._track_degradation():
             return self._lockstep_rounds(
-                queries, generators, pivot_cache, extra_elapsed, store
+                queries, generators, store, pivot_cache, extra_elapsed
             )
 
     def _lockstep_rounds(
         self,
         queries: Sequence[Item],
         generators: List[RequestGenerator],
+        store: "PairStore",
         pivot_cache: Optional[np.ndarray],
         extra_elapsed: float,
-        store: Optional["PairStore"],
     ) -> List[Tuple[Any, SearchStats]]:
         started = time.perf_counter()
-        if store is None:
-            store = self._interned_store(queries)
         items = self.items
         n_queries = len(queries)
         counts = [0] * n_queries
@@ -742,25 +737,20 @@ class NearestNeighborIndex(ABC, Generic[Item]):
                 # tail rounds: with only a query or two still active the
                 # engine's per-call overhead (and its full-table DP) loses
                 # to one banded scalar evaluation; peek_within returns the
-                # same values by the precompute_bounded contract
+                # same values by the precompute_bounded_ids contract
                 values = [
                     self._counter.peek_within(
                         queries[qi], items[requests[qi][0]], limit
                     )
                     for qi, limit in zip(parked, limits)
                 ]
-            elif store is not None:
+            else:
                 values = self._counter.precompute_bounded_ids(
                     store,
                     [store.extra_id(qi) for qi in parked],
                     [requests[qi][0] for qi in parked],
                     limits,
                 )
-            else:
-                pairs = [
-                    (queries[qi], items[requests[qi][0]]) for qi in parked
-                ]
-                values = self._counter.precompute_bounded(pairs, limits)
             still_active: List[int] = []
             for qi, value in zip(parked, values):
                 counts[qi] += 1

@@ -18,7 +18,14 @@ from typing import Any, List, Sequence, Tuple
 
 import numpy as np
 
-from .base import NearestNeighborIndex, SearchResult, SearchStats, canonical_key
+from .base import (
+    NearestNeighborIndex,
+    SearchResult,
+    SearchStats,
+    _validate_k,
+    _validate_radius,
+    canonical_key,
+)
 
 __all__ = ["ExhaustiveIndex"]
 
@@ -31,25 +38,15 @@ class ExhaustiveIndex(NearestNeighborIndex):
         return self._row_results(distances, k)
 
     def _grid_many(self, queries: Sequence[Any]) -> np.ndarray:
-        """The counted ``q x n`` scan grid -- an id grid against the
-        interned corpus when available (no pair list, no re-encoding),
-        the raw pair list otherwise.  Identical values and counts."""
+        """The counted ``q x n`` scan grid: an id grid against the
+        interned corpus (no pair list, no re-encoding)."""
         n = len(self.items)
-        store = self._interned_store(queries)
-        if store is not None:
-            q_ids = np.asarray(
-                [store.extra_id(qi) for qi in range(len(queries))],
-                dtype=np.int64,
-            )
-            flat = self._counter.many_ids(
-                store,
-                np.repeat(q_ids, n),
-                np.tile(np.arange(n, dtype=np.int64), len(queries)),
-            )
-        else:
-            flat = self._counter.many(
-                [(query, item) for query in queries for item in self.items]
-            )
+        store = self._corpus.store(queries)
+        flat = self._counter.many_ids(
+            store,
+            np.repeat(store.extra_ids(), n),
+            np.tile(np.arange(n, dtype=np.int64), len(queries)),
+        )
         return flat.reshape(len(queries), n)
 
     def _row_results(self, row: np.ndarray, k: int) -> List[SearchResult]:
@@ -75,7 +72,7 @@ class ExhaustiveIndex(NearestNeighborIndex):
         length-bucketed and batched as a whole, which amortises far better
         than ``q`` separate scans.  Each query still reports its ``n``
         distance computations; the measured wall-clock is split evenly."""
-        self._validate_k(k)
+        _validate_k(k, len(self.items))
         queries = list(queries)
         if not queries:
             return []
@@ -114,8 +111,7 @@ class ExhaustiveIndex(NearestNeighborIndex):
         :meth:`bulk_knn`: same hits and per-query counts as looping
         :meth:`range_search`, one length-bucketed batch instead of ``q``
         scans."""
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _validate_radius(radius)
         queries = list(queries)
         if not queries:
             return []

@@ -57,6 +57,8 @@ from .base import (
     RequestGenerator,
     SearchResult,
     SearchStats,
+    _validate_k,
+    _validate_radius,
     canonical_key,
 )
 from .pivots import select_pivots
@@ -95,9 +97,8 @@ class LaesaIndex(NearestNeighborIndex):
     ) -> None:
         super().__init__(items, distance)
         before = self._counter.calls
-        # With an interned corpus the pivot rows dispatch as id grids
-        # (ROADMAP 5(b)): same rows, same counts, no per-row re-encoding.
-        store = self._corpus.store() if self._corpus is not None else None
+        # the pivot rows dispatch as id grids against the interned corpus
+        store = self._corpus.store()
         self.pivot_indices, self.pivot_rows = select_pivots(
             self.items, self._counter, n_pivots, pivot_strategy, rng, store
         )
@@ -246,47 +247,37 @@ class LaesaIndex(NearestNeighborIndex):
         engine calls.  Hits and per-query ``distance_computations`` are
         identical to looping :meth:`range_search`.
         """
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _validate_radius(radius)
         queries = list(queries)
         if not queries:
             return []
         with self._track_degradation():  # pivot sweep + lockstep drive
-            store = self._interned_store(queries)
+            store = self._corpus.store(queries)
             cache = None
             sweep_seconds = 0.0
             if self.pivot_indices:
                 started = time.perf_counter()
-                cache = self._pivot_sweep(queries, store)
+                cache = self._pivot_sweep(store)
                 sweep_seconds = time.perf_counter() - started
             return self._lockstep_drive(
                 queries,
                 [self._range_requests(radius) for _ in queries],
+                store,
                 pivot_cache=cache,
                 extra_elapsed=sweep_seconds,
-                store=store,
             )
 
-    def _pivot_sweep(
-        self, queries: Sequence[Any], store: Optional["PairStore"]
-    ) -> np.ndarray:
-        """The ``queries x pivots`` distance matrix in one engine sweep
-        -- dispatched as an id grid against the interned corpus when
-        available (the pivots *are* corpus ids), raw items otherwise.
-        Values are identical either way; the bulk drivers charge each
-        entry as its elimination loop demands it."""
-        n_queries, n_pivots = len(queries), len(self.pivot_indices)
-        if store is not None:
-            q_ids = np.asarray(
-                [store.extra_id(qi) for qi in range(n_queries)], dtype=np.int64
-            )
-            p_ids = np.asarray(self.pivot_indices, dtype=np.int64)
-            flat = self._counter.precompute_ids(
-                store, np.repeat(q_ids, n_pivots), np.tile(p_ids, n_queries)
-            )
-            return flat.reshape(n_queries, n_pivots)
-        pivot_items = [self.items[i] for i in self.pivot_indices]
-        return self._counter.precompute(queries, pivot_items)
+    def _pivot_sweep(self, store: "PairStore") -> np.ndarray:
+        """The ``queries x pivots`` distance matrix in one engine sweep:
+        an id grid of *store*'s queries against the pivots (which *are*
+        corpus ids).  The bulk drivers charge each entry as its
+        elimination loop demands it."""
+        q_ids = store.extra_ids()
+        p_ids = np.asarray(self.pivot_indices, dtype=np.int64)
+        flat = self._counter.precompute_ids(
+            store, np.repeat(q_ids, len(p_ids)), np.tile(p_ids, len(q_ids))
+        )
+        return flat.reshape(len(q_ids), len(p_ids))
 
     def _search(
         self,
@@ -406,18 +397,18 @@ class LaesaIndex(NearestNeighborIndex):
         drops.  With 0 pivots the lockstep loop degenerates into a
         batched linear scan (no pivot sweep to run).
         """
-        self._validate_k(k)
+        _validate_k(k, len(self.items))
         queries = list(queries)
         if not queries:
             return []
         with self._track_degradation():  # pivot sweep + lockstep drive
-            store = self._interned_store(queries)
+            store = self._corpus.store(queries)
             cache = None
             sweep_seconds = 0.0
             if self.pivot_indices:
                 started = time.perf_counter()
-                cache = self._pivot_sweep(queries, store)
+                cache = self._pivot_sweep(store)
                 sweep_seconds = time.perf_counter() - started
             return self._bulk_knn_lockstep(
-                queries, k, pivot_cache=cache, extra_elapsed=sweep_seconds, store=store
+                queries, k, store, pivot_cache=cache, extra_elapsed=sweep_seconds
             )

@@ -55,7 +55,7 @@ from typing import (
 
 from ..batch import faults
 from ..batch.runtime import get_runtime
-from ..index.base import NearestNeighborIndex
+from ..index.base import NearestNeighborIndex, _validate_k, _validate_radius
 from .batcher import PendingRequest, QueryResult, take_groups
 from .config import ServeConfig
 from .metrics import ServeMetrics
@@ -177,8 +177,7 @@ class IndexServer:
         """k nearest neighbours of *query* -- the ``(results, stats)``
         tuple a direct ``index.knn`` / ``bulk_knn`` call would return,
         bit-identical."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+        _validate_k(k, len(self._index.items))
         return await self._submit("knn", float(k), query, timeout_ms)
 
     async def range_search(
@@ -186,8 +185,7 @@ class IndexServer:
     ) -> QueryResult:
         """All items within *radius* of *query*, closest first --
         bit-identical to a direct ``bulk_range_search``."""
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _validate_radius(radius)
         return await self._submit("range", float(radius), query, timeout_ms)
 
     def health(self) -> Dict[str, Any]:

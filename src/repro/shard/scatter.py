@@ -125,18 +125,15 @@ def publish_shard(
 ) -> Optional[ShardPublication]:
     """Publish one built shard for worker-side reconstruction.
 
-    Returns ``None`` when the shard has no interned corpus or any
+    Returns ``None`` when the shard's corpus has no encoding or any
     segment publication fails -- the caller then scatters serially.
     The corpus block is cached per corpus (and finalizer-released) by
     :meth:`publish_store`; the structure bundle is persistent under the
     caller's *key* so workers cache the rebuilt index for their
     lifetime, with generation verification.
     """
-    corpus = index._corpus
-    if corpus is None:
-        return None
     rt = runtime.get_runtime()
-    store_token = rt.publish_store(corpus.store())
+    store_token = rt.publish_store(index._corpus.store())
     if store_token is None:
         return None
     arrays: Dict[str, np.ndarray] = {

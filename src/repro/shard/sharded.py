@@ -62,12 +62,15 @@ from typing import (
 import numpy as np
 
 from ..batch import runtime
+from ..batch.corpus import InternedCorpus
 from ..batch.runtime import DEGRADATION, DegradedExecutionWarning
 from ..index.base import (
     CountingDistance,
     NearestNeighborIndex,
     SearchResult,
     SearchStats,
+    _validate_k,
+    _validate_radius,
 )
 from ..tools import knobs
 from . import scatter
@@ -77,7 +80,6 @@ from .scatter import ShardPublication, TaskResult
 if TYPE_CHECKING:
     from pathlib import Path
 
-    from ..batch.corpus import InternedCorpus
     from ..store.artifacts import ArtifactStore, StoreLike
 
 __all__ = [
@@ -273,14 +275,14 @@ class ShardedIndex(NearestNeighborIndex[Any]):
     ) -> None:
         # Deliberately NOT the base body: the top level never dispatches
         # engine calls itself (every search runs inside a shard), so
-        # interning the full corpus here would duplicate every shard's
+        # encoding the full corpus here would duplicate every shard's
         # twin matrices in memory for nothing.
         if not items:
             raise ValueError("cannot index an empty collection")
         self.items = list(items)
         self._counter = CountingDistance(distance)
         self.preprocessing_computations = 0
-        self._corpus = None
+        self._corpus = InternedCorpus.unencoded(self.items)
         self.last_degradation = {}
 
     def _configure(
@@ -422,8 +424,8 @@ class ShardedIndex(NearestNeighborIndex[Any]):
     def _publications(self) -> Optional[List[ShardPublication]]:
         """The per-shard shared-memory publications for the current
         generation, publishing (and caching) on first use.  ``None``
-        when the distance has no registry name, a shard has no interned
-        corpus, or any segment publication failed -- the scatter then
+        when the distance has no registry name, a shard's corpus has no
+        encoding, or any segment publication failed -- the scatter then
         runs serially (quiet, like every no-pool fallback)."""
         generation = runtime.publish_generation()
         if self._publish_cache is not None and self._publish_cache[0] == generation:
@@ -546,7 +548,7 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         serial scatter -- and, with one shard, to the unsharded
         structure itself.
         """
-        self._validate_k(k)
+        _validate_k(k, len(self.items))
         queries = list(queries)
         if not queries:
             return []
@@ -564,8 +566,7 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         scatter-gather; every hit within *radius* from every shard,
         k-merged (unbounded) into canonical order.  Same identity
         contract as :meth:`bulk_knn`."""
-        if radius < 0:
-            raise ValueError(f"radius must be >= 0, got {radius}")
+        _validate_radius(radius)
         queries = list(queries)
         if not queries:
             return []

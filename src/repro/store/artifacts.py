@@ -57,7 +57,7 @@ from typing import (
 import numpy as np
 
 from ..batch import faults
-from ..batch.corpus import InternedCorpus, interning_enabled
+from ..batch.corpus import InternedCorpus
 from ..batch.runtime import DEGRADATION, DegradedExecutionWarning
 from ..core.types import as_symbols
 from ..tools import knobs
@@ -211,7 +211,7 @@ class ArtifactStore:
         dist = distance_token(index._counter._distance)
         fingerprint = corpus_fingerprint(index.items)
         arrays: Dict[str, np.ndarray] = {}
-        if index._corpus is not None:
+        if index._corpus.encoded:
             block = index._corpus.block
             arrays["corpus_rows_x"] = block.rows_x
             arrays["corpus_rows_y"] = block.rows_y
@@ -221,7 +221,7 @@ class ArtifactStore:
                 raise ValueError(f"structure array name {name!r} is reserved")
             arrays[name] = np.asarray(array)
         meta = dict(index._artifact_meta())
-        meta["interned"] = index._corpus is not None
+        meta["interned"] = index._corpus.encoded
 
         key_dir = self.root / self.key_for(cls.__name__, dist, params, fingerprint)
         key_dir.mkdir(parents=True, exist_ok=True)
@@ -379,7 +379,7 @@ class ArtifactStore:
                 snapshot / filename, mmap_mode="r", allow_pickle=False
             )
         corpus: Optional[InternedCorpus] = None
-        if all(name in arrays for name in _CORPUS_FILES) and interning_enabled():
+        if all(name in arrays for name in _CORPUS_FILES):
             corpus = InternedCorpus.from_arrays(
                 items,
                 arrays["corpus_rows_x"],

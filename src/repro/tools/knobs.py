@@ -93,16 +93,6 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
         module="repro.batch.engine",
     ),
     KnobSpec(
-        name="REPRO_BANDED_BATCH",
-        type="flag",
-        default=True,
-        description=(
-            "Allow the banded batch kernels in bounded sweeps; `0` forces "
-            "the full-table fallback (identical values, more padded work)."
-        ),
-        module="repro.batch.engine",
-    ),
-    KnobSpec(
         name="REPRO_PERSISTENT_POOL",
         type="flag",
         default=True,
@@ -153,16 +143,6 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
         module="repro.batch.jit",
     ),
     KnobSpec(
-        name="REPRO_RETIRE_CADENCE",
-        type="int",
-        default=4,
-        description=(
-            "Bounded-sweep retirement sampling cadence in anti-diagonals "
-            "(clamped to >= 1; any cadence is bit-identical to 1)."
-        ),
-        module="repro.batch.kernels",
-    ),
-    KnobSpec(
         name="REPRO_FAULTS",
         type="str",
         default=None,
@@ -171,16 +151,6 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
             "or blank disarms every site (the zero-overhead default)."
         ),
         module="repro.batch.faults",
-    ),
-    KnobSpec(
-        name="REPRO_INTERN",
-        type="flag",
-        default=True,
-        description=(
-            "Intern index corpora at construction so bulk paths dispatch "
-            "id grids against the shared-memory encoding; `0` opts out."
-        ),
-        module="repro.batch.corpus",
     ),
     KnobSpec(
         name="REPRO_AESA_BULK_MAX_ITEMS",

@@ -6,7 +6,8 @@ budgets through the batch sweep changes *work*, never *values*: exactness
 below the budget, a witness above it, and the engine's replayed bounded
 arithmetic equal to ``CountingDistance.within`` slot by slot.  These
 tests pin that across length regimes (words / DNA-like / digit-contour-
-like), tight and loose radii, and the full-table fallback.
+like), tight and loose radii, and budgets wide enough that the engine
+takes the full-table kernels.
 """
 
 import random
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.batch import pairwise_values_bounded
-from repro.batch.engine import _banded_batch_enabled
+from repro.batch import kernels
 from repro.batch.kernels import (
     contextual_heuristic_batch_bounded,
     contextual_heuristic_batch_bounded_numpy,
@@ -150,22 +151,6 @@ def test_engine_matches_within_across_regimes(name, regime):
         assert got[p] == counter.within(x, y, limit), (name, regime, x, y, limit)
 
 
-@pytest.mark.parametrize("name", ("dmax", "contextual_heuristic"))
-def test_engine_banded_equals_full_table_fallback(name, monkeypatch):
-    """``REPRO_BANDED_BATCH=0`` (the full-table fallback) returns the
-    same values and dtypes as the banded path."""
-    fn = get_spec(name).function
-    pairs, rng = _pairs(0xFA1 + len(name), "digit", 50)
-    limits = [rng.choice([0.1, 0.2, 0.35, INF]) for _ in pairs]
-    banded = pairwise_values_bounded(fn, pairs, limits)
-    assert _banded_batch_enabled()
-    monkeypatch.setenv("REPRO_BANDED_BATCH", "0")
-    assert not _banded_batch_enabled()
-    full = pairwise_values_bounded(fn, pairs, limits)
-    assert banded.dtype == full.dtype
-    assert banded.tolist() == full.tolist()
-
-
 def test_mixed_limits_per_duplicate_pair():
     """Duplicated pairs with different limits share one banded DP at the
     widest budget yet each slot replays its own limit."""
@@ -231,7 +216,7 @@ def test_numpy_kernel_returns_witness_dtype():
     assert exact.dtype == np.bool_
 
 
-@pytest.mark.parametrize("cadence", ["1", "2", "4", "7", "1000"])
+@pytest.mark.parametrize("cadence", [1, 2, 4, 7, 1000])
 def test_retirement_cadence_is_bit_identical(cadence, monkeypatch):
     """Sampling the retirement check every N diagonals only moves *when*
     hopeless pairs stop sweeping -- every (value, exact) output must
@@ -239,10 +224,10 @@ def test_retirement_cadence_is_bit_identical(cadence, monkeypatch):
     pairs, rng = _pairs(0xCAD, "word", 300)
     pairs += _pairs(0xCAD + 1, "dna", 120)[0]
     bounds = [rng.randrange(0, 14) for _ in pairs]
-    monkeypatch.setenv("REPRO_RETIRE_CADENCE", "1")
+    monkeypatch.setattr(kernels, "_RETIRE_CADENCE", 1)
     base_lev = levenshtein_batch_bounded_numpy(pairs, bounds)
     base_ctx = contextual_heuristic_batch_bounded_numpy(pairs, bounds)
-    monkeypatch.setenv("REPRO_RETIRE_CADENCE", cadence)
+    monkeypatch.setattr(kernels, "_RETIRE_CADENCE", cadence)
     got_lev = levenshtein_batch_bounded_numpy(pairs, bounds)
     got_ctx = contextual_heuristic_batch_bounded_numpy(pairs, bounds)
     assert got_lev[0].tolist() == base_lev[0].tolist()
@@ -256,8 +241,8 @@ def test_retirement_cadence_engine_identity(monkeypatch):
     independent end to end."""
     pairs, rng = _pairs(0xCAE, "digit", 60)
     limits = [rng.random() * 0.4 for _ in pairs]
-    monkeypatch.setenv("REPRO_RETIRE_CADENCE", "1")
+    monkeypatch.setattr(kernels, "_RETIRE_CADENCE", 1)
     base = pairwise_values_bounded("dmax", pairs, limits)
-    monkeypatch.setenv("REPRO_RETIRE_CADENCE", "6")
+    monkeypatch.setattr(kernels, "_RETIRE_CADENCE", 6)
     got = pairwise_values_bounded("dmax", pairs, limits)
     assert got.tolist() == base.tolist()

@@ -1,9 +1,11 @@
 """The interned-corpus layer: encoding, the id store, and its gather."""
 
+import random
+
 import numpy as np
 import pytest
 
-from repro.batch import intern_corpus, interning_enabled
+from repro.batch import intern_corpus
 from repro.batch.kernels import (
     _PAD_X,
     _PAD_Y,
@@ -79,56 +81,110 @@ def test_store_with_queries_extends_the_alphabet():
     assert _levenshtein_swept(X, Y, mx, my).tolist() == expected.tolist()
 
 
-def test_unencodable_items_return_none():
-    assert intern_corpus([object()]) is None
-    assert intern_corpus(["abc", 3.5]) is None
-    # sequences of unhashable symbols cannot key the alphabet table
-    assert intern_corpus([[["nested"]]]) is None
+def test_unencodable_items_get_an_unencoded_corpus():
+    odd = object()
+    for items in ([odd], ["abc", 3.5], [[["nested"]]]):
+        # unhashable symbols cannot key the alphabet table either
+        corpus = intern_corpus(items)
+        assert not corpus.encoded
+        assert corpus.items == items and len(corpus) == len(items)
+        with pytest.raises(TypeError):
+            corpus.block
+        store = corpus.store(["abc"])
+        assert not store.encoded
+        assert store.raw(0) is items[0] and store.raw(len(items)) == "abc"
 
 
-def test_store_rejects_unencodable_queries():
+def test_store_with_unencodable_queries_is_unencoded():
     corpus = intern_corpus(["abc"])
-    with pytest.raises(TypeError):
-        corpus.store([object()])
+    odd = object()
+    store = corpus.store([odd])
+    assert corpus.encoded and not store.encoded
+    assert len(store) == 2 and store.raw(1) is odd
+    assert store.extra_ids().tolist() == [1]
+    assert corpus.store(["abd"]).encoded  # the corpus itself is unharmed
 
 
-def test_interning_enabled_env(monkeypatch):
-    assert interning_enabled()
-    monkeypatch.setenv("REPRO_INTERN", "0")
-    assert not interning_enabled()
-    monkeypatch.setenv("REPRO_INTERN", "off")
-    assert not interning_enabled()
-    monkeypatch.setenv("REPRO_INTERN", "1")
-    assert interning_enabled()
-
-
-def test_index_construction_interns(monkeypatch, small_word_list):
+def test_index_construction_interns(small_word_list):
     from repro.core import get_distance
     from repro.index import LaesaIndex
 
     index = LaesaIndex(small_word_list[:30], get_distance("dmax"), n_pivots=3)
-    assert index._corpus is not None
+    assert index._corpus.encoded
     assert len(index._corpus) == 30
-    monkeypatch.setenv("REPRO_INTERN", "0")
-    off = LaesaIndex(small_word_list[:30], get_distance("dmax"), n_pivots=3)
-    assert off._corpus is None
 
 
-def test_index_with_uninternable_items_falls_back():
-    from repro.index import ExhaustiveIndex
+class Odd:
+    """An item no corpus can encode: sized, but not a sequence."""
 
-    def length_gap(x, y):
-        return abs(len(x) - len(y))
+    def __init__(self, size):
+        self.size = size
 
-    class Odd:
-        def __len__(self):
-            return 2
+    def __len__(self):
+        return self.size
 
-    items = [Odd(), Odd()]
-    index = ExhaustiveIndex(items, length_gap)
-    assert index._corpus is None
-    results = index.bulk_knn([items[0]], 1)
-    assert results[0][0][0].distance == 0.0
+
+def length_gap(x, y):
+    return abs(len(x) - len(y))
+
+
+def _uninternable(kind):
+    """``(items, queries, distance)`` whose store has no encoding."""
+    from repro.core import get_distance
+
+    rng = random.Random(0x0DD)
+    if kind == "objects":
+        items = [Odd(rng.randint(0, 12)) for _ in range(24)]
+        queries = [Odd(rng.randint(0, 12)) for _ in range(5)]
+        return items, queries, length_gap
+    words = [
+        "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+        for _ in range(48)
+    ]
+    nested = [[list(ch) for ch in word] for word in words]
+    if kind == "nested lists":
+        return nested[:24], nested[24:29], get_distance("levenshtein")
+    # an encodable corpus queried with unencodable items
+    return words[:24], nested[24:29], get_distance("levenshtein")
+
+
+def _snapshot(results):
+    return [
+        ([(r.index, r.distance) for r in hits], stats.distance_computations)
+        for hits, stats in results
+    ]
+
+
+@pytest.mark.parametrize("kind", ["objects", "nested lists", "nested queries"])
+@pytest.mark.parametrize(
+    "structure", ["exhaustive", "laesa", "aesa", "bktree", "vptree"]
+)
+def test_index_with_uninternable_items_falls_back(structure, kind):
+    from repro.index import (
+        AesaIndex,
+        BKTreeIndex,
+        ExhaustiveIndex,
+        LaesaIndex,
+        VPTreeIndex,
+    )
+
+    items, queries, distance = _uninternable(kind)
+    if structure == "laesa":
+        index = LaesaIndex(items, distance, n_pivots=4)
+    else:
+        cls = {
+            "exhaustive": ExhaustiveIndex,
+            "aesa": AesaIndex,
+            "bktree": BKTreeIndex,
+            "vptree": VPTreeIndex,
+        }[structure]
+        index = cls(items, distance)
+    assert index._corpus.encoded == (kind == "nested queries")
+    assert not index._corpus.store(queries).encoded
+    scalar = [index.knn(q, 3) for q in queries]
+    assert _snapshot(index.bulk_knn(queries, 3)) == _snapshot(scalar)
+    scalar = [index.range_search(q, 2) for q in queries]
+    assert _snapshot(index.bulk_range_search(queries, 2)) == _snapshot(scalar)
 
 
 def test_gather_of_out_of_range_ids_raises_index_error():

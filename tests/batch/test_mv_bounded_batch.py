@@ -2,9 +2,8 @@
 
 ``pairwise_values_bounded("marzal_vidal", ...)`` must equal
 ``CountingDistance.within`` slot by slot -- the probe scores feeding the
-pruned values are bit-identical to the scalar banded parametric DP, the
-regime selection is shared with the scalar twin (one classifier), and
-``REPRO_BANDED_BATCH=0`` restores the per-pair scalar probe loop.
+pruned values are bit-identical to the scalar banded parametric DP, and
+the regime selection is shared with the scalar twin (one classifier).
 """
 
 import random
@@ -111,15 +110,6 @@ def test_bounded_ids_match_within():
         for i, j, limit in zip(x_ids, y_ids, limits)
     ]
     assert got.tolist() == expected
-
-
-def test_full_table_env_fallback_is_identical(monkeypatch):
-    pairs, rng = _pairs(0xC5, "dna", 80)
-    limits = _limits(rng, pairs)
-    banded = pairwise_values_bounded("marzal_vidal", pairs, limits)
-    monkeypatch.setenv("REPRO_BANDED_BATCH", "0")
-    scalar_loop = pairwise_values_bounded("marzal_vidal", pairs, limits)
-    assert banded.tolist() == scalar_loop.tolist()
 
 
 def test_plan_matches_twin_regimes():

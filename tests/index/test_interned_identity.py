@@ -1,12 +1,12 @@
-"""Interned-vs-raw identity: bulk queries must not notice the corpus.
+"""Interned-vs-scalar identity: bulk queries must not notice the corpus.
 
 The interned-corpus runtime changes *where* kernel inputs come from
 (matrices encoded at build time, id-pair dispatch, optionally a
 persistent shared-memory pool) but may never change a value: neighbours,
 distances and per-query ``distance_computations`` of ``bulk_knn`` and
-``bulk_range_search`` must be bit-identical with interning on (ambient
-default) and off (``REPRO_INTERN=0``), across every index structure and
-the paper's length regimes.
+``bulk_range_search`` must be bit-identical to a plain loop of scalar
+``knn`` / ``range_search`` calls on the same index, across every index
+structure and the paper's length regimes.
 """
 
 import random
@@ -68,19 +68,12 @@ STRUCTURES = {
 @pytest.mark.parametrize("regime", sorted(REGIMES))
 @pytest.mark.parametrize("structure", sorted(STRUCTURES))
 @pytest.mark.parametrize("name", ["dmax", "contextual_heuristic", "marzal_vidal"])
-def test_bulk_knn_identical_with_and_without_interning(
-    regime, structure, name, monkeypatch
-):
+def test_interned_bulk_knn_matches_scalar_loop(regime, structure, name):
     items, queries = _workload(regime)
-    distance = get_distance(name)
-    interned = _build(STRUCTURES[structure], items, distance)
-    assert interned._corpus is not None
-    on = _snapshot(interned.bulk_knn(queries, 2))
-    monkeypatch.setenv("REPRO_INTERN", "0")
-    raw = _build(STRUCTURES[structure], items, distance)
-    assert raw._corpus is None
-    off = _snapshot(raw.bulk_knn(queries, 2))
-    assert on == off
+    index = _build(STRUCTURES[structure], items, get_distance(name))
+    assert index._corpus.encoded
+    bulk = _snapshot(index.bulk_knn(queries, 2))
+    assert bulk == _snapshot([index.knn(q, 2) for q in queries])
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
@@ -88,9 +81,7 @@ def test_bulk_knn_identical_with_and_without_interning(
     "structure", sorted(STRUCTURES) + ["bktree"]
 )
 @pytest.mark.parametrize("name", ["levenshtein", "dmax", "marzal_vidal"])
-def test_bulk_range_identical_with_and_without_interning(
-    regime, structure, name, monkeypatch
-):
+def test_interned_bulk_range_matches_scalar_loop(regime, structure, name):
     if structure == "bktree" and name != "levenshtein":
         pytest.skip("BK-tree requires an integer metric")
     items, queries = _workload(regime, seed=0x2E6)
@@ -102,15 +93,12 @@ def test_bulk_range_identical_with_and_without_interning(
         distance(rng.choice(items), rng.choice(items)) for _ in range(40)
     )
     radius = sample[4]
-    interned = _build(index_cls, items, distance)
-    on = _snapshot(interned.bulk_range_search(queries, radius))
-    monkeypatch.setenv("REPRO_INTERN", "0")
-    raw = _build(index_cls, items, distance)
-    off = _snapshot(raw.bulk_range_search(queries, radius))
-    assert on == off
+    index = _build(index_cls, items, distance)
+    bulk = _snapshot(index.bulk_range_search(queries, radius))
+    assert bulk == _snapshot([index.range_search(q, radius) for q in queries])
 
 
-def test_bulk_knn_identical_for_tuple_items(monkeypatch):
+def test_interned_bulk_knn_matches_scalar_loop_for_tuple_items():
     """Chain-code-style tuple items intern through the shared alphabet."""
     rng = random.Random(0x3F7)
     items = [
@@ -122,16 +110,13 @@ def test_bulk_knn_identical_for_tuple_items(monkeypatch):
         for _ in range(6)
     ]
     distance = get_distance("dmax")
-    interned = LaesaIndex(items, distance, n_pivots=3)
-    assert interned._corpus is not None
-    on = _snapshot(interned.bulk_knn(queries, 1))
-    monkeypatch.setenv("REPRO_INTERN", "0")
-    raw = LaesaIndex(items, distance, n_pivots=3)
-    off = _snapshot(raw.bulk_knn(queries, 1))
-    assert on == off
+    index = LaesaIndex(items, distance, n_pivots=3)
+    assert index._corpus.encoded
+    bulk = _snapshot(index.bulk_knn(queries, 1))
+    assert bulk == _snapshot([index.knn(q, 1) for q in queries])
 
 
-def test_scalar_and_bulk_agree_with_interning(monkeypatch):
+def test_scalar_and_bulk_agree_with_interning():
     """The canonical identity: per-query knn loop vs interned bulk_knn."""
     items, queries = _workload("word", seed=0x4A8)
     for name in ("dmax", "contextual_heuristic", "marzal_vidal"):

@@ -157,11 +157,12 @@ class TestInternedSelection:
         np.testing.assert_array_equal(got_rows, raw_rows)
         assert interned_counter.calls == raw_counter.calls
 
-    def test_laesa_construction_uses_the_interned_grid(self, monkeypatch):
+    def test_laesa_construction_uses_the_interned_grid(self):
         """The constructor routes selection through the corpus store, and
         the result (pivots, rows, preprocessing count) is identical to a
-        REPRO_INTERN=0 build with the same seed."""
+        raw-pair selection with the same seed."""
         from repro.index import LaesaIndex
+        from repro.index.base import CountingDistance
 
         gen = random.Random(41)
         items = sorted(
@@ -174,15 +175,11 @@ class TestInternedSelection:
             items, get_distance("levenshtein"), n_pivots=4,
             rng=random.Random(3),
         )
-        monkeypatch.setenv("REPRO_INTERN", "0")
-        plain = LaesaIndex(
-            items, get_distance("levenshtein"), n_pivots=4,
-            rng=random.Random(3),
+        counter = CountingDistance(get_distance("levenshtein"))
+        plain_idx, plain_rows = select_pivots(
+            items, counter, 4, "maxmin", random.Random(3)
         )
-        assert interned._corpus is not None and plain._corpus is None
-        assert interned.pivot_indices == plain.pivot_indices
-        np.testing.assert_array_equal(interned.pivot_rows, plain.pivot_rows)
-        assert (
-            interned.preprocessing_computations
-            == plain.preprocessing_computations
-        )
+        assert interned._corpus.encoded
+        assert interned.pivot_indices == plain_idx
+        np.testing.assert_array_equal(interned.pivot_rows, plain_rows)
+        assert interned.preprocessing_computations == counter.calls

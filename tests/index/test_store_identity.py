@@ -114,20 +114,6 @@ def test_bulk_range_identical_after_round_trip(
     )
 
 
-@pytest.mark.parametrize("structure", sorted(STRUCTURES))
-def test_round_trip_without_interning(structure, tmp_path, monkeypatch):
-    """``REPRO_INTERN=0`` round trips too: no corpus files in the
-    snapshot, raw-pair dispatch after the load, identical answers."""
-    monkeypatch.setenv("REPRO_INTERN", "0")
-    items, queries = _workload("word")
-    distance = get_distance("levenshtein")
-    built, loaded = _round_trip(structure, items, distance, tmp_path)
-    assert loaded._corpus is None
-    assert _snapshot(loaded.bulk_knn(queries, 3)) == _snapshot(
-        built.bulk_knn(queries, 3)
-    )
-
-
 def test_loaded_corpus_republishes_to_shared_memory(tmp_path, monkeypatch):
     """A loaded InternedCorpus must feed the persistent worker pool
     exactly like a built one: force fan-out and compare to the built

@@ -34,6 +34,18 @@ class TestRegistry:
         unregistered = seen - set(knobs.REGISTRY)
         assert not unregistered
 
+    def test_every_registered_knob_is_read_in_src(self):
+        # The reverse of the check above: a registry entry whose consumer
+        # was deleted is a dead knob (and a stale README row).
+        pattern = re.compile(r"[\"'](REPRO_[A-Z0-9_]+)[\"']")
+        registry_module = REPO / "src" / "repro" / "tools" / "knobs.py"
+        read = set()
+        for path in (REPO / "src").rglob("*.py"):
+            if path != registry_module:
+                read.update(pattern.findall(path.read_text(encoding="utf-8")))
+        unread = set(knobs.REGISTRY) - read
+        assert not unread
+
     def test_raw_rejects_unregistered_names(self):
         with pytest.raises(KeyError, match="REPRO_NOT_A_KNOB"):
             knobs.raw("REPRO_NOT_A_KNOB")
@@ -48,17 +60,17 @@ class TestRegistry:
 class TestFlagAccessor:
     @pytest.mark.parametrize("value", ["0", "off", "OFF", "false", "No", " 0 "])
     def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_INTERN", value)
-        assert knobs.get_flag("REPRO_INTERN") is False
+        monkeypatch.setenv("REPRO_SHARD_PARALLEL", value)
+        assert knobs.get_flag("REPRO_SHARD_PARALLEL") is False
 
     @pytest.mark.parametrize("value", ["1", "on", "yes", "banana", ""])
     def test_everything_else_is_on(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_INTERN", value)
-        assert knobs.get_flag("REPRO_INTERN") is True
+        monkeypatch.setenv("REPRO_SHARD_PARALLEL", value)
+        assert knobs.get_flag("REPRO_SHARD_PARALLEL") is True
 
     def test_unset_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_INTERN", raising=False)
-        assert knobs.get_flag("REPRO_INTERN") is True
+        monkeypatch.delenv("REPRO_SHARD_PARALLEL", raising=False)
+        assert knobs.get_flag("REPRO_SHARD_PARALLEL") is True
 
 
 class TestNumericAccessors:
