@@ -3,7 +3,7 @@
 
 Reproduces the paper's Section 4.3 query regime on the digit-contour
 dataset: a LAESA index over a training set of contour strings, a batch of
-held-out contours as queries.  Two modes:
+held-out contours as queries.  Four modes:
 
 * ``--mode knn`` (default) -- nearest-neighbour search per query: the
   per-query `knn` loop vs `bulk_knn` (pivot sweep + lockstep candidate
@@ -20,7 +20,15 @@ held-out contours as queries.  Two modes:
   several consecutive ``bulk_knn`` calls with the persistent pool on
   (ambient default) vs off (``REPRO_PERSISTENT_POOL=0``: id sweeps then
   run in-process, since only the persistent pool attaches the
-  shared-memory corpus), results asserted bit-identical.
+  shared-memory corpus), results asserted bit-identical;
+* ``--mode route`` -- the per-round lockstep route: one round of
+  {1, 2, 4, 8, 16, 64} pairs on dictionary words (``levenshtein``) and
+  on digit contours (``contextual_heuristic``), timed both ways (one
+  batched ``pairwise_values_bounded_ids`` sweep vs one scalar
+  ``peek_within`` per pair), each cell recording the measured winner
+  beside ``scalar_round_cheaper``'s choice; values asserted equal.
+  Run on every kernel backend, its rows are the data the backend's
+  route constants are set from.
 
 Either way the batched paths must return bit-identical results and
 identical per-query ``distance_computations`` (asserted, not sampled);
@@ -35,6 +43,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_query_batch.py --smoke        # CI knn
     PYTHONPATH=src python benchmarks/bench_query_batch.py --mode range   # radius mode
     PYTHONPATH=src python benchmarks/bench_query_batch.py --mode repeat  # runtime amortisation
+    PYTHONPATH=src python benchmarks/bench_query_batch.py --mode route   # round routing
 """
 
 from __future__ import annotations
@@ -263,6 +272,90 @@ def run_range_benchmark(
     }
 
 
+#: Pairs per lockstep round in route mode.
+ROUTE_PAIRS = (1, 2, 4, 8, 16, 64)
+
+
+def _route_rounds(smoke: bool):
+    """``(distance, items, queries, limits)`` for route mode: 64
+    two-edit perturbed queries against dictionary words at radius 2,
+    and 64 held-out digit contours at a first-candidate-round radius
+    (the distance to the nearest of 16 training contours)."""
+    from repro.batch import pairwise_matrix
+    from repro.datasets.perturb import perturbed_queries
+    from repro.datasets.words import spanish_dictionary
+
+    n = max(ROUTE_PAIRS)
+    dictionary = spanish_dictionary(300 if smoke else 1000, seed=2008)
+    words = perturbed_queries(dictionary, n, random.Random(71), operations=2)
+    train = list(handwritten_digits(per_class=20 if smoke else 50, seed=1995).items)
+    contours = list(handwritten_digits(per_class=7, seed=2008).items[:n])
+    radii = pairwise_matrix("contextual_heuristic", contours, train[:16])
+    return [
+        ("levenshtein", list(dictionary.items), words, [2.0] * n),
+        ("contextual_heuristic", train[16:], contours, radii.min(axis=1).tolist()),
+    ]
+
+
+def run_route_benchmark(smoke: bool, repeats: int = 3) -> dict:
+    """Time one lockstep round each way per (distance, pair count) and
+    record the measured winner beside the cost model's choice."""
+    from repro.batch import intern_corpus, pairwise_values_bounded_ids
+    from repro.batch.engine import scalar_round_cheaper
+    from repro.index.base import CountingDistance
+
+    cells = []
+    for name, items, queries, limits in _route_rounds(smoke):
+        counter = CountingDistance(name)
+        store = intern_corpus(items).store(queries)
+        step = len(items) // max(ROUTE_PAIRS)
+        for pairs in ROUTE_PAIRS:
+            x_ids = [store.extra_id(i) for i in range(pairs)]
+            y_ids = [i * step for i in range(pairs)]
+            lims = limits[:pairs]
+            batched_s = scalar_s = float("inf")
+            for _ in range(repeats):
+                started = time.perf_counter()
+                batched = pairwise_values_bounded_ids(
+                    name, store, x_ids, y_ids, lims
+                )
+                middle = time.perf_counter()
+                scalar = [
+                    counter.peek_within(queries[i], items[j], limit)
+                    for i, j, limit in zip(range(pairs), y_ids, lims)
+                ]
+                batched_s = min(batched_s, middle - started)
+                scalar_s = min(scalar_s, time.perf_counter() - middle)
+            if batched.tolist() != scalar:
+                raise AssertionError(
+                    f"{name}: batched and scalar rounds of {pairs} pairs differ"
+                )
+            model = scalar_round_cheaper(name, store, x_ids, y_ids, lims)
+            cells.append(
+                {
+                    "distance": name,
+                    "pairs": pairs,
+                    "batched_ms": round(batched_s * 1e3, 4),
+                    "scalar_ms": round(scalar_s * 1e3, 4),
+                    "measured": "scalar" if scalar_s <= batched_s else "batched",
+                    "model": "scalar" if model else "batched",
+                }
+            )
+    return {
+        "bench": "query_batch",
+        "search": "route",
+        "cells": cells,
+        "model_agrees": sum(c["measured"] == c["model"] for c in cells),
+        "n_cells": len(cells),
+        "repeats": repeats,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "kernel_backend": jit.backend_name(),
+        "pool": _pool_tag(),
+    }
+
+
 def run_repeat_benchmark(
     distance: str,
     per_class: int,
@@ -335,10 +428,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("knn", "range", "repeat"),
+        choices=("knn", "range", "repeat", "route"),
         default="knn",
-        help="benchmark k-NN (default), radius search, or repeated bulk "
-        "queries (persistent vs per-call pool)",
+        help="benchmark k-NN (default), radius search, repeated bulk "
+        "queries (persistent vs per-call pool), or the lockstep round "
+        "route (scalar vs batched per pair count)",
     )
     parser.add_argument(
         "--rounds",
@@ -402,7 +496,9 @@ def main(argv=None) -> int:
         n_queries = 200 if args.queries is None else args.queries
         n_pivots = 40 if args.pivots is None else args.pivots
 
-    if args.mode == "range":
+    if args.mode == "route":
+        record = run_route_benchmark(args.smoke)
+    elif args.mode == "range":
         record = run_range_benchmark(
             args.distance, per_class, n_train, n_queries, n_pivots, args.radius
         )
@@ -437,6 +533,8 @@ def main(argv=None) -> int:
         fh.write(json.dumps(record) + "\n")
     print(f"[appended to {args.json}]")
 
+    if args.mode == "route":
+        return 0  # a measurement, not a gate: the rows set the constants
     if args.mode == "repeat":
         gate, target, label = record["speedup"], 1.0, "repeat bulk"
     elif args.mode == "range" and args.distance == "marzal_vidal":

@@ -10,6 +10,11 @@ row with p50/p99 latency, throughput, shed / deadline / degraded-batch
 counts, and mean coalesced batch size -- appended to ``BENCH_serve.json``
 so the serving-latency trajectory survives across PRs.
 
+Each row also records distance computations per query and the ms/query
+of the direct ``bulk_knn`` call and of a plain loop of scalar ``knn``
+calls over the same requests -- the baseline the served (coalesced,
+lockstep) path is measured against.
+
 Every successful response is cross-checked **bit-identically** against
 a direct ``bulk_knn`` on the same index (results and per-query distance
 counts); with ``--faults`` armed the checks still hold for every
@@ -260,8 +265,24 @@ def main(argv=None) -> int:
     index = LaesaIndex(
         items, get_distance("levenshtein"), n_pivots=8, rng=random.Random(1)
     )
-    # ground truth for the identity cross-check, one direct bulk call
-    direct = dict(zip(queries, _key(index.bulk_knn(queries, args.k))))
+    # ground truth for the identity cross-check, one direct bulk call,
+    # timed beside the scalar knn loop it must not lose to
+    started = time.perf_counter()
+    keyed = _key(index.bulk_knn(queries, args.k))
+    bulk_elapsed = time.perf_counter() - started
+    started = time.perf_counter()
+    loop = _key([index.knn(q, args.k) for q in queries])
+    loop_elapsed = time.perf_counter() - started
+    if loop != keyed:
+        raise SystemExit("IDENTITY VIOLATION: bulk_knn diverged from the knn loop")
+    direct = dict(zip(queries, keyed))
+    baseline = {
+        "dist_per_query": round(
+            sum(count for _hits, count in keyed) / len(queries), 2
+        ),
+        "bulk_ms_per_query": round(bulk_elapsed * 1e3 / len(queries), 3),
+        "loop_ms_per_query": round(loop_elapsed * 1e3 / len(queries), 3),
+    }
 
     tags = ambient_tags("smoke" if args.smoke else "full", args.faults or "")
     rows = []
@@ -270,6 +291,7 @@ def main(argv=None) -> int:
             row = _run_point(
                 index, direct, queries, args.k, loop_kind, window_ms, args
             )
+            row.update(baseline)
             row.update(tags)
             rows.append(row)
             print(json.dumps(row, indent=2))

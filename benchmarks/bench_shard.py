@@ -9,6 +9,10 @@ S is one JSON row (elapsed, throughput, speedup vs S=1, shard sizes,
 degradation counters) appended to ``BENCH_shard.json`` so the scaling
 trajectory survives across PRs.
 
+Each row also records distance computations per query and, beside
+the bulk figure, the ms/query of a plain loop of scalar ``knn`` calls on
+the same sharded index -- the baseline the lockstep bulk path must beat.
+
 Identity is asserted **in-benchmark** for every S: the sharded answers
 (neighbours and distances, canonical order) must equal the unsharded
 index's, and at S=1 -- the identity layout -- the per-query distance
@@ -81,7 +85,15 @@ def _run_point(sharded, reference, queries, k, repeats):
             "IDENTITY VIOLATION: single-shard counts diverged from the "
             "unsharded index (identity layout must be bit-identical)"
         )
-    return elapsed, keyed, {
+    started = time.perf_counter()
+    loop = _key([sharded.knn(q, k) for q in queries])
+    loop_elapsed = time.perf_counter() - started
+    if _results_only(loop) != _results_only(reference):
+        raise SystemExit(
+            f"IDENTITY VIOLATION: S={sharded.n_shards} scalar knn loop "
+            "diverged from the unsharded index"
+        )
+    return elapsed, loop_elapsed, keyed, {
         key: after[key] - before[key]
         for key in after
         if after[key] != before[key]
@@ -155,7 +167,7 @@ def main(argv=None) -> int:
             structure="laesa",
             structure_params={"n_pivots": args.n_pivots},
         )
-        elapsed, _keyed, degraded = _run_point(
+        elapsed, loop_elapsed, keyed, degraded = _run_point(
             sharded, reference, queries, args.k, repeats
         )
         if count == shard_counts[0] and count == 1:
@@ -171,6 +183,12 @@ def main(argv=None) -> int:
             "n_pivots": args.n_pivots,
             "elapsed_seconds": round(elapsed, 4),
             "queries_per_second": round(n_queries * repeats / elapsed, 2),
+            "bulk_ms_per_query": round(elapsed * 1e3 / (n_queries * repeats), 3),
+            "loop_ms_per_query": round(loop_elapsed * 1e3 / n_queries, 3),
+            "bulk_vs_loop": round(loop_elapsed * repeats / elapsed, 3),
+            "dist_per_query": round(
+                sum(count for _hits, count in keyed) / n_queries, 2
+            ),
             "speedup_vs_serial": (
                 round(baseline_elapsed / elapsed, 3) if baseline_elapsed else None
             ),

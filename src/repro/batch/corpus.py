@@ -35,6 +35,7 @@ equality (``"ab"`` vs ``("a", "b")``) survives because both encode their
 
 from __future__ import annotations
 
+import functools
 import uuid
 from typing import (
     TYPE_CHECKING,
@@ -45,6 +46,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    cast,
 )
 
 import numpy as np
@@ -293,6 +295,12 @@ class PairStore:
 
     def __len__(self) -> int:
         return self.n_corpus + len(self.raw_items)
+
+    @functools.cached_property
+    def length_list(self) -> List[int]:
+        """:attr:`lengths` as Python ints, for per-pair decisions in
+        Python loops (indexing the array per pair costs more)."""
+        return cast(List[int], self.lengths.tolist())
 
     def extra_id(self, position: int) -> int:
         """The store id of extra (query) number *position*."""

@@ -949,6 +949,97 @@ def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
     return min(max(k, 0), total)
 
 
+#: Route costs of one lockstep round, in nanoseconds, on the numpy
+#: backend: a batched bounded sweep costs ``_ROUTE_ROUND_NS`` plus, per
+#: anti-diagonal of its padded bucket (max m + max n),
+#: ``_ROUTE_DIAGONAL_NS`` and ``_ROUTE_PAIR_DIAGONAL_NS`` per pair; a
+#: scalar twin call costs ``_ROUTE_PAIR_NS`` plus ``_ROUTE_COLUMN_NS``
+#: per column of the bit-parallel ``d_E`` family or ``_ROUTE_CELL_NS``
+#: per band cell of the ``d_C,h`` twin.  Measured on a 2-vCPU x86 host
+#: (CPython 3.11, numpy 2.4), both routes timed on 2271 real LAESA
+#: rounds: 500-word dictionary shards under ``levenshtein`` (batches of
+#: 4-64), digit contours under ``dmax`` and ``contextual_heuristic``
+#: (batches of 4-32).  A batched round took 0.6-0.9 ms for 4-16 word
+#: pairs and 1.6-4.4 ms for 1-16 contour pairs; a scalar ``d_E`` twin
+#: about 4.5 us plus 0.66 us per column, a scalar ``d_C,h`` twin about
+#: 0.21 us per band cell (0.35-0.9 ms per contour pair).  These
+#: constants pick the faster route in every word and ``dmax`` round and
+#: in 95.5 % of the ``d_C,h`` rounds (0.6 % of the best-route time
+#: lost): word rounds go scalar at every pair count up to 64, ``d_C,h``
+#: contour rounds go batched from about 10 pairs.
+_ROUTE_ROUND_NS = 200_000
+_ROUTE_DIAGONAL_NS = 15_000
+_ROUTE_PAIR_DIAGONAL_NS = 650
+_ROUTE_PAIR_NS = 4_500
+_ROUTE_COLUMN_NS = 660
+_ROUTE_CELL_NS = 210
+
+#: Rounds the measurement does not cover -- the numba backend (not
+#: installed where the costs above were measured), distances outside
+#: the two twin families, stores without an encoding -- keep the fixed
+#: split: scalar only with at most this many pairs.
+_ROUTE_UNMEASURED_PAIRS = 2
+
+
+def scalar_round_cheaper(
+    name: Optional[str],
+    store: "PairStore",
+    x_ids: Sequence[int],
+    y_ids: Sequence[int],
+    limits: Sequence[float],
+) -> bool:
+    """Whether one lockstep round's bounded requests cost less as
+    scalar twin calls than as one batched sweep
+    (:func:`pairwise_values_bounded_ids`); values are identical either
+    way.
+
+    *name* is the distance's engine name (resolved once per index).
+    The batched cost grows with the padded bucket's anti-diagonals and
+    only slowly with the pair count; the scalar cost is a sum over
+    pairs.  A ``d_E``-family twin sweeps at most one column per symbol
+    of the shorter side whatever its budget (the budget only lets it
+    stop sooner), so its cost is bounded from the round's longest
+    sides; the ``d_C,h`` twin fills the Ukkonen band of its edit budget
+    (:func:`_kernel_budget`), the whole table when the band covers it,
+    nothing when ``|m - n|`` already busts it.  O(1) per pair.
+    """
+    lev = name in _LEV_FAMILY
+    if (
+        not store.encoded
+        or not (lev or name == "contextual_heuristic")
+        or jit_backend() is not None
+    ):
+        return len(x_ids) <= _ROUTE_UNMEASURED_PAIRS
+    pairs = len(x_ids)
+    if (
+        lev
+        and pairs * _ROUTE_PAIR_NS <= _ROUTE_ROUND_NS
+        and pairs * _ROUTE_COLUMN_NS
+        <= 2 * (_ROUTE_DIAGONAL_NS + _ROUTE_PAIR_DIAGONAL_NS * pairs)
+    ):
+        # since min(m, n) <= (m + n) / 2, scalar wins at every length
+        return True
+    lengths = store.length_list
+    longest_x = max([lengths[x] for x in x_ids])
+    longest_y = max([lengths[y] for y in y_ids])
+    if lev:
+        # every pair sweeps at most the shorter of the two longest sides
+        shorter = longest_x if longest_x < longest_y else longest_y
+        scalar = pairs * (_ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * shorter)
+    else:
+        cells = 0
+        for x, y, limit in zip(x_ids, y_ids, limits):
+            m, n = lengths[x], lengths[y]
+            k = _kernel_budget("contextual_heuristic", m, n, limit)
+            if k >= abs(m - n):
+                cells += min(m * n, (2 * k + 1) * min(m, n))
+        scalar = pairs * _ROUTE_PAIR_NS + _ROUTE_CELL_NS * cells
+    batched = _ROUTE_ROUND_NS + (longest_x + longest_y) * (
+        _ROUTE_DIAGONAL_NS + _ROUTE_PAIR_DIAGONAL_NS * pairs
+    )
+    return scalar <= batched
+
+
 def pairwise_values_bounded(
     distance: DistanceLike,
     pairs: Sequence[Tuple[Any, Any]],

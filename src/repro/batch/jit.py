@@ -9,9 +9,10 @@ backend as a strictly optional dependency:
 * when :mod:`numba` is importable (``pip install repro[jit]``) and not
   disabled via ``REPRO_JIT=0``, :func:`active` returns True, the public
   batch kernels in :mod:`repro.batch.kernels` dispatch here, and the
-  scalar entry points in :mod:`repro.core` drop their
-  ``_NUMPY_THRESHOLD`` to zero (the compiled kernel wins at every
-  length, so the pure-Python/numpy crossover disappears);
+  scalar entry points in :mod:`repro.core` run their compiled twins at
+  every length (``levenshtein_distance`` instead of its bit-parallel
+  DP; the contextual heuristic's ``_NUMPY_THRESHOLD`` drops to zero, so
+  its pure-Python/numpy crossover disappears);
 * when numba is absent, nothing changes: every caller falls back to the
   existing numpy/pure-Python kernels, **bit-identically** -- all kernels
   here are integer DPs computing the same recurrences, so the returned
@@ -618,7 +619,8 @@ def _encode_single(x: Symbols, y: Symbols) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def levenshtein_single(x: Symbols, y: Symbols) -> int:
-    """Compiled scalar ``d_E`` (the JIT twin of ``levenshtein_numpy``)."""
+    """Compiled scalar ``d_E`` (the JIT twin of
+    ``repro.core.levenshtein.levenshtein_distance``)."""
     cx, cy = _encode_single(x, y)
     return int(_lev_pair(cx, cy))
 

@@ -6,10 +6,12 @@ row-wise vectorisation, but every dependency of a cell on anti-diagonal
 table diagonal-by-diagonal turns each step into a handful of slice
 operations.  This pays off once strings are a few dozen symbols long (DNA
 sequences and digit contours in the paper's datasets are hundreds of
-symbols), while the pure-Python kernels in :mod:`.levenshtein` and
-:mod:`.contextual` stay faster for short words.
+symbols), while the pure-Python kernels in :mod:`.contextual` stay
+faster for short words.  (Plain ``d_E`` needs no kernel here: its
+bit-parallel DP in :mod:`.levenshtein` beats the anti-diagonal sweep at
+every length.)
 
-Both kernels are cross-checked against their pure-Python twins by the
+The kernels are cross-checked against their pure-Python twins by the
 test-suite on randomised inputs.
 """
 
@@ -24,7 +26,6 @@ from .types import Symbols
 __all__ = [
     "encode_pair",
     "jit_backend",
-    "levenshtein_numpy",
     "contextual_heuristic_numpy",
     "parametric_alignment_numpy",
 ]
@@ -39,9 +40,11 @@ _JIT_BACKEND = "unresolved"
 def jit_backend():
     """The active numba backend (:mod:`repro.batch.jit`) or None.
 
-    When this returns a module, the scalar distance entry points treat
-    their ``_NUMPY_THRESHOLD`` as zero: the compiled kernel replaces both
-    the pure-Python and the numpy anti-diagonal paths at every length.
+    When this returns a module, the scalar distance entry points use
+    its compiled kernels at every length: ``levenshtein_distance``
+    instead of its bit-parallel DP, and the contextual heuristic with
+    its ``_NUMPY_THRESHOLD`` as zero (the compiled kernel replaces both
+    the pure-Python and the numpy anti-diagonal paths).
     Resolved lazily (and only once) so importing :mod:`repro.core` never
     pays for a numba probe.
     """
@@ -70,44 +73,6 @@ def encode_pair(x: Symbols, y: Symbols) -> Tuple[np.ndarray, np.ndarray]:
             arr[idx] = code
         out.append(arr)
     return out[0], out[1]
-
-
-def levenshtein_numpy(x: Symbols, y: Symbols) -> int:
-    """Anti-diagonal Levenshtein distance; equivalent to the pure kernel."""
-    cx, cy = encode_pair(x, y)
-    m, n = len(cx), len(cy)
-    if m == 0:
-        return n
-    if n == 0:
-        return m
-    size = m + 1
-    inf = m + n + 1
-    prev2 = np.full(size, inf, dtype=np.int64)  # diagonal t-2
-    prev = np.full(size, inf, dtype=np.int64)  # diagonal t-1
-    prev2[0] = 0  # cell (0, 0)
-    prev[0] = 1  # cell (0, 1)
-    if m >= 1:
-        prev[1] = 1  # cell (1, 0)
-    for t in range(2, m + n + 1):
-        cur = np.full(size, inf, dtype=np.int64)
-        lo = max(0, t - n)
-        hi = min(m, t)
-        if lo == 0:
-            cur[0] = t  # cell (0, t): t insertions
-        if hi == t:
-            cur[t] = t  # cell (t, 0): t deletions
-        a = max(1, lo)
-        b = min(hi, t - 1)
-        if a <= b:
-            # interior cells i in [a, b], j = t - i in [1, n]
-            xs = cx[a - 1 : b]  # x[i-1]
-            ys = cy[t - b - 1 : t - a][::-1]  # y[j-1] = y[t-i-1]
-            sub = prev2[a - 1 : b] + (xs != ys)
-            dele = prev[a - 1 : b] + 1
-            ins = prev[a : b + 1] + 1
-            cur[a : b + 1] = np.minimum(np.minimum(sub, dele), ins)
-        prev2, prev = prev, cur
-    return int(prev[m])
 
 
 def contextual_heuristic_numpy(x: Symbols, y: Symbols) -> Tuple[int, int]:

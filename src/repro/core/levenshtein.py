@@ -3,8 +3,9 @@
 Implements the classic Wagner–Fischer dynamic programme [Wagner & Fisher
 1974], plus the pieces the rest of the library builds on:
 
-* :func:`levenshtein_distance` -- the distance itself (two-row DP, with an
-  optional numpy anti-diagonal kernel for long inputs);
+* :func:`levenshtein_distance` / :func:`levenshtein_within` -- the
+  distance itself and its bounded twin, both on one bit-parallel DP
+  [Myers 1999] over Python ints;
 * :func:`levenshtein_matrix` -- the full ``(|x|+1) x (|y|+1)`` DP table,
   needed by the contextual heuristic and by Marzal--Vidal;
 * :func:`edit_script` -- one optimal internal edit path recovered from the
@@ -15,11 +16,11 @@ Implements the classic Wagner–Fischer dynamic programme [Wagner & Fisher
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, cast
 
 from ._kernels import jit_backend as _jit
 from .paths import EditOp, EditPath
-from .types import StringLike, require_strings
+from .types import StringLike, Symbols, require_strings
 
 __all__ = [
     "levenshtein_distance",
@@ -31,44 +32,128 @@ __all__ = [
     "internal_path_length",
 ]
 
-#: Above this (len(x)+len(y)) threshold the numpy kernel wins over pure
-#: Python.  Treated as zero when the optional numba backend is active
-#: (``_jit`` -- :func:`repro.core._kernels.jit_backend`, the library's
-#: one shared cache of the numba probe): a compiled kernel has no
-#: per-diagonal dispatch cost, so it wins at every length.
-_NUMPY_THRESHOLD = 128
+
+def _bit_parallel(x: Symbols, y: Symbols, bound: int) -> Optional[int]:
+    """``d_E(x, y)`` if it is at most *bound*, else None, by Myers' (1999)
+    bit-vector DP.
+
+    Column ``j`` of the Wagner--Fischer table (one symbol of *y*) is
+    held as vertical delta vectors ``pv`` / ``mv`` over Python ints, bit
+    ``i - 1`` for row ``i`` (one symbol of *x*), and advanced with a
+    dozen word operations (Hyyrö's 2003 formulation of Myers' step).
+    Two refinements keep words and columns few:
+
+    * **Lazy band.** Cells with ``i > j + bound`` exceed the bound, so
+      column ``j`` carries only rows ``<= j + bound``: the pattern masks
+      and the vectors grow by one row per column.  A row entering the
+      band gets vertical delta ``+1``, which can only overestimate the
+      out-of-band cells, so every cell whose true value is at most
+      *bound* is still computed exactly (Ukkonen's band argument).
+    * **Diagonal exit.** The cell on the final diagonal ``i - j =
+      len(x) - len(y)`` is tracked from its horizontal and vertical
+      deltas; values along a diagonal never decrease, so the sweep stops
+      as soon as it exceeds *bound*.
+
+    Caller guarantees ``len(x) >= len(y)`` and ``len(x) - len(y) <=
+    bound``; unhashable symbols raise ``TypeError`` (see :func:`_within`).
+    """
+    m = len(x)
+    rows = m if bound >= m else bound  # rows in the band at column 0
+    masks: Dict[Any, int] = {}
+    get = masks.get
+    bit = 1
+    for i in range(rows):
+        symbol = x[i]
+        masks[symbol] = get(symbol, 0) | bit
+        bit <<= 1
+    band = bit - 1
+    pv = band  # column 0: d(i, 0) = i, every vertical delta is +1
+    mv = 0
+    score = m - len(y)  # d(m - n, 0), the final diagonal's first cell
+    diag = 1 << score  # the diagonal cell's row bit in the next column
+    for symbol in y:
+        if rows < m:  # grow the band by one row, vertical delta +1
+            grown = x[rows]
+            masks[grown] = get(grown, 0) | bit
+            pv |= bit
+            band |= bit
+            bit <<= 1
+            rows += 1
+        eq = get(symbol, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ((xh | pv) & band ^ band)
+        mh = pv & xh
+        ph = (ph << 1) | 1  # row 0 grows by one per column
+        mh <<= 1
+        pv = mh | ((xv | ph) & band ^ band)
+        mv = ph & xv
+        # horizontal then vertical step onto the diagonal: +1 iff exactly
+        # one of them is +1 and neither is -1 (a diagonal never drops)
+        if (ph ^ pv) & diag and not (mh | mv) & diag:
+            score += 1
+            if score > bound:
+                return None
+        diag <<= 1
+    return score
+
+
+def _equality_codes(
+    x: Symbols, y: Symbols
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Small-int codes for unhashable symbols, found by an equality scan
+    (the comparison the DP itself makes), so the bit masks can key on
+    them."""
+    seen: List[Any] = []
+
+    def code(symbol: Any) -> int:
+        for c, known in enumerate(seen):
+            if known == symbol:
+                return c
+        seen.append(symbol)
+        return len(seen) - 1
+
+    return tuple(code(s) for s in x), tuple(code(s) for s in y)
+
+
+def _within(x: Symbols, y: Symbols, bound: int) -> Optional[int]:
+    """Orient the pair for :func:`_bit_parallel` (longer side on the
+    rows) and answer unhashable symbols through equality codes."""
+    if len(x) < len(y):
+        x, y = y, x
+    if len(x) - len(y) > bound:
+        return None
+    try:
+        return _bit_parallel(x, y, bound)
+    except TypeError:  # unhashable symbols
+        cx, cy = _equality_codes(x, y)
+        return _bit_parallel(cx, cy, bound)
 
 
 def levenshtein_distance(x: StringLike, y: StringLike) -> int:
     """Return ``d_E(x, y)``: the minimum number of single-symbol insertions,
     deletions and substitutions turning *x* into *y*.
 
+    The bit-parallel core of :func:`levenshtein_within` with a bound no
+    distance can exceed, at every length (the numba backend, when
+    active, runs its compiled two-row DP instead).
+
     >>> levenshtein_distance("abaa", "aab")
     2
     """
     x, y = require_strings(x, y)
     if len(x) < len(y):
-        x, y = y, x  # keep the inner row short
+        x, y = y, x
     if not y:
         return len(x)
     jit = _jit()
-    if jit is not None:  # compiled backend: threshold drops to zero
-        return jit.levenshtein_single(x, y)
-    if len(x) + len(y) >= _NUMPY_THRESHOLD:
-        from ._kernels import levenshtein_numpy
-
-        return levenshtein_numpy(x, y)
-    previous = list(range(len(y) + 1))
-    for i, xi in enumerate(x, start=1):
-        current = [i]
-        append = current.append
-        prev_diag = i - 1  # previous[j-1] before this row overwrote it
-        for j, yj in enumerate(y, start=1):
-            cost_diag = prev_diag if xi == yj else prev_diag + 1
-            prev_diag = previous[j]
-            append(min(cost_diag, prev_diag + 1, current[j - 1] + 1))
-        previous = current
-    return previous[-1]
+    if jit is not None:
+        try:
+            return jit.levenshtein_single(x, y)
+        except TypeError:  # unhashable symbols: the core codes them itself
+            pass
+    # d_E never exceeds the longer length, so this bound never prunes
+    return cast(int, _within(x, y, len(x)))
 
 
 def levenshtein_within(
@@ -76,11 +161,12 @@ def levenshtein_within(
 ) -> Optional[int]:
     """Return ``d_E(x, y)`` if it is at most *bound*, else ``None``.
 
-    Ukkonen's banded DP: only cells with ``|i - j| <= bound`` can lie on a
-    path of cost ``<= bound``, so each row costs ``O(bound)`` and the whole
-    check ``O(bound * min(|x|, |y|))`` -- the workhorse behind dictionary
-    lookups with a small tolerated error (see ``examples/spellcheck.py``
-    for the metric-index alternative).
+    Ukkonen's band in bit-parallel form (:func:`_bit_parallel`): each
+    column costs a dozen word operations over at most ``min(|x|, j +
+    bound)`` bits, and the sweep stops as soon as the final diagonal
+    exceeds *bound* -- the workhorse behind dictionary lookups with a
+    small tolerated error (see ``examples/spellcheck.py`` for the
+    metric-index alternative).
 
     >>> levenshtein_within("abaa", "aab", 2)
     2
@@ -90,39 +176,7 @@ def levenshtein_within(
     if bound < 0:
         raise ValueError(f"bound must be >= 0, got {bound}")
     x, y = require_strings(x, y)
-    m, n = len(x), len(y)
-    if abs(m - n) > bound:
-        return None
-    if n == 0:
-        return m if m <= bound else None
-    infinity = bound + 1
-    previous = [j if j <= bound else infinity for j in range(n + 1)]
-    for i in range(1, m + 1):
-        xi = x[i - 1]
-        lo = max(1, i - bound)
-        hi = min(n, i + bound)
-        current = [infinity] * (n + 1)
-        if i <= bound:
-            current[0] = i
-        row_min = current[0]
-        for j in range(lo, hi + 1):
-            yj = y[j - 1]
-            best = previous[j - 1] + (0 if xi == yj else 1)
-            up = previous[j] + 1
-            if up < best:
-                best = up
-            left = current[j - 1] + 1
-            if left < best:
-                best = left
-            if best > infinity:
-                best = infinity
-            current[j] = best
-            if best < row_min:
-                row_min = best
-        if row_min > bound:
-            return None  # every surviving cell already exceeds the bound
-        previous = current
-    return previous[n] if previous[n] <= bound else None
+    return _within(x, y, bound)
 
 
 def levenshtein_bounded(x: StringLike, y: StringLike, limit: float) -> int:
@@ -133,8 +187,8 @@ def levenshtein_bounded(x: StringLike, y: StringLike, limit: float) -> int:
     radius ``r`` can call ``levenshtein_bounded(q, u, r)`` and compare the
     result against ``r`` exactly as if it were the true distance -- any
     candidate it discards would also have been discarded by the full
-    ``d_E``, at a fraction of the cost (Ukkonen's band makes the check
-    ``O(limit * min(|x|, |y|))`` instead of ``O(|x| * |y|)``).
+    ``d_E``, at a fraction of the cost (:func:`levenshtein_within`'s
+    band and diagonal exit stop the sweep once the limit is passed).
 
     >>> levenshtein_bounded("abaa", "aab", 2)
     2
@@ -143,13 +197,13 @@ def levenshtein_bounded(x: StringLike, y: StringLike, limit: float) -> int:
     """
     x, y = require_strings(x, y)
     m, n = len(x), len(y)
-    if limit >= m + n:  # band covers the whole table; plain DP is cheaper
+    if limit >= m + n:  # nothing to prune: the full distance
         return levenshtein_distance(x, y)
     bound = int(limit) if limit >= 0 else -1
     if bound < 0:
         # nothing to compute: every distance is >= 0 > limit except x == y
         return 0 if x == y else max(abs(m - n), 1)
-    exact = levenshtein_within(x, y, bound)
+    exact = _within(x, y, bound)
     if exact is not None:
         return exact
     # pruned: |m - n| is a valid lower bound and may beat bound + 1

@@ -31,6 +31,7 @@ from typing import (
     Dict,
     Generator,
     Generic,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -38,11 +39,13 @@ from typing import (
     Tuple,
     Type,
     TypeVar,
+    Union,
 )
 
 import numpy as np
 
 from ..core.bounded import bounded_for
+from ..core.registry import get_distance
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -75,12 +78,6 @@ Request = Tuple[int, Optional[float], Optional[int]]
 #: distance via ``send`` (``None`` primes the generator), returns the
 #: sorted result list via ``StopIteration.value``.
 RequestGenerator = Generator[Request, Optional[float], Any]
-
-#: Lockstep rounds with at most this many still-active queries answer
-#: their requests with scalar early-exit calls instead of a batch-engine
-#: call: below this the engine's per-call overhead and full-table sweeps
-#: cost more than banded scalar DPs (values are identical either way).
-_SCALAR_TAIL_ROUNDS = 2
 
 
 def _validate_k(k: int, n: int) -> None:
@@ -157,11 +154,22 @@ class CountingDistance:
     All of them count exactly like the equivalent sequence of plain calls
     -- the paper's "number of distance computations" metric measures what
     the *algorithm* demands, not how cheaply the library satisfies it.
+
+    *distance* is a function or a registry name (resolved here, once, so
+    every path -- scalar calls, twins, engine sweeps -- runs the same
+    function).
     """
 
-    def __init__(self, distance: Distance) -> None:
+    def __init__(self, distance: Union[Distance, str]) -> None:
+        from ..batch.engine import _resolve
+
+        if isinstance(distance, str):
+            distance = get_distance(distance)
         self._distance = distance
         self._bounded = bounded_for(distance)
+        #: the engine name of the distance (None for unregistered
+        #: callables), which routes each lockstep round
+        self.name, _ = _resolve(distance)
         self.calls = 0
 
     def __call__(self, x: Any, y: Any) -> float:
@@ -188,10 +196,10 @@ class CountingDistance:
     def peek_within(self, x: Any, y: Any, limit: float) -> float:
         """:meth:`within` without touching the counter.
 
-        Lockstep bulk drivers use this for tail rounds with only a
-        query or two still active, where one banded scalar DP beats the
-        batch engine's per-call overhead; they account the computation
-        themselves, like :meth:`charge`.
+        Lockstep bulk drivers use this for rounds whose scalar twin
+        calls cost less than one batched sweep
+        (:func:`~repro.batch.engine.scalar_round_cheaper`); they account
+        the computation themselves, like :meth:`charge`.
         """
         if self._bounded is not None and limit != float("inf"):
             return self._bounded(x, y, limit)
@@ -659,16 +667,21 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         extra_elapsed: float = 0.0,
     ) -> List[Tuple[Any, SearchStats]]:
         """Run every query's request generator in lockstep rounds,
-        batching each round's candidate evaluations into one engine call.
+        answering each round's candidate evaluations by whichever route
+        is cheaper.
 
         All query generators advance together: cached pivot requests are
         served inline from *pivot_cache* (row ``qi``), and the remaining
-        requests of the round -- one per still-active query -- are grouped
-        into a single :meth:`CountingDistance.precompute_bounded_ids`
-        call over *store* (the corpus plus *queries*), so the scalar tail
-        of the candidate phase runs through the banded batch DP kernels
-        on ``(query id, item id)`` pairs instead of one bounded Python
-        call per candidate.
+        requests of the round -- one per still-active query -- are
+        answered together.  A cost model
+        (:func:`~repro.batch.engine.scalar_round_cheaper`, from the
+        pairs' lengths and edit budgets) picks the route per round: one
+        :meth:`CountingDistance.precompute_bounded_ids` call over
+        *store* (the corpus plus *queries*), which runs the banded batch
+        DP kernels on ``(query id, item id)`` pairs, or one
+        :meth:`CountingDistance.peek_within` scalar twin call per pair.
+        Short words always go scalar; long contour rounds with many
+        pairs go batched.
 
         Each query's request stream depends only on its own distances, so
         lockstep scheduling returns bit-identical results, distances
@@ -691,21 +704,30 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         pivot_cache: Optional[np.ndarray],
         extra_elapsed: float,
     ) -> List[Tuple[Any, SearchStats]]:
+        from ..batch.engine import scalar_round_cheaper
+
         started = time.perf_counter()
         items = self.items
+        counter = self._counter
+        peek = counter.peek_within
+        query_ids = store.extra_ids().tolist()
+        inf = float("inf")
         n_queries = len(queries)
         counts = [0] * n_queries
         results: List[Optional[Any]] = [None] * n_queries
         requests: List[Optional[Request]] = [None] * n_queries
         active: List[int] = []
-        for qi, gen in enumerate(generators):
+        sends = [gen.send for gen in generators]
+        for qi, send in enumerate(sends):
             try:
-                requests[qi] = gen.send(None)
+                requests[qi] = send(None)
                 active.append(qi)
             except StopIteration as stop:  # pragma: no cover - k >= 1 implies
                 results[qi] = stop.value  # at least one comparison
         while active:
             parked: List[int] = []
+            y_ids: List[int] = []
+            limits: List[float] = []
             for qi in active:
                 # serve precomputed requests inline until this query
                 # either finishes or demands a real evaluation
@@ -717,10 +739,12 @@ class NearestNeighborIndex(ABC, Generic[Item]):
                         or cache_pos is None
                     ):
                         parked.append(qi)
+                        y_ids.append(idx)
+                        limits.append(inf if limit is None else limit)
                         break
                     counts[qi] += 1
                     try:
-                        requests[qi] = generators[qi].send(
+                        requests[qi] = sends[qi](
                             float(pivot_cache[qi][cache_pos])
                         )
                     except StopIteration as stop:
@@ -729,33 +753,24 @@ class NearestNeighborIndex(ABC, Generic[Item]):
             if not parked:
                 active = [qi for qi in active if results[qi] is None]
                 continue
-            limits = [
-                float("inf") if requests[qi][1] is None else requests[qi][1]
-                for qi in parked
-            ]
-            if len(parked) <= _SCALAR_TAIL_ROUNDS:
-                # tail rounds: with only a query or two still active the
-                # engine's per-call overhead (and its full-table DP) loses
-                # to one banded scalar evaluation; peek_within returns the
-                # same values by the precompute_bounded_ids contract
+            x_ids = [query_ids[qi] for qi in parked]
+            values: Iterable[float]
+            if scalar_round_cheaper(counter.name, store, x_ids, y_ids, limits):
+                # peek_within returns the same values by the
+                # precompute_bounded_ids contract
                 values = [
-                    self._counter.peek_within(
-                        queries[qi], items[requests[qi][0]], limit
-                    )
-                    for qi, limit in zip(parked, limits)
+                    peek(queries[qi], items[y], limit)
+                    for qi, y, limit in zip(parked, y_ids, limits)
                 ]
             else:
-                values = self._counter.precompute_bounded_ids(
-                    store,
-                    [store.extra_id(qi) for qi in parked],
-                    [requests[qi][0] for qi in parked],
-                    limits,
+                values = counter.precompute_bounded_ids(
+                    store, x_ids, y_ids, limits
                 )
             still_active: List[int] = []
             for qi, value in zip(parked, values):
                 counts[qi] += 1
                 try:
-                    requests[qi] = generators[qi].send(float(value))
+                    requests[qi] = sends[qi](float(value))
                     still_active.append(qi)
                 except StopIteration as stop:
                     results[qi] = stop.value

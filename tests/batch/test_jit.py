@@ -81,8 +81,8 @@ class TestCompiledKernels:
             )
 
     def test_scalar_entry_points_use_threshold_zero(self):
-        # short strings (far below _NUMPY_THRESHOLD) must still route
-        # through the compiled kernel when it is active
+        # short strings (where the bit-parallel DP is cheapest) must
+        # still route through the compiled kernel when it is active
         from repro.core import levenshtein as lev_mod
 
         assert lev_mod._jit() is jit

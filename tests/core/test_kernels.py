@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core._kernels import (
     contextual_heuristic_numpy,
     encode_pair,
-    levenshtein_numpy,
     parametric_alignment_numpy,
 )
 from repro.core.contextual import _heuristic_tables
@@ -29,26 +28,6 @@ class TestEncodePair:
         cx, cy = encode_pair((10, 20), (20, 30))
         assert list(cx) == [0, 1]
         assert list(cy) == [1, 2]
-
-
-class TestLevenshteinKernel:
-    @given(small_strings, small_strings)
-    @settings(max_examples=60, deadline=None)
-    def test_matches_matrix(self, x, y):
-        expected = levenshtein_matrix(x, y)[len(x)][len(y)]
-        assert levenshtein_numpy(x, y) == expected
-
-    def test_long_random_strings(self):
-        rng = random.Random(0)
-        for _ in range(25):
-            x = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 80)))
-            y = "".join(rng.choice("abcd") for _ in range(rng.randint(0, 80)))
-            assert levenshtein_numpy(x, y) == levenshtein_matrix(x, y)[len(x)][len(y)]
-
-    def test_empty_inputs(self):
-        assert levenshtein_numpy("", "") == 0
-        assert levenshtein_numpy("", "abc") == 3
-        assert levenshtein_numpy("abc", "") == 3
 
 
 class TestContextualHeuristicKernel:

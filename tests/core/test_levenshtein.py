@@ -1,7 +1,9 @@
 """Levenshtein distance, DP matrix, edit scripts and alignments."""
 
+import random
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings, strategies as st
 
 from repro.core.levenshtein import (
     alignment,
@@ -122,6 +124,69 @@ class TestLevenshteinWithin:
         x = "a" * 400
         y = "b" * 400
         assert levenshtein_within(x, y, 5) is None
+
+
+def _sequences(symbols, max_size):
+    """Lists of *symbols* with a length drawn uniformly-ish from
+    [0, max_size] (plain ``st.lists`` favours short lists)."""
+    length = st.integers(0, max_size)
+    return length.flatmap(
+        lambda n: st.lists(symbols, min_size=n, max_size=n)
+    )
+
+
+#: Strings with non-BMP code points (surrogate-free astral symbols).
+_ASTRAL_TEXT = _sequences(st.sampled_from("ab\U0001d538\U0001f600"), 200).map(
+    "".join
+)
+_INT_TUPLES = _sequences(st.integers(0, 3), 200).map(tuple)
+#: Unhashable symbols: the core codes them by an equality scan.
+_LIST_SYMBOLS = _sequences(st.lists(st.integers(0, 1), max_size=1), 60)
+
+
+class TestBitParallelCore:
+    """The bit-parallel core behind ``levenshtein_distance`` and
+    ``levenshtein_within`` against the full Wagner--Fischer table, at
+    every bound from 0 to ``m + n + 1``."""
+
+    @staticmethod
+    def _check(x, y, bounds=None, d=None):
+        if d is None:
+            d = levenshtein_matrix(x, y)[len(x)][len(y)]
+        assert levenshtein_distance(x, y) == d
+        for bound in bounds or range(len(x) + len(y) + 2):
+            assert levenshtein_within(x, y, bound) == (d if d <= bound else None)
+
+    @given(st.one_of(_ASTRAL_TEXT, _INT_TUPLES), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_matrix_at_every_bound(self, x, data):
+        # the second side shares the first's type and alphabet
+        if isinstance(x, str):
+            y = data.draw(_ASTRAL_TEXT)
+        else:
+            y = data.draw(_INT_TUPLES)
+        self._check(x, y)
+
+    @given(_LIST_SYMBOLS, _LIST_SYMBOLS)
+    @settings(max_examples=40, deadline=None)
+    def test_unhashable_symbols_match_matrix(self, x, y):
+        self._check(x, y)
+
+    @pytest.mark.parametrize("edits", [3, None])
+    def test_long_sequences_span_many_int_digits(self, edits):
+        # 1000+ rows: every bit vector spans dozens of 30-bit int digits
+        rng = random.Random(edits or 0)
+        x = "".join(rng.choice("acgt") for _ in range(1000))
+        if edits is None:
+            y = "".join(rng.choice("acgt") for _ in range(1040))
+        else:
+            y = list(x)
+            for _ in range(edits):
+                y.insert(rng.randrange(len(y)), "n")
+            y = "".join(y)
+        d = levenshtein_matrix(x, y)[len(x)][len(y)]
+        total = len(x) + len(y)
+        self._check(x, y, [*range(d + 3), d + 40, total // 2, total + 1], d)
 
 
 class TestEditScript:

@@ -57,11 +57,12 @@ WORDS = [f"{a}{b}{c}" for a in "abcd" for b in "xy" for c in "pqrst"][:40]
 TARGETS = ["exhaustive", "laesa", "aesa", "bktree", "vptree", "sharded", "server"]
 
 
-def _target_index(target):
+def _target_index(target, distance=None):
     from repro.index import AesaIndex, BKTreeIndex, LaesaIndex, VPTreeIndex
     from repro.shard import ShardedIndex
 
-    distance = get_distance("levenshtein")
+    if distance is None:
+        distance = get_distance("levenshtein")
     if target in ("laesa", "server"):
         return LaesaIndex(WORDS, distance, n_pivots=4)
     if target == "sharded":
@@ -116,3 +117,57 @@ def test_bad_k_and_radius_raise_value_error_everywhere(target):
         with pytest.raises(ValueError):
             index.bulk_range_search([], radius)
     assert len(index.knn("axp", 3)[0]) == 3  # integral k still works
+
+
+def _answers(index, queries):
+    def snap(results):
+        return [
+            ([(r.index, r.distance) for r in hits], stats.distance_computations)
+            for hits, stats in results
+        ]
+
+    return (
+        snap([index.knn(q, 3) for q in queries]),
+        snap([index.range_search(q, 1.0) for q in queries]),
+        snap(index.bulk_knn(queries, 3)),
+        snap(index.bulk_range_search(queries, 1.0)),
+    )
+
+
+def _served_answers(index, queries):
+    import asyncio
+
+    from repro.serve import IndexServer, ServeConfig
+
+    async def main():
+        config = ServeConfig(window_ms=1.0, dispose_runtime_on_drain=False)
+        async with IndexServer(index, config) as server:
+            knn = await asyncio.gather(*(server.knn(q, 3) for q in queries))
+            hits = await asyncio.gather(
+                *(server.range_search(q, 1.0) for q in queries)
+            )
+        return [
+            ([(r.index, r.distance) for r in found], stats.distance_computations)
+            for found, stats in list(knn) + list(hits)
+        ]
+
+    return asyncio.run(main())
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_registry_name_matches_function_everywhere(target):
+    """``distance`` may be a registry name: it resolves to the function
+    once, at construction, so every scalar, early-exit and bulk path
+    answers (and counts) exactly as with the function itself -- a name
+    used to reach the scalar paths uncalled."""
+    queries = ["axp", "byq", "czz", "dxt", "ayr", "bbb"]
+    by_name = _target_index(target, "levenshtein")
+    by_function = _target_index(target)
+    if target == "server":
+        assert _served_answers(by_name, queries) == _served_answers(
+            by_function, queries
+        )
+    else:
+        assert _answers(by_name, queries) == _answers(by_function, queries)
+    with pytest.raises(KeyError):
+        _target_index(target, "no_such_distance")

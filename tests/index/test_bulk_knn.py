@@ -9,6 +9,9 @@ import repro.batch.engine as engine
 from repro.core import get_distance
 from repro.index import AesaIndex, ExhaustiveIndex, LaesaIndex
 
+#: every test runs once per forced lockstep route (see conftest)
+pytestmark = pytest.mark.usefixtures("lockstep_route")
+
 
 @pytest.fixture(scope="module")
 def words():

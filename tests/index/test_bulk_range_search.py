@@ -17,6 +17,9 @@ from repro.index import (
     VPTreeIndex,
 )
 
+#: every test runs once per forced lockstep route (see conftest)
+pytestmark = pytest.mark.usefixtures("lockstep_route")
+
 
 def _identical(index, queries, radius):
     scalar = [index.range_search(q, radius) for q in queries]

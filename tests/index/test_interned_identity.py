@@ -22,6 +22,9 @@ from repro.index import (
     VPTreeIndex,
 )
 
+#: every test runs once per forced lockstep route (see conftest)
+pytestmark = pytest.mark.usefixtures("lockstep_route")
+
 REGIMES = {
     "word": ("abcde", 1, 9),
     "dna": ("acgt", 8, 30),
