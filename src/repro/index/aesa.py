@@ -33,6 +33,7 @@ from .base import (
     RequestGenerator,
     SearchResult,
     SearchStats,
+    _tighten_bounds,
     _validate_k,
     _validate_radius,
     canonical_key,
@@ -152,7 +153,7 @@ class AesaIndex(NearestNeighborIndex):
                 hits.append(
                     SearchResult(item=items[current], index=current, distance=d)
                 )
-            np.maximum(bounds, np.abs(self.matrix[current] - d), out=bounds)
+            _tighten_bounds(bounds, self.matrix[current], d)
             undecided &= bounds <= radius
         hits.sort(key=canonical_key)
         return hits
@@ -252,7 +253,7 @@ class AesaIndex(NearestNeighborIndex):
             elif entry > best[0]:
                 heapq.heapreplace(best, entry)
             # every compared item is a pivot in AESA
-            np.maximum(bounds, np.abs(self.matrix[current] - d), out=bounds)
+            _tighten_bounds(bounds, self.matrix[current], d)
             radius = kth_best()
             if radius < float("inf"):
                 alive &= bounds <= radius

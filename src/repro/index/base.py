@@ -96,6 +96,20 @@ def _validate_radius(radius: float) -> None:
         raise ValueError(f"radius must be >= 0, got {radius}")
 
 
+def _tighten_bounds(bounds: np.ndarray, row: np.ndarray, d: float) -> None:
+    """Raise the triangle-inequality lower *bounds* in place to
+    ``|d - row|``, *row* holding the distances from the item just
+    compared (at distance *d* from the query) to every item.
+
+    An infinite *d* against an infinite *row* entry (``d_min`` and an
+    empty string) makes that bound NaN; NaN bounds are part of the
+    elimination loops' contract, so the ``inf - inf`` warning is
+    silenced rather than the value changed.
+    """
+    with np.errstate(invalid="ignore"):
+        np.maximum(bounds, np.abs(row - d), out=bounds)
+
+
 @dataclass(frozen=True)
 class SearchResult:
     """One neighbour: the item, its position in the indexed list, and its

@@ -16,6 +16,7 @@ them loudly rather than silently degrading.
 from __future__ import annotations
 
 import heapq
+import math
 from collections import deque
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -122,12 +123,13 @@ class BKTreeIndex(NearestNeighborIndex):
 
     @staticmethod
     def _integer(d: float) -> int:
-        key = int(round(d))
-        if abs(d - key) > 1e-9:
+        """*d* as a child key; ValueError unless *d* is a finite integer
+        (checked before ``round``, which overflows on infinity)."""
+        if not math.isfinite(d) or abs(d - round(d)) > 1e-9:
             raise ValueError(
                 f"BK-tree requires an integer-valued metric; got distance {d}"
             )
-        return key
+        return int(round(d))
 
     @staticmethod
     def _node_limit(node: "_Node", radius: float) -> float:

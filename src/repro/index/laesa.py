@@ -17,6 +17,18 @@ against:
 * afterwards, the candidate with the smallest lower bound (most promising
   neighbour) is compared directly.
 
+Only pivot comparisons move a bound; bounds only grow and the k-th-best
+radius only shrinks, so an item eliminated once stays eliminated.  The
+candidate phase is therefore one sorted walk: a stable sort ranks the
+items by (NaN bound first, bound, index) -- the order an ``argmin`` over
+the live items would take them in -- and a cursor skips visited items
+(and NaN bounds once the radius is finite) and stops at the first bound
+above the radius.  Choosing the next candidate costs O(1) amortised
+Python work instead of O(n) array passes per comparison; the sort runs
+once per query, again only when the walk reaches a pivot whose bound was
+infinite or NaN (the pivot rule never picks those) and its comparison
+moves the bounds.
+
 With 0 pivots LAESA degenerates into an exhaustive scan, which is exactly
 the leftmost point of the paper's Figures 3 and 4.
 
@@ -57,6 +69,7 @@ from .base import (
     RequestGenerator,
     SearchResult,
     SearchStats,
+    _tighten_bounds,
     _validate_k,
     _validate_radius,
     canonical_key,
@@ -218,17 +231,16 @@ class LaesaIndex(NearestNeighborIndex):
         request, exactly like the pre-generator loop.
         """
         items = self.items
-        n = len(items)
-        bounds = np.zeros(n, dtype=float)
+        bounds = np.zeros(len(items), dtype=float)
         pivot_distances = {}
         hits: List[SearchResult] = []
         for row, item_idx in enumerate(self.pivot_indices):
             d = yield (item_idx, None, row)
             pivot_distances[item_idx] = d
-            np.maximum(bounds, np.abs(self.pivot_rows[row] - d), out=bounds)
-        for idx in range(n):
-            if bounds[idx] > radius:
-                continue
+            _tighten_bounds(bounds, self.pivot_rows[row], d)
+        # ~(bound > radius), not bound <= radius: a NaN bound proves
+        # nothing, so that item is still requested
+        for idx in np.flatnonzero(~(bounds > radius)).tolist():
             d = pivot_distances.get(idx)
             if d is None:
                 d = yield (idx, radius, None)
@@ -302,15 +314,23 @@ class LaesaIndex(NearestNeighborIndex):
         """
         items = self.items
         n = len(items)
-        alive = np.ones(n, dtype=bool)
+        inf = float("inf")
+        visited = bytearray(n)
         bounds = np.zeros(n, dtype=float)
-        pending = list(self.pivot_indices)  # alive, not-yet-compared pivots
+        pending = list(self.pivot_indices)  # live, not-yet-compared pivots
+        # Every item in candidate order, with its bound: built on first
+        # use after each pivot comparison (the only step that moves a
+        # bound) and walked by `cursor`.
+        order: List[int] = []
+        order_bounds: List[float] = []
+        cursor = 0
+        stale = True
         # min-heap of (-distance, -index): the root is the canonical worst
         # of the k best found so far under (distance, index) order
         best: List[Tuple[float, int]] = []
 
         def kth_best() -> float:
-            return -best[0][0] if len(best) == k else float("inf")
+            return -best[0][0] if len(best) == k else inf
 
         def record(idx: int, d: float) -> None:
             entry = (-d, -idx)
@@ -326,7 +346,7 @@ class LaesaIndex(NearestNeighborIndex):
         # First comparison: the first pivot if any, else item 0.
         current = pending[0] if pending else 0
         while True:
-            alive[current] = False
+            visited[current] = 1
             row_pos = self._pivot_position.get(current)
             if row_pos is None:
                 # Non-pivot candidates only need their distance when it can
@@ -338,25 +358,27 @@ class LaesaIndex(NearestNeighborIndex):
                 # and must therefore be exact (limit None); bulk drivers
                 # serve them from the precomputed sweep at cache_pos.
                 d = yield (current, None, row_pos)
-                np.maximum(
-                    bounds,
-                    np.abs(self.pivot_rows[row_pos] - d),
-                    out=bounds,
-                )
+                _tighten_bounds(bounds, self.pivot_rows[row_pos], d)
+                stale = True
             record(current, d)
-            # Eliminate candidates that provably cannot beat the kth best.
+            # An unvisited item is live while no bound-versus-radius test
+            # has eliminated it: the radius is still infinite, or its
+            # bound is at most the radius.  Bounds only grow and the
+            # radius only shrinks, so an eliminated item stays eliminated
+            # and a NaN bound is live only while the radius is infinite.
             radius = kth_best()
-            if radius < float("inf"):
-                alive &= bounds <= radius
-            # Choose the next comparison: alive unused pivots first.  Dead
-            # pivots are dropped from `pending` for good, so the scan
-            # shrinks as elimination progresses (the old list bookkeeping
-            # paid O(P) membership tests and removals per iteration, which
-            # made query cost quadratic in the pivot count).
+            # Next comparison: the live pending pivot with the smallest
+            # finite bound (first in pivot order on ties).  Eliminated and
+            # visited pivots leave `pending` for good, so the scan shrinks
+            # as elimination progresses.
             next_pivot = None
             if pending:
-                pending = [p for p in pending if alive[p]]
-                best_bound = float("inf")
+                pending = [
+                    p
+                    for p in pending
+                    if not visited[p] and (radius == inf or bounds[p] <= radius)
+                ]
+                best_bound = inf
                 for p in pending:
                     if bounds[p] < best_bound:
                         best_bound = bounds[p]
@@ -364,15 +386,33 @@ class LaesaIndex(NearestNeighborIndex):
             if next_pivot is not None:
                 current = next_pivot
                 continue
-            candidates = np.nonzero(alive)[0]
-            if len(candidates) == 0:
+            # Otherwise the next live item in (NaN first, bound, index)
+            # order, the order argmin over the live items took.  It is
+            # rebuilt after every pivot comparison, not once: the walk
+            # can reach a pivot whose infinite or NaN bound the rule
+            # above never picks.
+            if stale:
+                # bounds are absolute differences, so -1 ranks NaN first
+                ranked = np.argsort(
+                    np.where(np.isnan(bounds), -1.0, bounds), kind="stable"
+                )
+                order = ranked.tolist()
+                order_bounds = bounds[ranked].tolist()
+                cursor = 0
+                stale = False
+            current = -1
+            while cursor < n:
+                bound = order_bounds[cursor]
+                if bound > radius:
+                    break  # every later bound is at least as large
+                idx = order[cursor]
+                cursor += 1
+                # (bound != bound only for NaN)
+                if not visited[idx] and (bound == bound or radius == inf):
+                    current = idx
+                    break
+            if current < 0:
                 break
-            # argmin over the alive candidates only: with infinite bounds
-            # (e.g. d_min against an empty string) a global argmin over an
-            # all-inf masked array would return an already-dead index and
-            # loop forever; this always selects an alive item, so every
-            # iteration retires one candidate.
-            current = int(candidates[np.argmin(bounds[candidates])])
         ordered = sorted((-nd, -nidx) for nd, nidx in best)
         return [
             SearchResult(item=items[idx], index=idx, distance=d)

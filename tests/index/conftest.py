@@ -1,8 +1,21 @@
 """Fixtures shared by the index suite."""
 
+from pathlib import Path
+
 import pytest
 
 import repro.batch.engine as engine
+
+_HERE = Path(__file__).parent
+
+
+def pytest_collection_modifyitems(config, items):
+    """Run every test of this suite with ``RuntimeWarning`` as an error:
+    numpy's ``invalid value`` warnings flag arithmetic (``inf - inf``)
+    the elimination loops must handle explicitly, not by accident."""
+    for item in items:
+        if _HERE in item.path.parents:
+            item.add_marker(pytest.mark.filterwarnings("error::RuntimeWarning"))
 
 
 @pytest.fixture(scope="module", params=["scalar", "batched"])

@@ -58,3 +58,10 @@ class TestIntegerRequirement:
         distance = get_distance("contextual_heuristic")
         with pytest.raises(ValueError):
             BKTreeIndex(small_word_list[:30], distance)
+
+    @pytest.mark.parametrize("d", [float("inf"), float("nan")])
+    def test_rejects_non_finite_distance(self, d):
+        # d_min("", "a") is infinite: that is a ValueError like any other
+        # non-integer distance, not round()'s OverflowError
+        with pytest.raises(ValueError, match="integer-valued"):
+            BKTreeIndex(["a", "b"], lambda x, y: 0.0 if x == y else d)
