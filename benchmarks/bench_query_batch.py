@@ -7,7 +7,8 @@ held-out contours as queries.  Four modes:
 
 * ``--mode knn`` (default) -- nearest-neighbour search per query: the
   per-query `knn` loop vs `bulk_knn` (pivot sweep + lockstep candidate
-  rounds through the banded batch kernels);
+  rounds through the banded batch kernels), for LAESA, AESA and the
+  VP-tree (lockstep rounds without a sweep);
 * ``--mode range`` -- radius search at a paper-style tight radius (a low
   quantile of sampled training distances): the per-query `range_search`
   loop vs the lockstep `bulk_range_search`, plus a direct timing of the
@@ -62,7 +63,7 @@ import numpy as np
 from repro.batch import jit
 from repro.datasets import handwritten_digits
 from repro.core import get_distance
-from repro.index import AesaIndex, LaesaIndex
+from repro.index import AesaIndex, LaesaIndex, VPTreeIndex
 
 DEFAULT_JSON = Path(__file__).resolve().parent.parent / "BENCH_query.json"
 
@@ -158,6 +159,16 @@ def run_benchmark(
     aesa_batch_seconds = time.perf_counter() - started
     _check_identical(aesa_scalar, aesa_batch, "AESA")
 
+    # the VP-tree has no sweep: its bulk_knn is the lockstep rounds alone
+    vptree = VPTreeIndex(train, get_distance(distance))
+    started = time.perf_counter()
+    vptree_scalar = [vptree.knn(q, k) for q in queries]
+    vptree_scalar_seconds = time.perf_counter() - started
+    started = time.perf_counter()
+    vptree_batch = vptree.bulk_knn(queries, k)
+    vptree_batch_seconds = time.perf_counter() - started
+    _check_identical(vptree_scalar, vptree_batch, "VP-tree")
+
     comps = [s.distance_computations for _, s in batch]
     return {
         "bench": "query_batch",
@@ -174,6 +185,9 @@ def run_benchmark(
         "aesa_scalar_seconds": round(aesa_scalar_seconds, 4),
         "aesa_batch_seconds": round(aesa_batch_seconds, 4),
         "aesa_speedup": round(aesa_scalar_seconds / aesa_batch_seconds, 2),
+        "vptree_scalar_seconds": round(vptree_scalar_seconds, 4),
+        "vptree_batch_seconds": round(vptree_batch_seconds, 4),
+        "vptree_speedup": round(vptree_scalar_seconds / vptree_batch_seconds, 2),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,

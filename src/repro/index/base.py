@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numbers
 import time
-from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import (
@@ -305,8 +304,15 @@ class CountingDistance:
         return calls
 
 
-class NearestNeighborIndex(ABC, Generic[Item]):
-    """Base class: counted distance, timing, and the k-NN-from-1-NN glue.
+class NearestNeighborIndex(Generic[Item]):
+    """Base class: counted distance, timing, and the search drivers.
+
+    A pruning structure implements its k-NN and range searches as two
+    request generators (:meth:`_search_requests`,
+    :meth:`_range_requests`); this class drives them scalar-style for
+    ``knn`` / ``range_search`` and in lockstep for ``bulk_knn`` /
+    ``bulk_range_search``.  A structure whose bulk calls can precompute
+    some requests adds one sweep hook, :meth:`_bulk_cache`.
 
     Construction also *interns* the item list
     (:func:`~repro.batch.corpus.intern_corpus`): the database's symbol
@@ -456,40 +462,22 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         return {}
 
     def _restore_artifact(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        params: Mapping[str, Any],
+        self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
     ) -> None:
         """Reattach persisted structure onto a skeleton instance -- the
         inverse of :meth:`_artifact_arrays` / :meth:`_artifact_meta`.
-        *params* are the raw ``load`` keywords, for runtime-only options
-        that apply to loaded instances as well.  Structures without
-        build-time state (exhaustive scan) need nothing."""
+        Structures without build-time state (exhaustive scan) need
+        nothing."""
 
-    @abstractmethod
     def _search(self, query: Item, k: int) -> List[SearchResult]:
-        """Return the k nearest neighbours, sorted by distance."""
+        """Return the k nearest neighbours, sorted by distance: the
+        :meth:`_search_requests` generator driven scalar-style."""
+        return self._drive_requests(query, self._search_requests(k))
 
     def _range_search(self, query: Item, radius: float) -> List[SearchResult]:
-        """Return every item within *radius*; default scans linearly.
-
-        Subclasses with pruning structures implement
-        :meth:`_range_requests` instead, which this method then drives
-        scalar-style (and :meth:`bulk_range_search` drives in lockstep).
-        """
-        try:
-            gen = self._range_requests(radius)
-        except NotImplementedError:
-            distance = self._counter
-            hits = []
-            for idx, item in enumerate(self.items):
-                d = distance(query, item)
-                if d <= radius:
-                    hits.append(SearchResult(item=item, index=idx, distance=d))
-            hits.sort(key=canonical_key)
-            return hits
-        return self._drive_requests(query, gen)
+        """Return every item within *radius*, closest first: the
+        :meth:`_range_requests` generator driven scalar-style."""
+        return self._drive_requests(query, self._range_requests(radius))
 
     def range_search(
         self, query: Item, radius: float
@@ -529,169 +517,112 @@ class NearestNeighborIndex(ABC, Generic[Item]):
     ) -> List[Tuple[List[SearchResult], SearchStats]]:
         """k-NN for a whole query batch, one ``(results, stats)`` each.
 
-        The default simply loops :meth:`knn`; structures with a batchable
-        phase override it -- exhaustive scans push the whole query grid
-        through the pair-batched engine
-        (:class:`~repro.index.exhaustive.ExhaustiveIndex`), LAESA and
-        AESA fan the batch against their pivots in one sweep and feed the
-        per-query elimination loops from the resulting cache
-        (:class:`~repro.index.laesa.LaesaIndex`,
-        :class:`~repro.index.aesa.AesaIndex`).  Every override returns
-        results and per-query ``distance_computations`` identical to this
-        loop.
+        Every query's :meth:`_search_requests` generator runs in
+        lockstep (:meth:`_lockstep_drive`), after the structure's
+        :meth:`_bulk_cache` sweep.  Results, neighbour order and
+        per-query ``distance_computations`` are identical to looping
+        :meth:`knn` (asserted by the tests); only the wall-clock drops.
         """
         _validate_k(k, len(self.items))
-        with self._track_degradation():
-            return [self.knn(query, k) for query in queries]
-
-    def _search_requests(self, k: int) -> RequestGenerator:
-        """The request-generator protocol behind the lockstep drivers.
-
-        Subclasses with a batchable query phase (LAESA, AESA) implement
-        their elimination loop as a generator that *yields* one
-        comparison request at a time and receives the distance via
-        ``send``::
-
-            d = yield (item_index, limit, cache_pos)
-
-        ``limit`` is ``None`` when the algorithm needs the exact
-        distance (pivot comparisons that feed triangle-inequality
-        bounds) and the current early-exit radius otherwise;
-        ``cache_pos`` is the column of the bulk pivot cache that holds
-        this distance (``None`` when the request is not precomputable).
-        The generator never touches the counter -- each driver accounts
-        one computation per request, which is exactly what the scalar
-        loop would have counted.  The sorted result list is returned via
-        ``StopIteration.value``.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no request-generator search"
-        )
-
-    def _range_requests(self, radius: float) -> RequestGenerator:
-        """Range-search twin of :meth:`_search_requests`.
-
-        Same request protocol (yield ``(item_index, limit, cache_pos)``,
-        receive the distance, return the sorted hit list via
-        ``StopIteration.value``), with the fixed *radius* in place of
-        the shrinking k-th-best limit.  Structures that implement it get
-        a scalar :meth:`_range_search` and a lockstep
-        :meth:`bulk_range_search` for free.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no request-generator range search"
-        )
-
-    def _drive_requests(
-        self,
-        query: Item,
-        gen: RequestGenerator,
-        pivot_cache: Optional[np.ndarray] = None,
-    ) -> Any:
-        """Run one request generator scalar-style (k-NN or range).
-
-        Exact requests are answered with a plain counted call (or a
-        charged *pivot_cache* read when a bulk driver precomputed them);
-        bounded requests go through :meth:`CountingDistance.within`.
-        This is behaviour-identical to the pre-generator scalar loops:
-        one counted evaluation per request, early exit on candidates.
-        """
-        distance = self._counter
-        items = self.items
-        value: Optional[float] = None
-        while True:
-            try:
-                idx, limit, cache_pos = gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            if limit is None:
-                if pivot_cache is not None and cache_pos is not None:
-                    distance.charge()
-                    value = float(pivot_cache[cache_pos])
-                else:
-                    value = distance(query, items[idx])
-            else:
-                value = distance.within(query, items[idx], limit)
-
-    def _drive_search(
-        self,
-        query: Item,
-        k: int,
-        pivot_cache: Optional[np.ndarray] = None,
-    ) -> List[SearchResult]:
-        """Scalar driver for :meth:`_search_requests` (see
-        :meth:`_drive_requests`)."""
-        return self._drive_requests(query, self._search_requests(k), pivot_cache)
-
-    def _bulk_knn_lockstep(
-        self,
-        queries: Sequence[Item],
-        k: int,
-        store: "PairStore",
-        pivot_cache: Optional[np.ndarray] = None,
-        extra_elapsed: float = 0.0,
-    ) -> List[Tuple[List[SearchResult], SearchStats]]:
-        """Lockstep driver over :meth:`_search_requests` (see
-        :meth:`_lockstep_drive`)."""
+        queries = list(queries)
         return self._lockstep_drive(
-            queries,
-            [self._search_requests(k) for _ in queries],
-            store,
-            pivot_cache=pivot_cache,
-            extra_elapsed=extra_elapsed,
+            queries, [self._search_requests(k) for _ in queries]
         )
 
     def bulk_range_search(
         self, queries: Sequence[Item], radius: float
     ) -> List[Tuple[List[SearchResult], SearchStats]]:
         """Range search for a whole query batch, one ``(hits, stats)``
-        tuple per query, closest first.
-
-        Structures that implement :meth:`_range_requests` run every
-        query's pruning loop in lockstep
-        (:meth:`_lockstep_drive`), grouping each round's candidate
-        evaluations -- one bounded comparison per still-active query --
-        into a single banded
-        :func:`~repro.batch.pairwise_values_bounded_ids` engine call;
-        hits, order and per-query ``distance_computations`` are
-        identical to looping :meth:`range_search` (asserted by the
-        tests).  Structures without the generator fall back to exactly
-        that loop.  LAESA and AESA override this to also precompute
-        their pivot sweeps.
+        tuple per query, closest first: :meth:`_range_requests` in
+        lockstep, exactly like :meth:`bulk_knn`.  Hits, order and
+        per-query ``distance_computations`` are identical to looping
+        :meth:`range_search`.
         """
         _validate_radius(radius)
         queries = list(queries)
-        if not queries:
-            return []
-        try:
-            generators = [self._range_requests(radius) for _ in queries]
-        except NotImplementedError:
-            with self._track_degradation():
-                return [self.range_search(query, radius) for query in queries]
         return self._lockstep_drive(
-            queries, generators, self._corpus.store(queries)
+            queries, [self._range_requests(radius) for _ in queries]
         )
 
+    def _search_requests(self, k: int) -> RequestGenerator:
+        """The k-NN search as a request generator, the one protocol
+        every pruning structure implements.
+
+        The generator *yields* one comparison request at a time and
+        receives the distance via ``send``::
+
+            d = yield (item_index, limit, cache_pos)
+
+        ``limit`` is ``None`` when the algorithm needs the exact
+        distance (pivot comparisons that feed triangle-inequality
+        bounds) and the current early-exit radius otherwise;
+        ``cache_pos`` is the column of the :meth:`_bulk_cache` row that
+        holds this distance (``None`` when the request is not
+        precomputable).  The generator never touches the counter --
+        each driver accounts one computation per request, which is
+        exactly what a hand-written scalar loop would have counted.
+        The sorted result list is returned via ``StopIteration.value``.
+        """
+        raise NotImplementedError(
+            f"{type(self).__name__} has no request-generator search"
+        )
+
+    def _range_requests(self, radius: float) -> RequestGenerator:
+        """Range-search twin of :meth:`_search_requests`: the same
+        request protocol, with the fixed *radius* in place of the
+        shrinking k-th-best limit, returning the sorted hit list."""
+        raise NotImplementedError(
+            f"{type(self).__name__} has no request-generator range search"
+        )
+
+    def _bulk_cache(self, store: "PairStore") -> Optional[np.ndarray]:
+        """The ``queries x positions`` matrix a bulk call precomputes
+        before its lockstep rounds, or ``None`` (the default: no
+        request is precomputable).
+
+        *store* holds the corpus plus the batch's queries.  Row ``qi``
+        serves query ``qi``'s requests whose ``cache_pos`` is set; the
+        values are uncounted, and the lockstep driver charges one
+        computation per entry a search actually reads.
+        """
+        return None
+
+    def _drive_requests(self, query: Item, gen: RequestGenerator) -> Any:
+        """Run one request generator scalar-style (k-NN or range).
+
+        Exact requests are answered with a plain counted call; bounded
+        requests go through :meth:`CountingDistance.within`, which may
+        stop early past the limit.  One counted evaluation per request.
+        """
+        distance = self._counter
+        items = self.items
+        value: Optional[float] = None
+        while True:
+            try:
+                idx, limit, _ = gen.send(value)
+            except StopIteration as stop:
+                return stop.value
+            if limit is None:
+                value = distance(query, items[idx])
+            else:
+                value = distance.within(query, items[idx], limit)
+
     def _lockstep_drive(
-        self,
-        queries: Sequence[Item],
-        generators: List[RequestGenerator],
-        store: "PairStore",
-        pivot_cache: Optional[np.ndarray] = None,
-        extra_elapsed: float = 0.0,
+        self, queries: List[Item], generators: List[RequestGenerator]
     ) -> List[Tuple[Any, SearchStats]]:
         """Run every query's request generator in lockstep rounds,
         answering each round's candidate evaluations by whichever route
         is cheaper.
 
-        All query generators advance together: cached pivot requests are
-        served inline from *pivot_cache* (row ``qi``), and the remaining
-        requests of the round -- one per still-active query -- are
-        answered together.  A cost model
+        The structure's :meth:`_bulk_cache` sweep runs first.  Then all
+        query generators advance together: cached requests are served
+        inline from the cache (row ``qi``), and the remaining requests
+        of the round -- one per still-active query -- are answered
+        together.  A cost model
         (:func:`~repro.batch.engine.scalar_round_cheaper`, from the
         pairs' lengths and edit budgets) picks the route per round: one
-        :meth:`CountingDistance.precompute_bounded_ids` call over
-        *store* (the corpus plus *queries*), which runs the banded batch
+        :meth:`CountingDistance.precompute_bounded_ids` call over the
+        store of the corpus plus *queries*, which runs the banded batch
         DP kernels on ``(query id, item id)`` pairs, or one
         :meth:`CountingDistance.peek_within` scalar twin call per pair.
         Short words always go scalar; long contour rounds with many
@@ -700,14 +631,18 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         Each query's request stream depends only on its own distances, so
         lockstep scheduling returns bit-identical results, distances
         and per-query ``distance_computations`` to the scalar drivers
-        (one count per request; asserted by the tests).  Wall-clock (plus
-        *extra_elapsed*, e.g. a pivot sweep) is split evenly across the
-        per-query stats.  Engine degradation during the drive lands in
+        (one count per request; asserted by the tests).  Wall-clock,
+        sweep included, is split evenly across the per-query stats.
+        Engine degradation during the call lands in
         :attr:`last_degradation`.
         """
+        if not queries:
+            return []
+        started = time.perf_counter()
         with self._track_degradation():
+            store = self._corpus.store(queries)
             return self._lockstep_rounds(
-                queries, generators, store, pivot_cache, extra_elapsed
+                queries, generators, store, self._bulk_cache(store), started
             )
 
     def _lockstep_rounds(
@@ -715,12 +650,11 @@ class NearestNeighborIndex(ABC, Generic[Item]):
         queries: Sequence[Item],
         generators: List[RequestGenerator],
         store: "PairStore",
-        pivot_cache: Optional[np.ndarray],
-        extra_elapsed: float,
+        cache: Optional[np.ndarray],
+        started: float,
     ) -> List[Tuple[Any, SearchStats]]:
         from ..batch.engine import scalar_round_cheaper
 
-        started = time.perf_counter()
         items = self.items
         counter = self._counter
         peek = counter.peek_within
@@ -747,20 +681,14 @@ class NearestNeighborIndex(ABC, Generic[Item]):
                 # either finishes or demands a real evaluation
                 while True:
                     idx, limit, cache_pos = requests[qi]
-                    if (
-                        limit is not None
-                        or pivot_cache is None
-                        or cache_pos is None
-                    ):
+                    if limit is not None or cache is None or cache_pos is None:
                         parked.append(qi)
                         y_ids.append(idx)
                         limits.append(inf if limit is None else limit)
                         break
                     counts[qi] += 1
                     try:
-                        requests[qi] = sends[qi](
-                            float(pivot_cache[qi][cache_pos])
-                        )
+                        requests[qi] = sends[qi](float(cache[qi][cache_pos]))
                     except StopIteration as stop:
                         results[qi] = stop.value
                         break
@@ -789,9 +717,7 @@ class NearestNeighborIndex(ABC, Generic[Item]):
                 except StopIteration as stop:
                     results[qi] = stop.value
             active = still_active
-        share = (time.perf_counter() - started + extra_elapsed) / max(
-            n_queries, 1
-        )
+        share = (time.perf_counter() - started) / n_queries
         return [
             (
                 results[qi],

@@ -58,9 +58,6 @@ class BKTreeIndex(NearestNeighborIndex):
         while True:
             d = self._counter(item, self.items[node.index])
             key = self._integer(d)
-            if key == 0 and item == self.items[node.index]:
-                # exact duplicate: hang it under key 0 like any child
-                pass
             child = node.children.get(key)
             if child is None:
                 node.children[key] = _Node(idx)
@@ -86,10 +83,7 @@ class BKTreeIndex(NearestNeighborIndex):
         return {"tree_nodes": np.asarray(rows, dtype=np.int64)}
 
     def _restore_artifact(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        params: Mapping[str, Any],
+        self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
     ) -> None:
         rows = np.asarray(arrays["tree_nodes"], dtype=np.int64)
         n = len(self.items)
@@ -174,7 +168,13 @@ class BKTreeIndex(NearestNeighborIndex):
         hits.sort(key=canonical_key)
         return hits
 
-    def _search(self, query: Any, k: int) -> List[SearchResult]:
+    def _search_requests(self, k: int) -> RequestGenerator:
+        """Depth-first k-NN as a request generator: visit children
+        whose key lies within the k-th-best radius of the node's
+        distance.  Every request carries the node's early-exit
+        limit at the current radius (infinite until k items are
+        found); requests are not precomputable (``cache_pos=None``).
+        """
         best: List[Tuple[float, int]] = []
 
         def kth_best() -> float:
@@ -184,7 +184,7 @@ class BKTreeIndex(NearestNeighborIndex):
         while stack:
             node = stack.pop()
             limit = self._node_limit(node, kth_best())
-            d = self._counter.within(query, self.items[node.index], limit)
+            d = yield (node.index, limit, None)
             if d > limit:
                 continue  # cannot enter the heap nor reach any child
             entry = (-d, -node.index)

@@ -32,10 +32,11 @@ moves the bounds.
 With 0 pivots LAESA degenerates into an exhaustive scan, which is exactly
 the leftmost point of the paper's Figures 3 and 4.
 
-Query batches go through :meth:`LaesaIndex.bulk_knn`: the entire
-``queries x pivots`` distance matrix is computed in one pair-batched
-engine sweep (auto-sharded over a process pool when large enough) before
-the per-query elimination loops run -- identical results and identical
+Query batches (``bulk_knn`` / ``bulk_range_search``) run the same
+generators in lockstep; LaesaIndex's one bulk hook, :meth:`_bulk_cache`,
+computes the entire ``queries x pivots`` distance matrix in one
+pair-batched engine sweep (auto-sharded over a process pool when large
+enough) before the rounds start -- identical results and identical
 reported computation counts, a fraction of the wall-clock.
 
 Correctness requires the distance to be a metric; the paper nevertheless
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import heapq
 import random
-import time
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -68,10 +68,7 @@ from .base import (
     NearestNeighborIndex,
     RequestGenerator,
     SearchResult,
-    SearchStats,
     _tighten_bounds,
-    _validate_k,
-    _validate_radius,
     canonical_key,
 )
 from .pivots import select_pivots
@@ -154,10 +151,7 @@ class LaesaIndex(NearestNeighborIndex):
         return {"pivot_strategy": self.pivot_strategy}
 
     def _restore_artifact(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        params: Mapping[str, Any],
+        self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
     ) -> None:
         indices = np.asarray(arrays["pivot_indices"], dtype=np.int64)
         rows = arrays["pivot_rows"]
@@ -249,55 +243,19 @@ class LaesaIndex(NearestNeighborIndex):
         hits.sort(key=canonical_key)
         return hits
 
-    def bulk_range_search(
-        self, queries: Sequence[Any], radius: float
-    ) -> List[Tuple[List[SearchResult], SearchStats]]:
-        """Range search for a whole query batch with batched pivot *and*
-        candidate phases, exactly like :meth:`bulk_knn`: one engine sweep
-        for the ``queries x pivots`` matrix, then lockstep pruning loops
-        whose per-round candidate evaluations group into single banded
-        engine calls.  Hits and per-query ``distance_computations`` are
-        identical to looping :meth:`range_search`.
-        """
-        _validate_radius(radius)
-        queries = list(queries)
-        if not queries:
-            return []
-        with self._track_degradation():  # pivot sweep + lockstep drive
-            store = self._corpus.store(queries)
-            cache = None
-            sweep_seconds = 0.0
-            if self.pivot_indices:
-                started = time.perf_counter()
-                cache = self._pivot_sweep(store)
-                sweep_seconds = time.perf_counter() - started
-            return self._lockstep_drive(
-                queries,
-                [self._range_requests(radius) for _ in queries],
-                store,
-                pivot_cache=cache,
-                extra_elapsed=sweep_seconds,
-            )
-
-    def _pivot_sweep(self, store: "PairStore") -> np.ndarray:
+    def _bulk_cache(self, store: "PairStore") -> Optional[np.ndarray]:
         """The ``queries x pivots`` distance matrix in one engine sweep:
         an id grid of *store*'s queries against the pivots (which *are*
-        corpus ids).  The bulk drivers charge each entry as its
-        elimination loop demands it."""
+        corpus ids); ``None`` without pivots.  Pivot requests carry
+        their row here as ``cache_pos``."""
+        if not self.pivot_indices:
+            return None
         q_ids = store.extra_ids()
         p_ids = np.asarray(self.pivot_indices, dtype=np.int64)
         flat = self._counter.precompute_ids(
             store, np.repeat(q_ids, len(p_ids)), np.tile(p_ids, len(q_ids))
         )
         return flat.reshape(len(q_ids), len(p_ids))
-
-    def _search(
-        self,
-        query: Any,
-        k: int,
-        pivot_cache: Optional[np.ndarray] = None,
-    ) -> List[SearchResult]:
-        return self._drive_search(query, k, pivot_cache)
 
     def _search_requests(self, k: int) -> RequestGenerator:
         """LAESA's elimination loop as a request generator.
@@ -419,36 +377,6 @@ class LaesaIndex(NearestNeighborIndex):
             for d, idx in ordered
         ]
 
-    def bulk_knn(
-        self, queries: Sequence[Any], k: int
-    ) -> List[Tuple[List[SearchResult], SearchStats]]:
-        """k-NN for a whole query batch with batched pivot *and* candidate
-        phases.
-
-        One engine sweep computes the full ``queries x pivots`` distance
-        matrix up front; the per-query elimination loops then run in
-        lockstep
-        (:meth:`~repro.index.base.NearestNeighborIndex._bulk_knn_lockstep`),
-        reading pivot distances from the cache and grouping each round's
-        candidate evaluations -- one bounded comparison per still-active
-        query -- into a single batched-kernel call.  Results, neighbour
-        order and per-query ``distance_computations`` are identical to
-        looping :meth:`knn` (asserted by the tests); only the wall-clock
-        drops.  With 0 pivots the lockstep loop degenerates into a
-        batched linear scan (no pivot sweep to run).
-        """
-        _validate_k(k, len(self.items))
-        queries = list(queries)
-        if not queries:
-            return []
-        with self._track_degradation():  # pivot sweep + lockstep drive
-            store = self._corpus.store(queries)
-            cache = None
-            sweep_seconds = 0.0
-            if self.pivot_indices:
-                started = time.perf_counter()
-                cache = self._pivot_sweep(store)
-                sweep_seconds = time.perf_counter() - started
-            return self._bulk_knn_lockstep(
-                queries, k, store, pivot_cache=cache, extra_elapsed=sweep_seconds
-            )
+    # in LaesaIndex.__dict__ on purpose: perfbench/tracing.py wraps them there
+    bulk_knn = NearestNeighborIndex.bulk_knn
+    bulk_range_search = NearestNeighborIndex.bulk_range_search

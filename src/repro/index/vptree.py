@@ -14,23 +14,12 @@ from __future__ import annotations
 import heapq
 import random
 import statistics
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Generator,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .base import (
     NearestNeighborIndex,
-    Request,
     RequestGenerator,
     SearchResult,
     canonical_key,
@@ -121,10 +110,7 @@ class VPTreeIndex(NearestNeighborIndex):
         }
 
     def _restore_artifact(
-        self,
-        arrays: Mapping[str, np.ndarray],
-        meta: Mapping[str, Any],
-        params: Mapping[str, Any],
+        self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
     ) -> None:
         rows = np.asarray(arrays["tree_nodes"], dtype=np.int64)
         radii = np.asarray(arrays["tree_radii"], dtype=float)
@@ -179,55 +165,75 @@ class VPTreeIndex(NearestNeighborIndex):
     def _range_requests(self, radius: float) -> RequestGenerator:
         """Subtree-pruned range query as a request generator.
 
-        The recursion yields its comparisons through ``yield from``, so
-        the scalar driver answers them with ``within`` and the lockstep
-        bulk driver groups them -- one per still-active query -- into
-        banded batch-kernel calls; requests are not precomputable
-        (``cache_pos=None``).
+        A depth-first walk over an explicit stack (the inside child is
+        pushed last, so it is explored first); the scalar driver answers
+        each request with ``within`` and the lockstep bulk driver groups
+        them -- one per still-active query -- into banded batch-kernel
+        calls.  Requests are not precomputable (``cache_pos=None``).
         """
         hits: List[SearchResult] = []
-
-        def visit(
-            node: Optional["_Node"],
-        ) -> Generator[Request, Optional[float], None]:
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
             if node is None:
-                return
+                continue
             limit = self._node_limit(node, radius)
             d = yield (node.index, limit, None)
             if d > limit:
-                yield from visit(node.outside)  # far side is the only
-                return  # reachable one
+                stack.append(node.outside)  # the only reachable side
+                continue
             if d <= radius:
                 hits.append(
                     SearchResult(
                         item=self.items[node.index], index=node.index, distance=d
                     )
                 )
-            if d - radius <= node.radius:
-                yield from visit(node.inside)
             if d + radius > node.radius:
-                yield from visit(node.outside)
-
-        yield from visit(self._root)
+                stack.append(node.outside)
+            if d - radius <= node.radius:
+                stack.append(node.inside)
         hits.sort(key=canonical_key)
         return hits
 
-    def _search(self, query: Any, k: int) -> List[SearchResult]:
+    def _search_requests(self, k: int) -> RequestGenerator:
+        """k-NN as a request generator over an explicit stack.
+
+        A ``(node, None)`` entry visits *node*: one request at the
+        early-exit limit for the current k-th-best radius, then the
+        likelier side is explored first.  A ``(node, d)`` entry sits
+        below that side and, once the side is done, decides the other
+        side.  The explicit stack keeps each request O(1) to resume;
+        nested ``yield from`` would resume the whole tree depth every
+        time.  Requests are not precomputable (``cache_pos=None``).
+        """
         best: List[Tuple[float, int]] = []
 
         def kth_best() -> float:
             return -best[0][0] if len(best) == k else float("inf")
 
-        def visit(node: Optional["_Node"]) -> None:
+        stack: List[Tuple[Optional["_Node"], Optional[float]]] = [
+            (self._root, None)
+        ]
+        while stack:
+            node, d = stack.pop()
             if node is None:
-                return
+                continue
+            if d is not None:
+                # the likelier side is done: decide the other with the
+                # radius as it stands now (it may have shrunk meanwhile)
+                if d <= node.radius:
+                    if d + kth_best() > node.radius:
+                        stack.append((node.outside, None))
+                elif d - kth_best() <= node.radius:
+                    stack.append((node.inside, None))
+                continue
             limit = self._node_limit(node, kth_best())
-            d = self._counter.within(query, self.items[node.index], limit)
+            d = yield (node.index, limit, None)
             if d > limit:
                 # Too far to enter the heap or reach the inside child; the
                 # outside child is still reachable (d > mu by a margin).
-                visit(node.outside)
-                return
+                stack.append((node.outside, None))
+                continue
             entry = (-d, -node.index)
             if len(best) < k:
                 heapq.heappush(best, entry)
@@ -236,19 +242,9 @@ class VPTreeIndex(NearestNeighborIndex):
                 # entries keep the smaller index, matching every other
                 # index structure
                 heapq.heapreplace(best, entry)
-            # visit the likelier side first, prune the other when possible
-            # (kth_best() is re-evaluated after each child visit on purpose:
-            # the radius may shrink while a subtree is explored)
-            if d <= node.radius:
-                visit(node.inside)
-                if d + kth_best() > node.radius:
-                    visit(node.outside)
-            else:
-                visit(node.outside)
-                if d - kth_best() <= node.radius:
-                    visit(node.inside)
-
-        visit(self._root)
+            # visit the likelier side first, decide the other after it
+            stack.append((node, d))
+            stack.append((node.inside if d <= node.radius else node.outside, None))
         ordered = sorted((-nd, -nidx) for nd, nidx in best)
         return [
             SearchResult(item=self.items[idx], index=idx, distance=d)

@@ -108,18 +108,6 @@ class ShardPublication:
     store: StoreToken
 
 
-def _restore_params(index: NearestNeighborIndex[Any]) -> Dict[str, Any]:
-    """Runtime-only restore parameters the worker-side skeleton needs
-    (mirrors what :meth:`_restore_artifact` reads from ``load``
-    keywords).  Only AESA carries one: its bulk-sweep gate, which
-    changes batching but never results."""
-    from ..index import AesaIndex
-
-    if isinstance(index, AesaIndex):
-        return {"bulk_sweep_max_items": int(index._BULK_SWEEP_MAX_ITEMS)}
-    return {}
-
-
 def publish_shard(
     index: NearestNeighborIndex[Any], key: str, distance_name: str
 ) -> Optional[ShardPublication]:
@@ -145,7 +133,6 @@ def publish_shard(
             "distance": distance_name,
             "items": index.items,
             "meta": index._artifact_meta(),
-            "params": _restore_params(index),
             "preprocessing": index.preprocessing_computations,
         }
     )
@@ -200,7 +187,7 @@ def _attached_shard(
     structure = {
         name[4:]: arr for name, arr in arrays.items() if name.startswith("arr:")
     }
-    index._restore_artifact(structure, spec["meta"], spec["params"])
+    index._restore_artifact(structure, spec["meta"])
     index.preprocessing_computations = int(spec["preprocessing"])
     _WORKER_SHARDS[blob_token.key] = (blob_token.generation, index)
     return index

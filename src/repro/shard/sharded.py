@@ -5,8 +5,8 @@ LAESA is bounded by one interned table in one shared-memory block.  This
 module breaks that ceiling by partitioning the *corpus itself*: the item
 list is split into S size-balanced shards (deterministic under a seed),
 each shard builds its own independent index -- LAESA pivot tables by
-default, AESA when the shard is small enough for the existing
-``_BULK_SWEEP_MAX_ITEMS``-style gate -- and every query scatters across
+default, AESA when the shard is small enough for AESA's
+``_BULK_SWEEP_MAX_ITEMS`` gate -- and every query scatters across
 the shards and k-merges (:mod:`repro.shard.merge`) under the canonical
 ``(distance, global index)`` tie-break.
 
@@ -165,10 +165,10 @@ def _resolve_structure(
     structure: str, shard_size: int, params: Mapping[str, Any]
 ) -> Tuple[Type[NearestNeighborIndex[Any]], Dict[str, Any]]:
     """Map a structure name + shard size to ``(class, constructor
-    kwargs)``.  ``"auto"`` follows the issue's rule: AESA while the
-    shard fits the bulk-sweep gate (``REPRO_AESA_BULK_MAX_ITEMS``, the
-    regime its quadratic build is affordable in), LAESA beyond it --
-    and then only LAESA-applicable *params* are forwarded."""
+    kwargs)``.  ``"auto"`` picks AESA while the shard fits AESA's
+    bulk-sweep gate (``AesaIndex._BULK_SWEEP_MAX_ITEMS``, the regime its
+    quadratic build is affordable in), LAESA beyond it -- and then only
+    LAESA-applicable *params* are forwarded."""
     from ..index import (
         AesaIndex,
         BKTreeIndex,
@@ -184,10 +184,7 @@ def _resolve_structure(
         )
     kwargs = dict(params)
     if structure == "auto":
-        gate = knobs.get_int("REPRO_AESA_BULK_MAX_ITEMS")
-        if gate is None:
-            gate = AesaIndex._BULK_SWEEP_MAX_ITEMS
-        if shard_size <= gate:
+        if shard_size <= AesaIndex._BULK_SWEEP_MAX_ITEMS:
             structure = "aesa"
             kwargs.pop("n_pivots", None)
             kwargs.pop("pivot_strategy", None)

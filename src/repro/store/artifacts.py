@@ -324,8 +324,7 @@ class ArtifactStore:
         identity.  Raises :class:`StoreMiss` when the key has no
         snapshots at all, :class:`StoreLoadError` when snapshots exist
         but none verifies."""
-        raw_params = dict(params or {})
-        key_params = cls._artifact_key_params(dict(raw_params))
+        key_params = cls._artifact_key_params(dict(params or {}))
         dist = distance_token(distance)
         fingerprint = corpus_fingerprint(items)
         key_dir = self.root / self.key_for(
@@ -338,7 +337,7 @@ class ArtifactStore:
         for _, snapshot in reversed(versions):
             try:
                 return self._load_snapshot(
-                    cls, items, distance, key_params, raw_params, dist,
+                    cls, items, distance, key_params, dist,
                     fingerprint, snapshot,
                 )
             except Exception as exc:  # any failure: fall back a version
@@ -354,7 +353,6 @@ class ArtifactStore:
         items: Sequence[Any],
         distance: Any,
         key_params: Dict[str, Any],
-        raw_params: Dict[str, Any],
         dist: str,
         fingerprint: str,
         snapshot: Path,
@@ -392,7 +390,7 @@ class ArtifactStore:
             if name not in _CORPUS_FILES
         }
         index = cls._artifact_skeleton(items, distance, corpus)
-        index._restore_artifact(structure, manifest.meta, raw_params)
+        index._restore_artifact(structure, manifest.meta)
         index.preprocessing_computations = manifest.preprocessing_computations
         return index
 

@@ -23,8 +23,8 @@ R3  shm lifecycle: every class that creates a shared-memory segment
     ``except FileNotFoundError`` handler;
 R4  degradation coverage: every public ``bulk_*`` method on an ``index``
     or ``shard`` class reports degradation -- its body references
-    ``_track_degradation`` or delegates to a lockstep driver
-    (``_lockstep_drive`` / ``_bulk_knn_lockstep``);
+    ``_track_degradation`` or delegates to the lockstep driver
+    (``_lockstep_drive``);
 R5  fault-site registration: every string literal passed to
     ``faults.check`` / ``faults.fires`` / ``should_fire`` names a site
     declared in ``faults.py``'s ``SITES`` tuple;
@@ -333,11 +333,7 @@ def _rule_r3(source: _Source) -> List[Violation]:
 # R4: degradation coverage of index bulk paths
 # ---------------------------------------------------------------------------
 
-_DEGRADATION_MARKERS = {
-    "_track_degradation",
-    "_lockstep_drive",
-    "_bulk_knn_lockstep",
-}
+_DEGRADATION_MARKERS = {"_track_degradation", "_lockstep_drive"}
 
 
 def _references_degradation(fn: ast.FunctionDef) -> bool:

@@ -153,16 +153,6 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
         module="repro.batch.faults",
     ),
     KnobSpec(
-        name="REPRO_AESA_BULK_MAX_ITEMS",
-        type="int",
-        default=None,
-        description=(
-            "Largest AESA database for which bulk queries front-load the "
-            "full `queries x items` sweep (unset: the class default, 512)."
-        ),
-        module="repro.index.aesa",
-    ),
-    KnobSpec(
         name="REPRO_SERVE_WINDOW_MS",
         type="float",
         default=2.0,

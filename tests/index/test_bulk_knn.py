@@ -7,7 +7,7 @@ import pytest
 
 import repro.batch.engine as engine
 from repro.core import get_distance
-from repro.index import AesaIndex, ExhaustiveIndex, LaesaIndex
+from repro.index import AesaIndex, CountingDistance, ExhaustiveIndex, LaesaIndex
 
 #: every test runs once per forced lockstep route (see conftest)
 pytestmark = pytest.mark.usefixtures("lockstep_route")
@@ -73,15 +73,23 @@ def test_aesa_bulk_matches_scalar(words, queries):
 
 def test_aesa_large_database_falls_back_to_loop(words, queries, monkeypatch):
     # above the sweep gate the full-grid precompute would be slower than
-    # AESA's near-constant scalar visits; bulk_knn must loop instead
+    # AESA's near-constant visits; bulk_knn must skip it and run only the
+    # lockstep rounds
     index = AesaIndex(words[:40], get_distance("levenshtein"))
-    monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 10)
     sweeps = []
-    monkeypatch.setattr(
-        type(index._counter),
-        "precompute",
-        lambda self, q, r: sweeps.append(1),
-    )
+    real_precompute_ids = CountingDistance.precompute_ids
+
+    def spying_precompute_ids(self, store, x_ids, y_ids):
+        sweeps.append(len(x_ids))
+        return real_precompute_ids(self, store, x_ids, y_ids)
+
+    monkeypatch.setattr(CountingDistance, "precompute_ids", spying_precompute_ids)
+    # below the gate the sweep runs: the spy sees it
+    _check_bulk_matches_scalar(index, queries[:6], 2)
+    assert sweeps == [6 * 40]
+    sweeps.clear()
+    monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 10)
+    assert index._bulk_cache(index._corpus.store(queries[:6])) is None
     _check_bulk_matches_scalar(index, queries[:6], 2)
     assert not sweeps, "sweep used despite exceeding the size gate"
 
@@ -165,26 +173,15 @@ def test_laesa_bulk_matches_scalar_for_new_bounded_twins(words, queries, name):
     _check_bulk_matches_scalar(index, queries[:10], 2)
 
 
-def test_aesa_lockstep_batches_candidates_above_the_gate(words, queries):
+def test_aesa_lockstep_batches_candidates_above_the_gate(
+    words, queries, monkeypatch
+):
     # above the sweep gate the lockstep driver still answers every
     # comparison through the batched engine, identically to the loop
-    index = AesaIndex(words[:40], get_distance("dmax"), bulk_sweep_max_items=10)
-    assert index._BULK_SWEEP_MAX_ITEMS == 10
+    monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 10)
+    index = AesaIndex(words[:40], get_distance("dmax"))
+    assert index._bulk_cache(index._corpus.store(queries[:8])) is None
     _check_bulk_matches_scalar(index, queries[:8], 2)
-
-
-def test_aesa_gate_env_override(words, monkeypatch):
-    monkeypatch.setenv("REPRO_AESA_BULK_MAX_ITEMS", "7")
-    index = AesaIndex(words[:20], get_distance("levenshtein"))
-    assert index._BULK_SWEEP_MAX_ITEMS == 7
-    # the keyword wins over the environment
-    index = AesaIndex(
-        words[:20], get_distance("levenshtein"), bulk_sweep_max_items=99
-    )
-    assert index._BULK_SWEEP_MAX_ITEMS == 99
-    monkeypatch.delenv("REPRO_AESA_BULK_MAX_ITEMS")
-    index = AesaIndex(words[:20], get_distance("levenshtein"))
-    assert index._BULK_SWEEP_MAX_ITEMS == AesaIndex._BULK_SWEEP_MAX_ITEMS
 
 
 def test_engine_min_pairs_env_override(monkeypatch):

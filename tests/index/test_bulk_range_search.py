@@ -70,11 +70,11 @@ class TestAgainstScalarLoop:
         ):
             _identical(index, queries, radius)
 
-    def test_aesa_above_sweep_gate(self, small_word_list):
+    def test_aesa_above_sweep_gate(self, small_word_list, monkeypatch):
         # beyond the gate the queries x items sweep is skipped but the
         # lockstep rounds still batch; results and counts must not move
-        distance = get_distance("levenshtein")
-        index = AesaIndex(small_word_list, distance, bulk_sweep_max_items=4)
+        monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 4)
+        index = AesaIndex(small_word_list, get_distance("levenshtein"))
         _identical(index, _queries(random.Random(4), 8), 2.0)
 
     def test_member_queries_find_themselves(self, small_word_list):
@@ -110,18 +110,6 @@ class TestSemantics:
         for hits, _ in index.bulk_range_search(_queries(random.Random(5), 6), 3.0):
             keys = [(r.distance, r.index) for r in hits]
             assert keys == sorted(keys)
-
-    def test_structures_without_generator_fall_back(self, small_word_list):
-        # a structure implementing neither _range_requests nor a
-        # bulk_range_search override degrades to the scalar loop
-        from repro.index.base import NearestNeighborIndex
-
-        class PlainIndex(NearestNeighborIndex):
-            def _search(self, query, k):  # pragma: no cover - unused here
-                raise NotImplementedError
-
-        index = PlainIndex(small_word_list, get_distance("levenshtein"))
-        _identical(index, _queries(random.Random(7), 5), 2.0)
 
 
 def test_exhaustive_override_matches_scalar(small_word_list):

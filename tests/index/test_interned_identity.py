@@ -69,11 +69,19 @@ STRUCTURES = {
 
 
 @pytest.mark.parametrize("regime", sorted(REGIMES))
-@pytest.mark.parametrize("structure", sorted(STRUCTURES))
-@pytest.mark.parametrize("name", ["dmax", "contextual_heuristic", "marzal_vidal"])
-def test_interned_bulk_knn_matches_scalar_loop(regime, structure, name):
+@pytest.mark.parametrize(
+    "name, structure",
+    [
+        (name, structure)
+        for name in ("dmax", "contextual_heuristic", "marzal_vidal")
+        for structure in sorted(STRUCTURES)
+    ]
+    + [("levenshtein", "bktree")],  # BK-tree requires an integer metric
+)
+def test_interned_bulk_knn_matches_scalar_loop(regime, name, structure):
     items, queries = _workload(regime)
-    index = _build(STRUCTURES[structure], items, get_distance(name))
+    index_cls = BKTreeIndex if structure == "bktree" else STRUCTURES[structure]
+    index = _build(index_cls, items, get_distance(name))
     assert index._corpus.encoded
     bulk = _snapshot(index.bulk_knn(queries, 2))
     assert bulk == _snapshot([index.knn(q, 2) for q in queries])

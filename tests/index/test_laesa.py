@@ -330,7 +330,8 @@ def test_dmin_with_empty_strings_agrees_across_entry_points():
     # nothing, so range search must still compare (and find) them
     hits, _ = flat.range_search("", 0.5)
     assert [r.index for r in hits] == [0, 4]
-    for index in (flat, sharded, AesaIndex(words, "dmin")):
+    aesa = AesaIndex(words, "dmin")
+    for index in (flat, sharded, aesa):
         for k in (1, 3, len(words)):
             loop = [index.knn(q, k) for q in queries]
             assert _answers(index.bulk_knn(queries, k)) == _answers(loop)
@@ -338,3 +339,11 @@ def test_dmin_with_empty_strings_agrees_across_entry_points():
             loop = [index.range_search(q, radius) for q in queries]
             bulk = index.bulk_range_search(queries, radius)
             assert _answers(bulk) == _answers(loop)
+    # AESA's elimination keeps NaN bounds too, so its range hits are the
+    # exhaustive scan's ("ab" at 0.5 finds 1, 2, 9 and 11)
+    exhaustive = ExhaustiveIndex(words, "dmin")
+    for q in queries:
+        for radius in (0.5, 1.0, INF):
+            want = [(r.index, r.distance) for r in exhaustive.range_search(q, radius)[0]]
+            got = [(r.index, r.distance) for r in aesa.range_search(q, radius)[0]]
+            assert got == want, (q, radius)

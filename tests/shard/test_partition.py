@@ -69,7 +69,7 @@ def test_resolve_shard_count_rejects_degenerate():
 def test_auto_structure_follows_bulk_gate(monkeypatch):
     from repro.index import AesaIndex, LaesaIndex
 
-    monkeypatch.setenv("REPRO_AESA_BULK_MAX_ITEMS", "100")
+    monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 100)
     cls, kwargs = _resolve_structure("auto", 100, {"n_pivots": 5})
     assert cls is AesaIndex and "n_pivots" not in kwargs
     cls, kwargs = _resolve_structure("auto", 101, {"n_pivots": 5})

@@ -88,8 +88,8 @@ class TestNumericAccessors:
         assert knobs.get_int("REPRO_POOL_RETRIES", default=-5, minimum=0) == -5
 
     def test_int_unset_without_default_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_AESA_BULK_MAX_ITEMS", raising=False)
-        assert knobs.get_int("REPRO_AESA_BULK_MAX_ITEMS") is None
+        monkeypatch.delenv("REPRO_POOL_RETRIES", raising=False)
+        assert knobs.get_int("REPRO_POOL_RETRIES") is None
 
     def test_float_accessor(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_TIMEOUT", "2.5")
