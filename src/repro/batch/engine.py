@@ -65,6 +65,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -81,6 +82,7 @@ from ..core._kernels import jit_backend
 from ..tools import knobs
 from ..core.bounded import (
     _MV_EPS,
+    _banded_heuristic_tables,
     _edit_budget,
     bounded_for,
     contextual_edit_budget,
@@ -89,7 +91,7 @@ from ..core.bounded import (
     mv_pruned_value,
 )
 from ..core.contextual import canonical_cost
-from ..core.levenshtein import levenshtein_distance
+from ..core.levenshtein import _within, levenshtein_distance
 from ..core.marzal_vidal import mv_normalized_distance
 from ..core.types import Symbols, as_symbols
 from .corpus import PairStore, intern_corpus
@@ -955,18 +957,24 @@ def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
 #: ``_ROUTE_DIAGONAL_NS`` and ``_ROUTE_PAIR_DIAGONAL_NS`` per pair; a
 #: scalar twin call costs ``_ROUTE_PAIR_NS`` plus ``_ROUTE_COLUMN_NS``
 #: per column of the bit-parallel ``d_E`` family or ``_ROUTE_CELL_NS``
-#: per band cell of the ``d_C,h`` twin.  Measured on a 2-vCPU x86 host
-#: (CPython 3.11, numpy 2.4), both routes timed on 2271 real LAESA
-#: rounds: 500-word dictionary shards under ``levenshtein`` (batches of
-#: 4-64), digit contours under ``dmax`` and ``contextual_heuristic``
-#: (batches of 4-32).  A batched round took 0.6-0.9 ms for 4-16 word
-#: pairs and 1.6-4.4 ms for 1-16 contour pairs; a scalar ``d_E`` twin
-#: about 4.5 us plus 0.66 us per column, a scalar ``d_C,h`` twin about
-#: 0.21 us per band cell (0.35-0.9 ms per contour pair).  These
-#: constants pick the faster route in every word and ``dmax`` round and
-#: in 95.5 % of the ``d_C,h`` rounds (0.6 % of the best-route time
-#: lost): word rounds go scalar at every pair count up to 64, ``d_C,h``
-#: contour rounds go batched from about 10 pairs.
+#: per band cell of the ``d_C,h`` twin tables.  Measured on a 2-vCPU
+#: x86 host (CPython 3.11, numpy 2.4), both routes timed on 2271 real
+#: LAESA rounds: 500-word dictionary shards under ``levenshtein``
+#: (batches of 4-64), digit contours under ``dmax`` and
+#: ``contextual_heuristic`` (batches of 4-32).  A batched round took
+#: 0.6-0.9 ms for 4-16 word pairs and 1.6-4.4 ms for 1-16 contour
+#: pairs; a scalar ``d_E`` twin about 4.5 us plus 0.66 us per column,
+#: and the ``d_C,h`` twin tables about 0.21 us per band cell.  These
+#: constants picked the faster route in every word and ``dmax`` round
+#: and in 95.5 % of the ``d_C,h`` rounds (0.6 % of the best-route time
+#: lost).  They were fitted before either ``d_C,h`` route checked
+#: ``d_E`` first, and still price what the check leaves: the twin
+#: tables, which both routes now build only for pairs within budget
+#: (:func:`_checked_tables` prices its checks and the survivors' tables
+#: with them too).  The round model still prices the scalar route by
+#: the budget's band, so it sends contour rounds of about 10 pairs or
+#: more to the engine, where the two routes now do nearly the same work
+#: (a near tie at 16 pairs in ``bench_query_batch.py --mode route``).
 _ROUTE_ROUND_NS = 200_000
 _ROUTE_DIAGONAL_NS = 15_000
 _ROUTE_PAIR_DIAGONAL_NS = 650
@@ -1026,18 +1034,47 @@ def scalar_round_cheaper(
         # every pair sweeps at most the shorter of the two longest sides
         shorter = longest_x if longest_x < longest_y else longest_y
         scalar = pairs * (_ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * shorter)
-    else:
-        cells = 0
-        for x, y, limit in zip(x_ids, y_ids, limits):
-            m, n = lengths[x], lengths[y]
-            k = _kernel_budget("contextual_heuristic", m, n, limit)
-            if k >= abs(m - n):
-                cells += min(m * n, (2 * k + 1) * min(m, n))
-        scalar = pairs * _ROUTE_PAIR_NS + _ROUTE_CELL_NS * cells
-    batched = _ROUTE_ROUND_NS + (longest_x + longest_y) * (
+        return scalar <= _batched_ns(pairs, longest_x + longest_y)
+    cells = (
+        _band_cells(m, n, _kernel_budget("contextual_heuristic", m, n, limit))
+        for m, n, limit in zip(
+            [lengths[x] for x in x_ids], [lengths[y] for y in y_ids], limits
+        )
+    )
+    return _scalar_tables_cheaper(pairs, cells, longest_x + longest_y)
+
+
+def _batched_ns(pairs: int, diagonals: int) -> int:
+    """Cost of one batched bounded sweep of *pairs* pairs over a padded
+    bucket of *diagonals* anti-diagonals."""
+    return _ROUTE_ROUND_NS + diagonals * (
         _ROUTE_DIAGONAL_NS + _ROUTE_PAIR_DIAGONAL_NS * pairs
     )
-    return scalar <= batched
+
+
+def _band_cells(m: int, n: int, k: int) -> int:
+    """Cells of the ``d_C,h`` twin tables' Ukkonen band ``k`` for sides
+    ``m`` and ``n``: the whole table when the band covers it, nothing
+    when ``|m - n|`` busts it."""
+    if k < abs(m - n):
+        return 0
+    return min(m * n, (2 * k + 1) * min(m, n))
+
+
+def _scalar_tables_cheaper(
+    pairs: int, cells: Iterable[int], diagonals: int
+) -> bool:
+    """Whether the ``d_C,h`` twin tables of *pairs* pairs, with *cells*
+    band cells each (:func:`_band_cells`), cost less as scalar band DPs
+    (``_ROUTE_PAIR_NS`` each plus ``_ROUTE_CELL_NS`` per cell) than as
+    one batched sweep over *diagonals* anti-diagonals.  Stops reading
+    *cells* once the scalar route is the dearer one."""
+    spare = _batched_ns(pairs, diagonals) - pairs * _ROUTE_PAIR_NS
+    for count in cells:
+        if spare < 0:
+            break
+        spare -= _ROUTE_CELL_NS * count
+    return spare >= 0
 
 
 def pairwise_values_bounded(
@@ -1164,6 +1201,70 @@ def _bounded_mv_ids(
     return out[take]
 
 
+def _checked_tables(
+    store: "PairStore",
+    ux: np.ndarray,
+    uy: np.ndarray,
+    bounds: np.ndarray,
+    same: Sequence[bool],
+    d_out: np.ndarray,
+    ni_out: np.ndarray,
+    exact: np.ndarray,
+) -> np.ndarray:
+    """Check ``d_E`` before building the ``d_C,h`` twin tables of the
+    unique pairs ``zip(ux, uy)`` at their edit budgets *bounds*, and
+    build tables only where :func:`_replay_bounded_contextual` reads
+    them; returns the pairs whose tables are left to the batched sweep.
+
+    The heuristic fixes ``k = d_E``, so a pair whose ``d_E`` exceeds its
+    budget replays a closed form and needs no table; neither does a pair
+    of equal items (*same*) or one whose length gap busts its budget.
+    Every other pair is first checked by the bit-parallel ``d_E`` core,
+    like the scalar twin: a failing pair is settled (*exact* False), a
+    passing one needs its tables only in the band of its exact ``d_E``
+    (*bounds* is narrowed in place).  The checks run in pair order
+    while they pay: once their cost (``_ROUTE_PAIR_NS +
+    _ROUTE_COLUMN_NS * min(m, n)`` each) exceeds the kernel
+    pair-diagonals the failing pairs saved (``_ROUTE_PAIR_DIAGONAL_NS *
+    (m + n)`` each), the rest of the call goes unchecked, at its budget
+    (``inf``-limit pairs carry the whole table).  The tables left over
+    are built here as scalar band DPs (into *d_out*, *ni_out* and
+    *exact*) when :func:`_scalar_tables_cheaper` prices them lower than
+    one batched sweep, and returned otherwise.
+    """
+    m_all, n_all = store.lengths[ux], store.lengths[uy]
+    exact[np.abs(m_all - n_all) > bounds] = False
+    live = exact & ~np.asarray(same, dtype=bool)
+    spent = saved = 0
+    for u in np.flatnonzero(live & (bounds < m_all + n_all)).tolist():
+        if spent > saved:
+            break
+        m, n = int(m_all[u]), int(n_all[u])
+        spent += _ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * min(m, n)
+        x, y = store.sym(int(ux[u])), store.sym(int(uy[u]))
+        d = _within(x, y, int(bounds[u]))
+        if d is None:
+            live[u] = exact[u] = False
+            saved += _ROUTE_PAIR_DIAGONAL_NS * (m + n)
+        else:
+            bounds[u] = d
+    tables = np.flatnonzero(live)
+    sides = (m_all[tables].tolist(), n_all[tables].tolist())
+    cells = map(_band_cells, *sides, bounds[tables].tolist())
+    diagonals = max(sides[0], default=0) + max(sides[1], default=0)
+    if not _scalar_tables_cheaper(len(tables), cells, diagonals):
+        return tables
+    for u in tables.tolist():
+        found = _banded_heuristic_tables(
+            store.sym(int(ux[u])), store.sym(int(uy[u])), int(bounds[u])
+        )
+        if found is None:
+            exact[u] = False
+        else:
+            d_out[u], ni_out[u] = found
+    return tables[:0]  # nothing left for the sweep
+
+
 def pairwise_values_bounded_ids(
     distance: DistanceLike,
     store: "PairStore",
@@ -1198,6 +1299,12 @@ def pairwise_values_bounded_ids(
     Each request's bounded arithmetic is then replayed at its own limit
     from the ``(value, exact)`` kernel result; buckets with nothing to
     prune take the full-table kernels, bit-identically.
+    ``contextual_heuristic`` first checks ``d_E`` against each unique
+    pair's budget on the numpy backend (:func:`_checked_tables`): pairs
+    over budget settle without a table, and the survivors' tables, in
+    the band of their exact ``d_E``, run as scalar band DPs or the
+    batched sweep, whichever is cheaper -- so a contextual call often
+    reaches no kernel at all.
     ``marzal_vidal`` requests run the batched banded *parametric* kernel
     (:func:`_bounded_mv_ids`).
 
@@ -1261,9 +1368,22 @@ def pairwise_values_bounded_ids(
     d_unique = np.zeros(len(uniq), dtype=np.int64)
     ni_unique = np.zeros(len(uniq), dtype=np.int64)
     exact_unique = np.ones(len(uniq), dtype=bool)
-    sizes = (lens[ux] + lens[uy]).tolist()
+    swept = np.arange(len(uniq))
+    if contextual:
+        lengths = store.length_list  # cheaper than store.same's own test
+        same = [
+            lengths[i] == lengths[j] and store.same(i, j)
+            for i, j in zip(ux.tolist(), uy.tolist())
+        ]
+        # the numba backend, whose costs are unmeasured, sends every
+        # pair straight to its compiled kernel
+        if jit_backend() is None:
+            swept = _checked_tables(
+                store, ux, uy, bounds, same, d_unique, ni_unique, exact_unique
+            )
+    sizes = (lens[ux[swept]] + lens[uy[swept]]).tolist()
     for bucket in _sizes_buckets(sizes, _BUCKET_SIZE):
-        idx = np.asarray(bucket, dtype=np.int64)
+        idx = swept[bucket]
         X, Y, mx, my = store.gather(ux[idx], uy[idx])
         chunk_bounds = bounds[idx]
         # full-table fallback: when no budget in the bucket is below its
@@ -1294,19 +1414,14 @@ def pairwise_values_bounded_ids(
                 d_chunk = levenshtein_batch_encoded(X, Y, mx, my)
             d_unique[idx] = d_chunk
     out = np.empty(n, dtype=np.int64 if name == _LEV_INT else float)
-    same_cache: Dict[int, bool] = {}
     for p in range(n):
         slot = int(take[p])
         limit = limits_f[p]
         exact = bool(exact_unique[slot])
         m, n_len = int(lens[x_ids[p]]), int(lens[y_ids[p]])
         if contextual:
-            same = same_cache.get(slot)
-            if same is None:
-                same = store.same(int(ux[slot]), int(uy[slot]))
-                same_cache[slot] = same
             out[p] = _replay_bounded_contextual(
-                same,
+                same[slot],
                 m,
                 n_len,
                 limit,

@@ -24,9 +24,9 @@ early-exit support without the index layer knowing distance names.
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple, cast
 
-from .levenshtein import levenshtein_bounded, levenshtein_distance
+from .levenshtein import _within, levenshtein_bounded, levenshtein_distance
 from .types import DistanceFunction, StringLike, require_strings
 
 __all__ = [
@@ -185,8 +185,9 @@ def _banded_heuristic_tables(
     (out-of-band or capped cells hold values ``> bound`` and so are never
     tight for such a cell) -- hence both the distance *and* the
     max-insertion count ``Ni`` of the final cell are exact whenever the
-    distance is within the bound.  Caller guarantees ``bound >= 0`` and
-    ``abs(len(x) - len(y)) <= bound``.
+    distance is within the bound -- in particular at ``bound = d_E``,
+    the narrowest band, which the ``d_E``-checked callers pass.  Caller
+    guarantees ``bound >= 0`` and ``abs(len(x) - len(y)) <= bound``.
     """
     m, n = len(x), len(y)
     infinity = bound + 1
@@ -234,17 +235,23 @@ def _banded_heuristic_tables(
 def bounded_contextual_heuristic(
     x: StringLike, y: StringLike, limit: float
 ) -> float:
-    """Early-exit contextual heuristic ``d_C,h`` (banded twin tables).
+    """Early-exit contextual heuristic ``d_C,h`` (``d_E`` check, then
+    banded twin tables).
 
     Exact whenever ``d_C,h(x, y) <= limit``; otherwise returns a value
     guaranteed to exceed *limit* (a lower bound of the true distance, up
     to float rounding of the harmonic sums on the exact side).  The
-    band width is the edit budget of :func:`contextual_edit_budget`:
-    ``d_C,h <= limit`` forces ``d_E`` under the budget, so Ukkonen's band
-    either recovers the exact ``(d_E, Ni)`` (one
+    heuristic fixes ``k = d_E`` (the paper's Section 4.1), so ``d_C,h <=
+    limit`` forces ``d_E`` under the edit budget of
+    :func:`contextual_edit_budget`.  The bit-parallel ``d_E`` check of
+    :func:`~repro.core.levenshtein.levenshtein_within` decides that
+    first, in at most ``min(|x|, |y|)`` word-operation columns: a pair
+    over budget gets the closed-form pruned value with no table at all,
+    and a pair within it fills the twin tables only in the Ukkonen band
+    of its exact ``d_E`` -- the same integers the budget's band would
+    give, so the value is the same float -- to recover ``Ni``, one
     :func:`~repro.core.contextual.canonical_cost` evaluation away from
-    the heuristic's value) or proves the pair hopeless after
-    ``O(budget * min(|x|, |y|))`` work.
+    the heuristic's value.
     """
     x, y = require_strings(x, y)
     if x == y:
@@ -260,10 +267,10 @@ def bounded_contextual_heuristic(
     if k < 0 or abs(m - n) > k:
         # d_E >= |m - n| already busts the budget without any DP
         return contextual_pruned_value(max(k, abs(m - n) - 1), total)
-    tables = _banded_heuristic_tables(x, y, k)
-    if tables is None:
+    d_e = _within(x, y, k)
+    if d_e is None:
         return contextual_pruned_value(k, total)
-    d_e, ni = tables
+    d_e, ni = cast(Tuple[int, int], _banded_heuristic_tables(x, y, d_e))
     from .contextual import canonical_cost
 
     cost = canonical_cost(m, n, d_e, ni)

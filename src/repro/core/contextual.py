@@ -61,14 +61,21 @@ _NUMPY_THRESHOLD = 260
 
 
 def _heuristic_pair(x, y) -> Tuple[int, int]:
-    """Backend-dispatched ``(d_E, Ni)`` twin tables for one pair."""
-    jit = _jit()
-    if jit is not None:  # compiled backend: threshold drops to zero
-        return jit.contextual_heuristic_single(x, y)
-    if len(x) + len(y) >= _NUMPY_THRESHOLD:
-        from ._kernels import contextual_heuristic_numpy
+    """Backend-dispatched ``(d_E, Ni)`` twin tables for one pair.
 
-        return contextual_heuristic_numpy(x, y)
+    The vectorised kernels code symbols through a dict, so unhashable
+    symbols fall back to the pure-Python tables, which only compare
+    them for equality."""
+    jit = _jit()
+    try:
+        if jit is not None:  # compiled backend: threshold drops to zero
+            return jit.contextual_heuristic_single(x, y)
+        if len(x) + len(y) >= _NUMPY_THRESHOLD:
+            from ._kernels import contextual_heuristic_numpy
+
+            return contextual_heuristic_numpy(x, y)
+    except TypeError:  # unhashable symbols
+        pass
     return _heuristic_tables(x, y)
 
 

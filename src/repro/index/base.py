@@ -625,8 +625,10 @@ class NearestNeighborIndex(Generic[Item]):
         store of the corpus plus *queries*, which runs the banded batch
         DP kernels on ``(query id, item id)`` pairs, or one
         :meth:`CountingDistance.peek_within` scalar twin call per pair.
-        Short words always go scalar; long contour rounds with many
-        pairs go batched.
+        Short words always go scalar; ``d_C,h`` contour rounds of about
+        ten pairs or more go to the engine call, which checks ``d_E``
+        before any twin table, as the scalar twin does, so most of
+        their pairs never reach a kernel.
 
         Each query's request stream depends only on its own distances, so
         lockstep scheduling returns bit-identical results, distances

@@ -11,8 +11,12 @@ import random
 import numpy as np
 import pytest
 
-from repro.batch import pairwise_values_bounded
+import repro.batch.engine as engine
+from repro.batch import intern_corpus, pairwise_values_bounded
+from repro.batch.engine import pairwise_values_bounded_ids
 from repro.core import get_spec
+from repro.core._kernels import jit_backend
+from repro.core.bounded import contextual_edit_budget, contextual_pruned_value
 from repro.core.levenshtein import levenshtein_distance
 from repro.index.base import CountingDistance
 
@@ -112,3 +116,160 @@ def test_length_mismatch_raises():
 def test_empty_input():
     got = pairwise_values_bounded("dmax", [], [])
     assert got.shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# the d_E check before d_C,h twin tables (pairwise_values_bounded_ids)
+# ---------------------------------------------------------------------------
+
+#: the check runs on the numpy backend only; the numba backend sends
+#: every bounded pair straight to its compiled kernel
+numpy_backend = pytest.mark.skipif(
+    jit_backend() is not None, reason="numba backend skips the d_E check"
+)
+
+
+def _contours(seed, count, length, alphabet="01234567"):
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice(alphabet) for _ in range(length)) for _ in range(count)
+    ]
+
+
+@pytest.fixture(params=["scalar", "batched"])
+def tables_route(request, monkeypatch):
+    """Force where the twin tables left after the check are built:
+    scalar band DPs or one batched sweep."""
+    forced = request.param == "scalar"
+    monkeypatch.setattr(
+        engine, "_scalar_tables_cheaper", lambda pairs, cells, diagonals: forced
+    )
+    return request.param
+
+
+@pytest.fixture
+def within_spy(monkeypatch):
+    """Every ``(x, y, bound)`` the engine's d_E check is asked."""
+    calls = []
+    check = engine._within
+
+    def spy(x, y, bound):
+        calls.append((x, y, bound))
+        return check(x, y, bound)
+
+    monkeypatch.setattr(engine, "_within", spy)
+    return calls
+
+
+@pytest.fixture
+def table_bands(monkeypatch):
+    """The band of every twin table the engine builds, by either
+    route."""
+    bands = []
+    tables = engine._banded_heuristic_tables
+    sweep = engine.contextual_heuristic_batch_bounded_encoded
+
+    def scalar_spy(x, y, bound):
+        bands.append(bound)
+        return tables(x, y, bound)
+
+    def sweep_spy(X, Y, mx, my, bounds):
+        bands.extend(int(b) for b in bounds)
+        return sweep(X, Y, mx, my, bounds)
+
+    monkeypatch.setattr(engine, "_banded_heuristic_tables", scalar_spy)
+    monkeypatch.setattr(
+        engine, "contextual_heuristic_batch_bounded_encoded", sweep_spy
+    )
+    return bands
+
+
+def _bounded_ids(items, queries, x_pos, y_ids, limits):
+    store = intern_corpus(items).store(queries)
+    x_ids = [store.extra_id(q) for q in x_pos]
+    got = pairwise_values_bounded_ids(
+        "contextual_heuristic", store, x_ids, y_ids, limits
+    )
+    counter = CountingDistance("contextual_heuristic")
+    for p, (q, y, limit) in enumerate(zip(x_pos, y_ids, limits)):
+        want = counter.within(queries[q], items[y], limit)
+        assert got[p].hex() == want.hex(), (queries[q], items[y], limit)
+    return got
+
+
+def test_check_covers_every_pair_when_all_fail(
+    within_spy, table_bands, tables_route
+):
+    # equal lengths (no gap shortcut), d_E far above a budget of 3
+    items = _contours(1, 12, 30)
+    queries = _contours(2, 3, 30)
+    x_pos = [q for q in range(3) for _ in range(12)]
+    y_ids = list(range(12)) * 3
+    limits = [0.1] * len(y_ids)
+    assert contextual_edit_budget(0.1, 60) == 3
+    _bounded_ids(items, queries, x_pos, y_ids, limits)
+    if jit_backend() is None:
+        assert len(within_spy) == len(y_ids)
+        assert table_bands == []  # no pair survives, so no table
+
+
+@numpy_backend
+def test_check_stops_early_when_every_pair_passes(within_spy, tables_route):
+    # a budget of 49 > d_E (at most 30) below the whole table: every
+    # check passes and none pays, so the first one stops the rest
+    items = _contours(3, 12, 30)
+    queries = _contours(4, 2, 30)
+    x_pos = [q for q in range(2) for _ in range(12)]
+    y_ids = list(range(12)) * 2
+    limits = [0.9] * len(y_ids)
+    assert contextual_edit_budget(0.9, 60) == 49
+    _bounded_ids(items, queries, x_pos, y_ids, limits)
+    assert len(within_spy) == 1
+
+
+@pytest.mark.parametrize("limits", [[0.9, 0.05, 0.2], [0.05, 0.9], [0.2, 0.9, 0.9]])
+def test_duplicated_pairs_check_the_widest_budget(
+    limits, within_spy, table_bands, tables_route
+):
+    # one id pair requested at several limits: the check runs once, at
+    # the widest budget, and the tables are built in the band of d_E
+    item = "0123456701234567012345670123"
+    query = "0123556701234567712345670123"  # two substitutions
+    total = len(item) + len(query)
+    budgets = [contextual_edit_budget(limit, total) for limit in limits]
+    assert budgets == [{0.05: 1, 0.2: 6, 0.9: 45}[limit] for limit in limits]
+    got = _bounded_ids(
+        [item], [query], [0] * len(limits), [0] * len(limits), limits
+    )
+    if jit_backend() is None:
+        assert [bound for _, _, bound in within_spy] == [max(budgets)]
+        assert table_bands == [levenshtein_distance(item, query)]
+    # budgets under d_E = 2 prune, the others are exact
+    exact = get_spec("contextual_heuristic").function(query, item)
+    assert got.tolist() == [
+        exact if k >= 2 else contextual_pruned_value(k, total) for k in budgets
+    ]
+
+
+def test_inf_limits_mixed_in(within_spy, tables_route):
+    items = _contours(4, 8, 24) + ["0" * 24]
+    queries = _contours(5, 2, 24) + ["0" * 24]
+    rng = random.Random(6)
+    x_pos, y_ids, limits = [], [], []
+    for _ in range(40):
+        x_pos.append(rng.randrange(len(queries)))
+        y_ids.append(rng.randrange(len(items)))
+        limits.append(rng.choice([0.05, 0.3, 0.9, INF]))
+    x_pos.append(2)  # the equal pair needs neither check nor table
+    y_ids.append(len(items) - 1)
+    limits.append(0.05)
+    _bounded_ids(items, queries, x_pos, y_ids, limits)
+    # an inf-limit pair (its budget is the whole table) is never checked
+    checked = {(x, y) for x, y, _ in within_spy}
+    finite = {
+        (queries[q], items[y])
+        for q, y, limit in zip(x_pos, y_ids, limits)
+        if limit != INF
+    }
+    assert checked <= finite | {(y, x) for x, y in finite}
+    assert ("0" * 24, "0" * 24) not in checked

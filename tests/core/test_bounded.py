@@ -3,11 +3,13 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.core.levenshtein as levenshtein_module
 from repro.core import bounded_for, get_spec, levenshtein_bounded
 from repro.core.bounded import (
+    _banded_heuristic_tables,
     bounded_contextual_heuristic,
     bounded_dmax,
     bounded_dmin,
@@ -18,7 +20,12 @@ from repro.core.bounded import (
     contextual_edit_budget,
     contextual_pruned_value,
 )
+from repro.core.contextual import (
+    canonical_cost,
+    contextual_distance_heuristic,
+)
 from repro.core.levenshtein import levenshtein_distance
+from repro.core.types import require_strings
 
 from ..conftest import small_strings
 
@@ -181,6 +188,124 @@ class TestBoundedContextualHeuristic:
                 k = contextual_edit_budget(limit, total)
                 if k < total:
                     assert contextual_pruned_value(k, total) > limit
+
+
+def _reference_bounded_contextual_heuristic(x, y, limit):
+    """``bounded_contextual_heuristic`` before its ``d_E`` check: the
+    twin tables fill the band of the whole edit budget to find out
+    whether ``d_E`` fits it."""
+    x, y = require_strings(x, y)
+    if x == y:
+        return 0.0
+    m, n = len(x), len(y)
+    total = m + n
+    k = contextual_edit_budget(limit, total)
+    if k >= total:
+        return contextual_distance_heuristic(x, y)
+    if k < 0 or abs(m - n) > k:
+        return contextual_pruned_value(max(k, abs(m - n) - 1), total)
+    tables = _banded_heuristic_tables(x, y, k)
+    if tables is None:
+        return contextual_pruned_value(k, total)
+    d_e, ni = tables
+    cost = canonical_cost(m, n, d_e, ni)
+    assert cost is not None
+    return cost
+
+
+@st.composite
+def _twin_requests(draw):
+    """``(x, y, limit)`` over 1-8 symbols and lengths 0-150, the limit
+    aimed at an edit budget drawn from ``[-1, |x| + |y|]`` or next to
+    ``d_E`` so every branch is reached: ``k < 0``, ``|m - n| > k``, the
+    band (``d_E`` within or over budget) and ``k >= total``."""
+    symbols = st.sampled_from("abcdefgh"[: draw(st.integers(1, 8))])
+
+    def text(length):
+        return "".join(draw(st.lists(symbols, min_size=length, max_size=length)))
+
+    x = text(draw(st.integers(0, 150)))
+    if draw(st.booleans()):
+        y = text(draw(st.integers(0, 150)))
+    else:  # a few edits away, so d_E often fits a small budget
+        chars = list(x)
+        edits = st.tuples(st.integers(0, 150), symbols, st.integers(0, 2))
+        for position, symbol, op in draw(st.lists(edits, min_size=1, max_size=12)):
+            at = position % (len(chars) + 1)
+            if op == 0:
+                chars.insert(at, symbol)
+            elif at < len(chars):
+                if op == 1:
+                    del chars[at]
+                else:
+                    chars[at] = symbol
+        y = "".join(chars)
+    total = len(x) + len(y)
+    d_e = levenshtein_distance(x, y)
+    k = draw(
+        st.one_of(
+            st.integers(-1, total),
+            # budgets either side of d_E: the check's pass/fail boundary
+            st.integers(max(-1, d_e - 3), min(total, d_e + 2)),
+        )
+    )
+    if k < 0:
+        limit = -draw(st.floats(1e-6, 2.0))
+    elif k >= total:
+        limit = draw(st.floats(1.0, 3.0))
+    else:
+        # d_C,h <= limit forces d_E <= limit * total / (2 - limit)
+        budget = k + draw(st.floats(0.0, 0.99))
+        limit = 2.0 * budget / (total + budget)
+    return x, y, limit
+
+
+class TestGatedContextualTwin:
+    """The ``d_E``-checked twin returns the pre-check twin's floats, bit
+    for bit: the check is the twin's own ``d_E <= k`` test made cheaper,
+    and the band of the exact ``d_E`` yields the budget band's integers."""
+
+    @given(_twin_requests())
+    @example(("abc", "abd", -0.5))  # k < 0
+    @example(("a" * 20, "abc", 0.1))  # |m - n| > k
+    @example(("abcabc", "abcbbc", 0.3))  # band, d_E within budget
+    @example(("aaaaaa", "bbbbbb", 0.3))  # band, d_E over budget
+    @example(("abc", "xyz", 2.0))  # k >= total
+    @example(("", "abc", 1.5))  # empty side
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_reference(self, request):
+        x, y, limit = request
+        got = bounded_contextual_heuristic(x, y, limit)
+        want = _reference_bounded_contextual_heuristic(x, y, limit)
+        assert got.hex() == want.hex(), (x, y, limit)
+
+    @given(_twin_requests())
+    @example(("abcabc", "abcbbc", 0.3))
+    @example(("aaaaaa", "bbbbbb", 0.3))
+    @example(("ab" * 70, "ba" * 70, 1.5))  # k >= total past numpy's threshold
+    @settings(max_examples=100, deadline=None)
+    def test_list_symbols_bit_identical(self, request):
+        # lists of lists are unhashable: the check codes them by equality
+        x, y, limit = request
+        lx, ly = [[s] for s in x], [[s] for s in y]
+        got = bounded_contextual_heuristic(lx, ly, limit)
+        want = _reference_bounded_contextual_heuristic(lx, ly, limit)
+        assert got.hex() == want.hex(), (x, y, limit)
+        assert got.hex() == bounded_contextual_heuristic(x, y, limit).hex()
+
+    def test_list_symbols_take_the_equality_code_path(self, monkeypatch):
+        calls = []
+        codes = levenshtein_module._equality_codes
+
+        def spy(x, y):
+            calls.append((x, y))
+            return codes(x, y)
+
+        monkeypatch.setattr(levenshtein_module, "_equality_codes", spy)
+        x, y = [[1], [2], [3], [4]], [[1], [2], [5], [4]]
+        want = _reference_bounded_contextual_heuristic(x, y, 0.6)
+        assert bounded_contextual_heuristic(x, y, 0.6).hex() == want.hex()
+        assert len(calls) == 1
 
 
 class TestBoundedMarzalVidal:

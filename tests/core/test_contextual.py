@@ -160,6 +160,14 @@ class TestHeuristic:
         assert k == 2
         assert ni == 1  # delete a, match b, insert a
 
+    def test_unhashable_symbols_past_the_numpy_threshold(self):
+        # 280 combined symbols take the vectorised kernel, which cannot
+        # hash lists; the value must match the string form's
+        x, y = "ab" * 70, "ba" * 70
+        want = contextual_distance_heuristic(x, y)
+        got = contextual_distance_heuristic([[s] for s in x], [[s] for s in y])
+        assert got == want
+
     def test_known_disagreement_possible(self):
         # Over many random pairs the heuristic agrees most of the time but
         # not always (the paper reports ~90%); we assert both directions:
