@@ -29,7 +29,14 @@ held-out contours as queries.  Four modes:
   ``peek_within`` per pair), each cell recording the measured winner
   beside ``scalar_round_cheaper``'s choice; values asserted equal.
   Run on every kernel backend, its rows are the data the backend's
-  route constants are set from.
+  route constants are set from;
+* ``--mode words`` -- word-length strings, where a twin call costs a
+  few microseconds: LAESA ``knn`` loop vs ``bulk_knn`` (P=8, k=3) on
+  the 160 short words of ``bench_serve.py`` at batch
+  sizes 1, 8 and 48, then the 8000-word dictionary (k=5, batch 64) at
+  P=8 and P=32, plus ``ExhaustiveIndex.bulk_knn`` on it.  Each row
+  records comps/q and ms/q both ways (best of three), and is checked
+  against the loop and against the exhaustive scan.
 
 Either way the batched paths must return bit-identical results and
 identical per-query ``distance_computations`` (asserted, not sampled);
@@ -45,6 +52,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_query_batch.py --mode range   # radius mode
     PYTHONPATH=src python benchmarks/bench_query_batch.py --mode repeat  # runtime amortisation
     PYTHONPATH=src python benchmarks/bench_query_batch.py --mode route   # round routing
+    PYTHONPATH=src python benchmarks/bench_query_batch.py --mode words   # word rows
 """
 
 from __future__ import annotations
@@ -63,7 +71,7 @@ import numpy as np
 from repro.batch import jit
 from repro.datasets import handwritten_digits
 from repro.core import get_distance
-from repro.index import AesaIndex, LaesaIndex, VPTreeIndex
+from repro.index import AesaIndex, ExhaustiveIndex, LaesaIndex, VPTreeIndex
 
 DEFAULT_JSON = Path(__file__).resolve().parent.parent / "BENCH_query.json"
 
@@ -370,6 +378,95 @@ def run_route_benchmark(smoke: bool, repeats: int = 3) -> dict:
     }
 
 
+def _short_words(n: int, seed: int, lo: int = 3, hi: int = 12) -> list:
+    """The bench_serve corpus: random words over ``abcdefgh``."""
+    rng = random.Random(seed)
+    return [
+        "".join(rng.choice("abcdefgh") for _ in range(rng.randint(lo, hi)))
+        for _ in range(n)
+    ]
+
+
+def _words_row(index, queries, k, batch, truth, label, repeats) -> dict:
+    """One words-mode row: the ``knn`` loop vs ``bulk_knn`` in batches
+    of *batch*, best of *repeats*, checked against the loop and the
+    exhaustive scan's answers *truth*."""
+    loop_s = bulk_s = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        loop = [index.knn(q, k) for q in queries]
+        loop_s = min(loop_s, time.perf_counter() - started)
+        started = time.perf_counter()
+        bulk = []
+        for lo in range(0, len(queries), batch):
+            bulk.extend(index.bulk_knn(queries[lo : lo + batch], k))
+        bulk_s = min(bulk_s, time.perf_counter() - started)
+    _check_identical(loop, bulk, label)
+    for q, ((got, _), want) in enumerate(zip(bulk, truth)):
+        if [(r.index, r.distance) for r in got] != want:
+            raise AssertionError(f"{label}: query {q} differs from the scan")
+    n = len(queries)
+    return {
+        "structure": label,
+        "n_items": len(index.items),
+        "batch": batch,
+        "comps_per_query": round(
+            float(np.mean([s.distance_computations for _, s in bulk])), 1
+        ),
+        "loop_ms_per_query": round(loop_s * 1e3 / n, 3),
+        "bulk_ms_per_query": round(bulk_s * 1e3 / n, 3),
+        "bulk_over_loop": round(loop_s / bulk_s, 2),
+    }
+
+
+def run_words_benchmark(smoke: bool, repeats: int = 3) -> dict:
+    """The word rows under ``levenshtein`` (see the module docstring);
+    every row is asserted identical to the loop and to the exhaustive
+    scan."""
+    from repro.datasets.words import spanish_dictionary
+
+    distance = get_distance("levenshtein")
+    if smoke:
+        repeats = 1
+    short = _short_words(160, seed=2008)
+    short_queries = _short_words(16 if smoke else 48, seed=71, hi=10)
+    dictionary = list(spanish_dictionary(1000 if smoke else 8000, seed=2008))
+    dict_queries = random.Random(71).sample(dictionary, 16 if smoke else 64)
+    full = len(dict_queries)
+    cells = []
+    for items, queries, k, points in (
+        (short, short_queries, 3, [(8, 1), (8, 8), (8, len(short_queries))]),
+        (dictionary, dict_queries, 5, [(8, full), (32, full), (None, full)]),
+    ):
+        scan = ExhaustiveIndex(items, distance)
+        truth = [
+            [(r.index, r.distance) for r in results]
+            for results, _ in scan.bulk_knn(queries, k)
+        ]
+        for n_pivots, batch in points:
+            if n_pivots is None:  # the exhaustive scan itself
+                index, label = scan, "exhaustive"
+            else:
+                index = LaesaIndex(items, distance, n_pivots=n_pivots)
+                label = f"laesa P={n_pivots}"
+            cells.append(
+                _words_row(index, queries, k, batch, truth, label, repeats)
+            )
+    return {
+        "bench": "query_batch",
+        "search": "words",
+        "distance": "levenshtein",
+        "cells": cells,
+        "min_bulk_over_loop": min(c["bulk_over_loop"] for c in cells),
+        "repeats": repeats,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "kernel_backend": jit.backend_name(),
+        "pool": _pool_tag(),
+    }
+
+
 def run_repeat_benchmark(
     distance: str,
     per_class: int,
@@ -442,11 +539,12 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--mode",
-        choices=("knn", "range", "repeat", "route"),
+        choices=("knn", "range", "repeat", "route", "words"),
         default="knn",
         help="benchmark k-NN (default), radius search, repeated bulk "
-        "queries (persistent vs per-call pool), or the lockstep round "
-        "route (scalar vs batched per pair count)",
+        "queries (persistent vs per-call pool), the lockstep round "
+        "route (scalar vs batched per pair count), or the word rows "
+        "(loop vs bulk on short words and the dictionary)",
     )
     parser.add_argument(
         "--rounds",
@@ -512,6 +610,8 @@ def main(argv=None) -> int:
 
     if args.mode == "route":
         record = run_route_benchmark(args.smoke)
+    elif args.mode == "words":
+        record = run_words_benchmark(args.smoke)
     elif args.mode == "range":
         record = run_range_benchmark(
             args.distance, per_class, n_train, n_queries, n_pivots, args.radius
@@ -549,7 +649,9 @@ def main(argv=None) -> int:
 
     if args.mode == "route":
         return 0  # a measurement, not a gate: the rows set the constants
-    if args.mode == "repeat":
+    if args.mode == "words":
+        gate, target, label = record["min_bulk_over_loop"], 0.95, "words bulk"
+    elif args.mode == "repeat":
         gate, target, label = record["speedup"], 1.0, "repeat bulk"
     elif args.mode == "range" and args.distance == "marzal_vidal":
         # d_MV's pivot phase stays scalar on the numpy backend, so the

@@ -101,6 +101,7 @@ from .kernels import (
     encode_batch,
     levenshtein_batch_bounded_encoded,
     levenshtein_batch_encoded,
+    levenshtein_grid_encoded,
     mv_banded_probe_batch_encoded,
 )
 
@@ -117,6 +118,7 @@ from .kernels import (  # noqa: F401
 __all__ = [
     "pairwise_values",
     "pairwise_values_ids",
+    "pairwise_rows_ids",
     "pairwise_values_bounded",
     "pairwise_values_bounded_ids",
     "pairwise_matrix",
@@ -175,14 +177,6 @@ def _is_batched(name: Optional[str]) -> bool:
         return True
     return name in ("marzal_vidal", "contextual") and jit_backend() is not None
 
-
-def has_batched_kernel(distance: DistanceLike) -> bool:
-    """Whether the engine evaluates *distance* through batch kernels --
-    consumers whose batching strategy only pays when the per-distance
-    cost amortises (AESA's front-loaded grid sweep) consult this instead
-    of hard-coding distance names."""
-    name, _ = _resolve(distance)
-    return _is_batched(name)
 
 #: Default row-block height for the streaming matrix entry points.
 _BLOCK_ROWS = 256
@@ -272,13 +266,37 @@ def _lev_value(name: str, m: int, n: int, d: int) -> float:
 def _lev_finalize(
     name: str, mx: np.ndarray, my: np.ndarray, d_e: np.ndarray
 ) -> np.ndarray:
-    """Apply the scalar normalisation formulas to batched ``d_E`` values."""
+    """:func:`_lev_value` over arrays of lengths and exact ``d_E``.
+
+    Each branch evaluates the scalar expression elementwise in the same
+    operation order (int64 operands convert to float64 exactly, and one
+    IEEE division of exact operands is the correctly rounded quotient,
+    as in Python), so every float is bit-identical to the scalar one.
+    """
+    d = np.asarray(d_e, dtype=np.int64)
     if name == _LEV_INT:
-        return d_e.copy()
-    out = np.empty(len(d_e), dtype=float)
-    for p in range(len(d_e)):
-        out[p] = _lev_value(name, int(mx[p]), int(my[p]), int(d_e[p]))
-    return out
+        return d.copy()
+    if name == "levenshtein":
+        return d.astype(float)
+    m = np.asarray(mx, dtype=np.int64)
+    n = np.asarray(my, dtype=np.int64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if name == "dmax":
+            longest = np.maximum(m, n)
+            return np.where(longest > 0, d / longest, 0.0)
+        if name == "dsum":
+            total = m + n
+            return np.where(total > 0, d / total, 0.0)
+        if name == "dmin":
+            shortest = np.minimum(m, n)
+            empty = np.where(d == 0, 0.0, np.inf)
+            return np.where(shortest > 0, d / shortest, empty)
+        if name == "yujian_bo":
+            total = m + n
+            return np.where(total > 0, 2.0 * d / (total + d), 0.0)
+    raise AssertionError(  # pragma: no cover - guarded by _LEV_FAMILY
+        f"not a levenshtein-family name: {name}"
+    )
 
 
 def _sizes_buckets(sizes: Sequence[int], bucket_size: int) -> List[List[int]]:
@@ -364,14 +382,56 @@ def _evaluate_ids(
 ) -> np.ndarray:
     """Batched evaluation of kernel-backed distances over store ids:
     bucket by combined length, *gather* (never re-encode) each bucket's
-    kernel inputs out of the store's interned matrices, sweep."""
-    sizes = store.lengths[x_ids] + store.lengths[y_ids]
+    kernel inputs out of the store's interned matrices, sweep.  On the
+    numpy backend the ``d_E`` family first takes every grid row it can
+    (:func:`_evaluate_grid`)."""
     out = np.empty(len(x_ids), dtype=np.int64 if name == _LEV_INT else float)
+    rest = np.arange(len(x_ids))
+    if name in _LEV_FAMILY and jit_backend() is None:
+        rest = _evaluate_grid(name, store, x_ids, y_ids, out)
+    sizes = store.lengths[x_ids[rest]] + store.lengths[y_ids[rest]]
     for bucket in _sizes_buckets(sizes.tolist(), _BUCKET_SIZE):
-        idx = np.asarray(bucket, dtype=np.int64)
+        idx = rest[bucket]
         X, Y, mx, my = store.gather(x_ids[idx], y_ids[idx])
         out[idx] = _evaluate_encoded(name, X, Y, mx, my)
     return out
+
+
+def _evaluate_grid(
+    name: str,
+    store: "PairStore",
+    x_ids: np.ndarray,
+    y_ids: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Answer the grid rows among the unique, ``x != y`` id pairs
+    ``zip(x_ids, y_ids)`` into *out*; return the positions left over.
+
+    An x id paired with every y id of the call (its own id aside) is a
+    grid row: all such rows run as one bit-parallel grid of patterns
+    against texts (:func:`~repro.batch.kernels.levenshtein_grid_encoded`)
+    -- a bulk call's queries x items, a pivot row, a pivot sweep.
+    """
+    ux, x_of = np.unique(x_ids, return_inverse=True)
+    uy, y_of = np.unique(y_ids, return_inverse=True)
+    per_x = np.bincount(x_of, minlength=len(ux))
+    full = (per_x == len(uy)) | ((per_x == len(uy) - 1) & np.isin(ux, uy))
+    if not full.any():
+        return np.arange(len(x_ids))
+    patterns = ux[full]
+    T, Xq, mt, mq = store.gather(uy, patterns)
+    d = levenshtein_grid_encoded(Xq, mq, T, mt)
+    in_grid = full[x_of]
+    sel = np.flatnonzero(in_grid)
+    row_of = np.cumsum(full) - 1
+    lengths = store.lengths
+    out[sel] = _lev_finalize(
+        name,
+        lengths[x_ids[sel]],
+        lengths[y_ids[sel]],
+        d[row_of[x_of[sel]], y_of[sel]],
+    )
+    return np.flatnonzero(~in_grid)
 
 
 def _evaluate_unique(
@@ -736,6 +796,19 @@ def pairwise_values(
     return out
 
 
+def _scalar_cores_cheaper(m: np.ndarray, n: np.ndarray) -> bool:
+    """Whether the ``d_E`` of a few pairs with sides *m* and *n* costs
+    less through the scalar bit-parallel core, pair by pair, than any
+    kernel call: one call's overhead plus one anti-diagonal per symbol
+    of the longest side (the ``_ROUTE_*`` prices)."""
+    if len(m) * _ROUTE_PAIR_NS > _ROUTE_ROUND_NS:
+        return False
+    scalar = len(m) * _ROUTE_PAIR_NS
+    scalar += _ROUTE_COLUMN_NS * int(np.minimum(m, n).sum())
+    longest = int(max(m.max(), n.max()))
+    return scalar <= _ROUTE_ROUND_NS + _ROUTE_DIAGONAL_NS * longest
+
+
 def pairwise_values_ids(
     distance: DistanceLike,
     store: "PairStore",
@@ -782,6 +855,17 @@ def pairwise_values_ids(
     out = np.zeros(n, dtype=dtype)
     if n == 0:
         return out
+    if name in _LEV_FAMILY and jit_backend() is None:
+        m, n_len = store.lengths[x_ids], store.lengths[y_ids]
+        if _scalar_cores_cheaper(m, n_len):
+            # a few pairs (a small batch's pivot sweep): the scalar
+            # bit-parallel core, pair by pair
+            syms = [
+                (store.sym(i), store.sym(j))
+                for i, j in zip(x_ids.tolist(), y_ids.tolist())
+            ]
+            d = [_within(x, y, len(x) + len(y)) for x, y in syms]
+            return _lev_finalize(name, m, n_len, np.asarray(d, dtype=np.int64))
     # id-level dedupe: one composite key per ordered id pair
     n_store = len(store)
     composite = x_ids * n_store + y_ids
@@ -975,12 +1059,29 @@ def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
 #: the budget's band, so it sends contour rounds of about 10 pairs or
 #: more to the engine, where the two routes now do nearly the same work
 #: (a near tie at 16 pairs in ``bench_query_batch.py --mode route``).
+#:
+#: ``_ROUTE_ROW_NS`` prices the bit-parallel grid behind exact rows
+#: (:func:`row_price`) per corpus symbol and per ``uint64`` word of each
+#: row's pattern; the grid's call overhead and its one column per
+#: symbol of the longest item reuse ``_ROUTE_ROUND_NS`` and
+#: ``_ROUTE_DIAGONAL_NS``.  Measured on the same host by timing
+#: :func:`pairwise_rows_ids` (best of 8-30) on 33 shapes -- 40-2000
+#: dictionary words, 40-2000 short words and 40-500 DNA strings of
+#: 90-160 symbols (three words), 1, 4 and 16 rows each -- and fitting
+#: call + column-word + symbol-word costs by least squares: 0.23-0.31
+#: ms per call, 19-20 us per column-word and 14-15 ns per symbol-word
+#: (absolute and relative fits).  The existing call and diagonal prices
+#: are close to the first two, so only the symbol-word price is new.
+#: Small grids read up to a third above the model (0.66 ms against
+#: 0.54 for one row of 40 dictionary words), so they buy a little
+#: early.
 _ROUTE_ROUND_NS = 200_000
 _ROUTE_DIAGONAL_NS = 15_000
 _ROUTE_PAIR_DIAGONAL_NS = 650
 _ROUTE_PAIR_NS = 4_500
 _ROUTE_COLUMN_NS = 660
 _ROUTE_CELL_NS = 210
+_ROUTE_ROW_NS = 16
 
 #: Rounds the measurement does not cover -- the numba backend (not
 #: installed where the costs above were measured), distances outside
@@ -1044,6 +1145,42 @@ def scalar_round_cheaper(
     return _scalar_tables_cheaper(pairs, cells, longest_x + longest_y)
 
 
+def row_price(name: Optional[str], store: "PairStore") -> Optional[Tuple[int, int]]:
+    """The modelled cost of exact rows against the whole corpus
+    (:func:`pairwise_rows_ids`), as ``(sweep_ns, word_ns)``: rows for a
+    set of patterns cost ``sweep_ns`` per ``uint64`` word of the longest
+    pattern (one word per 64 symbols) plus ``word_ns`` per word of each
+    pattern.  ``None`` when rows are not on offer: only the ``d_E``
+    family on the numpy backend over an encoded store runs the
+    bit-parallel grid.
+
+    ``sweep_ns`` is one call's overhead, priced like a batched round's,
+    plus one column per symbol of the longest item, priced like an
+    anti-diagonal; ``word_ns`` touches each item symbol once.
+    """
+    if name not in _LEV_FAMILY or jit_backend() is not None or not store.encoded:
+        return None
+    items = store.lengths[: store.n_corpus]
+    fixed = _ROUTE_ROUND_NS + _ROUTE_DIAGONAL_NS * int(items.max())
+    return fixed, _ROUTE_ROW_NS * int(items.sum())
+
+
+def twin_ns(
+    store: "PairStore", x_ids: Sequence[int], y_ids: Sequence[int], scalar: bool
+) -> List[int]:
+    """The modelled cost of each pair of one ``d_E``-family lockstep
+    round, by the route it took: a scalar twin call per pair, or an
+    equal share of one batched sweep."""
+    lengths = store.length_list
+    if scalar:
+        return [
+            _ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * min(lengths[x], lengths[y])
+            for x, y in zip(x_ids, y_ids)
+        ]
+    diagonals = max([lengths[x] for x in x_ids]) + max([lengths[y] for y in y_ids])
+    return [_batched_ns(len(x_ids), diagonals) // len(x_ids)] * len(x_ids)
+
+
 def _batched_ns(pairs: int, diagonals: int) -> int:
     """Cost of one batched bounded sweep of *pairs* pairs over a padded
     bucket of *diagonals* anti-diagonals."""
@@ -1075,6 +1212,35 @@ def _scalar_tables_cheaper(
             break
         spare -= _ROUTE_CELL_NS * count
     return spare >= 0
+
+
+def pairwise_rows_ids(
+    distance: DistanceLike, store: "PairStore", x_ids: Sequence[int]
+) -> np.ndarray:
+    """The ``(len(x_ids), n_corpus)`` matrix of distances from each store
+    id in *x_ids* to every corpus item, evaluated in-process.
+
+    Entry ``[r, i]`` equals ``pairwise_values_ids(distance, store,
+    [x_ids[r]], [i])[0]`` bit for bit.  The ``d_E`` family on the numpy
+    backend runs one bit-parallel grid
+    (:func:`~repro.batch.kernels.levenshtein_grid_encoded`) straight
+    from the store's matrices; everything else is that id grid.
+    """
+    x_ids = np.asarray(x_ids, dtype=np.int64)
+    n = store.n_corpus
+    name, _ = _resolve(distance)
+    if name in _LEV_FAMILY and jit_backend() is None and store.encoded:
+        T, Xq, mt, mq = store.gather(np.arange(n), x_ids)
+        d = levenshtein_grid_encoded(Xq, mq, T, mt)
+        return _lev_finalize(name, mq[:, None], mt[None, :], d)
+    flat = pairwise_values_ids(
+        distance,
+        store,
+        np.repeat(x_ids, n),
+        np.tile(np.arange(n, dtype=np.int64), len(x_ids)),
+        workers=None,
+    )
+    return flat.reshape(len(x_ids), n)
 
 
 def pairwise_values_bounded(

@@ -1,9 +1,10 @@
-"""Pair-batched anti-diagonal kernels.
+"""Pair-batched kernels: bit-parallel ``d_E`` and anti-diagonal sweeps.
 
-The kernels in :mod:`repro.core._kernels` vectorise the Wagner–Fischer
-recurrence *within* one pair of strings by walking the DP table
-anti-diagonal by anti-diagonal.  This module lifts the same recurrences to
-a whole *batch* of pairs at once: the per-pair diagonal vectors are stacked
+The full ``d_E`` runs Myers' bit-vector DP over numpy ``uint64`` lanes
+(see the block comment above :func:`levenshtein_lanes_encoded`), either
+one lane per pair or a grid of patterns against texts.  The other kernels
+lift the anti-diagonal recurrences of :mod:`repro.core._kernels` to a
+whole *batch* of pairs at once: the per-pair diagonal vectors are stacked
 into a ``(P, size)`` matrix and every diagonal step becomes a handful of
 2-D slice operations shared by all ``P`` pairs.
 
@@ -31,13 +32,21 @@ Length bucketing (so that short pairs do not pay for the padding of long
 ones) lives in :mod:`repro.batch.engine`; these kernels assume the caller
 already grouped pairs of broadly similar length.
 
-Both kernels are cross-checked against their scalar twins by the
-test-suite on randomised inputs, including empty strings and duplicates.
+Every kernel is cross-checked against its scalar twin by the test-suite
+on randomised inputs, including empty strings and duplicates.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Hashable,
+    List,
+    Sequence,
+    Tuple,
+    cast,
+)
 
 import numpy as np
 import numpy.typing as npt
@@ -59,6 +68,8 @@ __all__ = [
     "levenshtein_batch",
     "levenshtein_batch_encoded",
     "levenshtein_batch_numpy",
+    "levenshtein_lanes_encoded",
+    "levenshtein_grid_encoded",
     "levenshtein_batch_bounded",
     "levenshtein_batch_bounded_encoded",
     "levenshtein_batch_bounded_numpy",
@@ -171,7 +182,7 @@ def levenshtein_batch_encoded(
     jit = _jit_backend()
     if jit is not None:
         return jit.levenshtein_batch_encoded(X, Y, mx, my)
-    return _levenshtein_swept(X, Y, mx, my)
+    return levenshtein_lanes_encoded(X, Y, mx, my)
 
 
 def contextual_heuristic_batch(
@@ -300,6 +311,228 @@ def mv_banded_probe_batch_encoded(
 
 
 # ---------------------------------------------------------------------------
+# bit-parallel d_E (full tables)
+# ---------------------------------------------------------------------------
+#
+# Myers' (1999) bit-vector DP in Hyyrö's (2003) formulation -- the scalar
+# core of :mod:`repro.core.levenshtein` -- over numpy ``uint64`` lanes.  A
+# lane is one (pattern, text) pair.  Column ``j`` of its Wagner--Fischer
+# table (one text symbol) is held as vertical delta vectors ``pv`` / ``mv``
+# with bit ``i - 1`` for pattern row ``i``, and one column step is a dozen
+# word operations shared by every live lane:
+#
+# * patterns past 64 symbols take several words (Myers' blocks), one
+#   wide integer as in the scalar core: the addition's carry and the
+#   one-row shifts of the horizontal deltas cross word boundaries;
+# * bits above a pattern's last row hold garbage that never reaches the
+#   real rows (shifts and carries only move upwards) and are masked off;
+# * lanes are sorted by text length, longest first, so the lanes still
+#   live at column ``j`` are a prefix; a lane's vectors freeze when its
+#   text ends, and its distance is read off after the sweep as ``D[m][n]
+#   = D[0][n] + sum of column n's vertical deltas``.
+#
+# Two layouts feed the sweep.  Pair lanes (:func:`levenshtein_lanes_encoded`)
+# carry one pattern each, the longer side of the pair, with its match masks
+# in a table keyed by ``(lane, symbol)``.  A grid of patterns against texts
+# (:func:`levenshtein_grid_encoded`) builds one mask table per pattern and
+# lays the lanes out texts x patterns, so each column reads each text's
+# symbol once and looks up every pattern's mask in one row.
+
+_WORD = 64
+_ONES = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+
+#: Lanes (texts x patterns) per grid sweep: larger grids run in pattern
+#: chunks so the sweep's state stays small.
+_GRID_LANES = 1 << 16
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per ``uint64`` entry, as ``int64``."""
+    count = getattr(np, "bitwise_count", None)
+    if count is not None:
+        return cast(np.ndarray, count(words)).astype(np.int64)
+    v = words - ((words >> 1) & np.uint64(0x5555_5555_5555_5555))  # numpy < 2
+    v = (v & np.uint64(0x3333_3333_3333_3333)) + (
+        (v >> 2) & np.uint64(0x3333_3333_3333_3333)
+    )
+    v = (v + (v >> 4)) & np.uint64(0x0F0F_0F0F_0F0F_0F0F)
+    return ((v * np.uint64(0x0101_0101_0101_0101)) >> 56).astype(np.int64)
+
+
+def _row_masks(lengths: np.ndarray, words: int) -> np.ndarray:
+    """``(words, len(lengths))`` masks of each pattern's rows."""
+    bits = np.clip(
+        lengths[None, :] - _WORD * np.arange(words)[:, None], 0, _WORD
+    ).astype(np.uint64)
+    partial = (np.uint64(1) << np.minimum(bits, np.uint64(63))) - np.uint64(1)
+    return np.where(bits == _WORD, _ONES, partial)
+
+
+def _bit_parallel_sweep(
+    eq_at: Callable[[int, int], np.ndarray],
+    ends: np.ndarray,
+    rows: np.ndarray,
+    shape: Tuple[int, ...],
+) -> np.ndarray:
+    """``d_E`` of every lane of *shape* (lanes on axis 0, longest text
+    first; see the block comment above).
+
+    ``eq_at(j, live)`` returns the ``(words, live, ...)`` match masks of
+    column ``j``'s text symbols for the first *live* lanes; *ends* holds
+    the text lengths (non-increasing) and *rows* the ``(words,) + shape``
+    masks of every lane's pattern rows.
+    """
+    words = rows.shape[0]
+    pv = np.full((words,) + shape, _ONES)
+    mv = np.zeros((words,) + shape, dtype=np.uint64)
+    columns = int(ends[0]) if shape[0] else 0
+    # live[j]: the lanes whose text is longer than j symbols
+    live = np.searchsorted(-ends, -np.arange(columns)).tolist()
+    for j in range(columns):
+        L = live[j]
+        eq = eq_at(j, L)
+        p = pv[:, :L]
+        m = mv[:, :L]
+        xv = eq | m
+        xh = eq & p
+        xh += p
+        if words > 1:  # carry the addition across words
+            carry = xh[0] < p[0]
+            for w in range(1, words):
+                xh[w] += carry
+                carry = (xh[w] < p[w]) | ((xh[w] == p[w]) & carry)
+        xh ^= p
+        xh |= eq
+        ph = xh | p
+        np.invert(ph, out=ph)
+        ph |= m
+        mh = p & xh
+        if words > 1:  # shifting up a row crosses word boundaries
+            top_p, top_m = ph[:-1] >> 63, mh[:-1] >> 63
+        ph <<= 1
+        ph[0] |= 1  # row 0 grows by one per column
+        mh <<= 1
+        if words > 1:
+            ph[1:] |= top_p
+            mh[1:] |= top_m
+        np.bitwise_or(xv, ph, out=p)
+        np.invert(p, out=p)
+        p |= mh
+        np.bitwise_and(ph, xv, out=m)
+    # a lane's vectors stop changing once its text ends
+    up: np.ndarray = _popcount(pv & rows).sum(axis=0)
+    down: np.ndarray = _popcount(mv & rows).sum(axis=0)
+    return ends.reshape(ends.shape + (1,) * (len(shape) - 1)) + up - down
+
+
+def levenshtein_lanes_encoded(
+    X: IntMatrix, Y: IntMatrix, mx: IntVector, my: IntVector
+) -> np.ndarray:
+    """``d_E`` of every pair of pre-encoded matrices, bit-parallel (the
+    numpy body of :func:`levenshtein_batch_encoded`).
+
+    Each lane's pattern is the longer side of its pair, so the sweep
+    runs one column per symbol of the shorter side.  Codes need only be
+    consistent within a pair (the mask table is keyed by lane).
+    """
+    mx = np.asarray(mx, dtype=np.int64)
+    my = np.asarray(my, dtype=np.int64)
+    P = len(mx)
+    swap = mx < my
+    pattern_len = np.where(swap, my, mx)
+    text_len = np.where(swap, mx, my)
+    if P == 0 or not pattern_len.max():
+        return np.zeros(P, dtype=np.int64)  # only empty pairs
+    words = -(-int(pattern_len.max()) // _WORD)
+    x_lane, x_pos = np.nonzero(
+        (np.arange(X.shape[1]) < mx[:, None]) & ~swap[:, None]
+    )
+    y_lane, y_pos = np.nonzero(
+        (np.arange(Y.shape[1]) < my[:, None]) & swap[:, None]
+    )
+    lane = np.concatenate([x_lane, y_lane])
+    pos = np.concatenate([x_pos, y_pos])
+    symbol = np.concatenate([X[x_lane, x_pos], Y[y_lane, y_pos]]).astype(
+        np.int64
+    )
+    C = int(text_len.max())
+    text = np.where(swap[:, None], X[:, :C], Y[:, :C]).astype(np.int64)
+    span = int(max(symbol.max(), text.max(initial=0))) + 1
+    keys, slot = np.unique(lane * span + symbol, return_inverse=True)
+    absent = len(keys)  # the all-zero mask of symbols a pattern lacks
+    table = np.zeros((words, absent + 1), dtype=np.uint64)
+    np.bitwise_or.at(
+        table,
+        (pos // _WORD, slot),
+        np.uint64(1) << (pos % _WORD).astype(np.uint64),
+    )
+    # text symbols past a lane's end are never read (the lane is dead)
+    text_keys = np.arange(P)[:, None] * span + text
+    found = np.searchsorted(keys, text_keys)
+    hit = keys[np.minimum(found, absent - 1)] == text_keys
+    order = np.argsort(-text_len, kind="stable")
+    columns = np.ascontiguousarray(np.where(hit, found, absent)[order].T)
+    d = _bit_parallel_sweep(
+        lambda j, live: table[:, columns[j, :live]],
+        text_len[order],
+        _row_masks(pattern_len[order], words),
+        (P,),
+    )
+    out = np.empty(P, dtype=np.int64)
+    out[order] = d
+    return out
+
+
+def levenshtein_grid_encoded(
+    Xq: IntMatrix, mq: IntVector, T: IntMatrix, mt: IntVector
+) -> np.ndarray:
+    """``d_E`` of every pattern row of *Xq* (lengths *mq*) against every
+    text row of *T* (lengths *mt*): a ``(len(mq), len(mt))`` matrix.
+
+    Codes are one shared alphabet of small non-negative integers (an
+    interned corpus' codes) and index the mask tables directly; padding
+    may be negative.  Lanes run texts x patterns (see the block comment
+    above), with at most ``_GRID_LANES`` lanes and mask-table rows per
+    sweep.
+    """
+    mq = np.asarray(mq, dtype=np.int64)
+    mt = np.asarray(mt, dtype=np.int64)
+    Q, n = len(mq), len(mt)
+    out = np.empty((Q, n), dtype=np.int64)
+    if Q == 0 or n == 0:
+        return out
+    order = np.argsort(-mt, kind="stable")
+    ends = mt[order]
+    columns = T[:, : int(ends[0])].T[:, order]  # (C, n), longest text first
+    q_row, q_pos = np.nonzero(np.arange(Xq.shape[1]) < mq[:, None])
+    q_code = Xq[q_row, q_pos]
+    # two spare rows past the alphabet: the padding codes -1 and -2 land
+    # there, and no pattern sets a bit in them
+    size = int(max(q_code.max(initial=0), columns.max(initial=0))) + 3
+    step = max(1, _GRID_LANES // max(n, size))
+    for lo in range(0, Q, step):
+        hi = min(Q, lo + step)
+        lengths = mq[lo:hi]
+        words = max(1, -(-int(lengths.max()) // _WORD))
+        peq = np.zeros((words, size, hi - lo), dtype=np.uint64)
+        sel = (q_row >= lo) & (q_row < hi)
+        pos = q_pos[sel]
+        np.bitwise_or.at(
+            peq,
+            (pos // _WORD, q_code[sel], q_row[sel] - lo),
+            np.uint64(1) << (pos % _WORD).astype(np.uint64),
+        )
+        rows = np.broadcast_to(
+            _row_masks(lengths, words)[:, None, :], (words, n, hi - lo)
+        )
+        d = _bit_parallel_sweep(
+            lambda j, live: peq[:, columns[j, :live]], ends, rows, (n, hi - lo)
+        )
+        out[lo:hi, order] = d.T
+    return out
+
+
+# ---------------------------------------------------------------------------
 # numpy sweeps (full tables)
 # ---------------------------------------------------------------------------
 
@@ -307,72 +540,14 @@ def mv_banded_probe_batch_encoded(
 def levenshtein_batch_numpy(
     pairs: Sequence[Tuple[Symbols, Symbols]],
 ) -> np.ndarray:
-    """Levenshtein distance of every pair, swept diagonal-by-diagonal.
+    """Levenshtein distance of every pair on the numpy backend.
 
-    Returns an ``int64`` array aligned with *pairs*.  Equivalent to
+    Returns an ``int64`` array aligned with *pairs*, equal to
     ``[levenshtein_distance(x, y) for x, y in pairs]`` (the tests verify
-    this), but every anti-diagonal step runs once for the whole batch.
+    this): :func:`encode_batch` plus the bit-parallel pair lanes of
+    :func:`levenshtein_lanes_encoded`.
     """
-    if len(pairs) == 0:
-        return np.zeros(0, dtype=np.int64)
-    return _levenshtein_swept(*encode_batch(pairs))
-
-
-def _levenshtein_swept(
-    X: IntMatrix, Y: IntMatrix, mx: IntVector, my: IntVector
-) -> np.ndarray:
-    P = len(mx)
-    out = np.zeros(P, dtype=np.int64)
-    if P == 0:
-        return out
-    # Empty-sided pairs are pure insertions/deletions; exclude them from
-    # the sweep (whose t=0/1 seed diagonals assume both sides non-empty).
-    trivial = (mx == 0) | (my == 0)
-    out[trivial] = np.maximum(mx, my)[trivial]
-    if trivial.all():
-        return out
-    M, N = X.shape[1], Y.shape[1]
-    size = M + 1
-    inf = M + N + 1
-    # pair rows harvested per diagonal, computed once up front
-    done_at: Dict[int, List[int]] = {}
-    for p in range(P):
-        if not (mx[p] and my[p]):
-            continue  # empty-sided pairs were answered above
-        done_at.setdefault(int(mx[p] + my[p]), []).append(p)
-    prev2 = np.full((P, size), inf, dtype=np.int64)  # diagonal t-2
-    prev = np.full((P, size), inf, dtype=np.int64)  # diagonal t-1
-    prev2[:, 0] = 0  # cell (0, 0)
-    prev[:, 0] = 1  # cell (0, 1)
-    prev[:, 1] = 1  # cell (1, 0)
-    cur = np.empty((P, size), dtype=np.int64)
-    for t in range(2, M + N + 1):
-        lo = max(0, t - N)
-        hi = min(M, t)
-        a = max(1, lo)
-        b = min(hi, t - 1)
-        # sentinel columns just outside the written window; later
-        # diagonals read at most one cell beyond it, so a full-row fill
-        # is unnecessary
-        cur[:, a - 1] = inf
-        if b + 1 <= M:
-            cur[:, b + 1] = inf
-        if lo == 0:
-            cur[:, 0] = t  # cell (0, t): t insertions
-        if hi == t:
-            cur[:, t] = t  # cell (t, 0): t deletions
-        if a <= b:
-            xs = X[:, a - 1 : b]  # x[i-1]
-            ys = Y[:, t - b - 1 : t - a][:, ::-1]  # y[j-1] = y[t-i-1]
-            sub = prev2[:, a - 1 : b] + (xs != ys)
-            step = np.minimum(prev[:, a - 1 : b], prev[:, a : b + 1]) + 1
-            np.minimum(sub, step, out=cur[:, a : b + 1])
-        ready = done_at.get(t)
-        if ready is not None:
-            idx = np.asarray(ready, dtype=np.int64)
-            out[idx] = cur[idx, mx[idx]]
-        prev2, prev, cur = prev, cur, prev2
-    return out
+    return levenshtein_lanes_encoded(*encode_batch(pairs))
 
 
 def contextual_heuristic_batch_numpy(

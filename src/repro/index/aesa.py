@@ -12,17 +12,7 @@ reproduces).
 from __future__ import annotations
 
 import heapq
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -34,24 +24,11 @@ from .base import (
     canonical_key,
 )
 
-if TYPE_CHECKING:
-    from ..batch.corpus import PairStore
-
 __all__ = ["AesaIndex"]
 
 
 class AesaIndex(NearestNeighborIndex):
     """AESA with the full ``n x n`` matrix computed at build time."""
-
-    #: Largest database for which bulk calls front-load the full
-    #: ``queries x items`` sweep (:meth:`_bulk_cache`).  AESA visits a
-    #: near-constant handful of items per query, so the sweep's ``n``
-    #: engine evaluations per query only undercut the scalar loop while
-    #: ``n`` is small -- the regime AESA's quadratic preprocessing
-    #: confines it to anyway.  Beyond this the bulk calls skip the sweep
-    #: and batch only the lockstep candidate rounds (identical results
-    #: and counts either way).
-    _BULK_SWEEP_MAX_ITEMS = 512
 
     def __init__(
         self, items: Sequence[Any], distance: Callable[[Any, Any], float]
@@ -95,8 +72,7 @@ class AesaIndex(NearestNeighborIndex):
         smallest lower bound, tighten everyone's bounds with the new
         distance, and discard items whose bound exceeds *radius*.  Every
         comparison doubles as a pivot, so each request needs the exact
-        distance (``limit=None``) and is cacheable at ``cache_pos=item``
-        when a bulk driver precomputed the ``queries x items`` sweep.
+        distance (``limit=None``).
         """
         items = self.items
         n = len(items)
@@ -111,7 +87,7 @@ class AesaIndex(NearestNeighborIndex):
             # (infinite distances) would otherwise re-pick a decided index
             current = int(candidates[np.argmin(bounds[candidates])])
             undecided[current] = False
-            d = yield (current, None, current)
+            d = yield (current, None, None)
             if d <= radius:
                 hits.append(
                     SearchResult(item=items[current], index=current, distance=d)
@@ -123,41 +99,12 @@ class AesaIndex(NearestNeighborIndex):
         hits.sort(key=canonical_key)
         return hits
 
-    def _bulk_cache(self, store: "PairStore") -> Optional[np.ndarray]:
-        """The full ``queries x items`` matrix in one engine sweep (an id
-        grid of *store*'s queries against the corpus), when it can
-        undercut the lockstep rounds; ``None`` otherwise.
-
-        The database must be small (``_BULK_SWEEP_MAX_ITEMS``) *and* the
-        distance must run through the engine's batch kernels -- a
-        scalar-fallback distance (exact ``d_C`` / ``d_MV`` on the numpy
-        backend, arbitrary callables) costs the same per sweep entry as
-        per scalar call, so computing the whole grid can never beat
-        AESA's near-constant visited set.  Results and counts are
-        identical either way; only the cache is at stake.
-        """
-        from ..batch.engine import has_batched_kernel
-
-        n = len(self.items)
-        if n > self._BULK_SWEEP_MAX_ITEMS or not has_batched_kernel(
-            self._counter._distance
-        ):
-            return None
-        q_ids = store.extra_ids()
-        flat = self._counter.precompute_ids(
-            store,
-            np.repeat(q_ids, n),
-            np.tile(np.arange(n, dtype=np.int64), len(q_ids)),
-        )
-        return flat.reshape(len(q_ids), n)
-
     def _search_requests(self, k: int) -> RequestGenerator:
         """AESA's elimination loop as a request generator.
 
         Every comparison in AESA doubles as a pivot (its matrix row
         tightens all bounds), so each request needs the exact distance
-        (``limit=None``) and is cacheable at ``cache_pos=item`` when a
-        bulk driver precomputed the ``queries x items`` sweep.  See
+        (``limit=None``).  See
         :meth:`~repro.index.base.NearestNeighborIndex._search_requests`
         for the protocol.
         """
@@ -175,7 +122,7 @@ class AesaIndex(NearestNeighborIndex):
         current = 0
         while True:
             alive[current] = False
-            d = yield (current, None, current)
+            d = yield (current, None, None)
             entry = (-d, -current)
             if len(best) < k:
                 heapq.heappush(best, entry)

@@ -262,6 +262,15 @@ class CountingDistance:
 
         return pairwise_values_ids(self._distance, store, x_ids, y_ids)
 
+    def rows_ids(self, store: "PairStore", x_ids: Sequence[int]) -> np.ndarray:
+        """The exact distances from each store id in *x_ids* to every
+        corpus item, in-process and **without** touching the counter --
+        the lockstep driver's row cache, charged per entry a search
+        reads (:func:`~repro.batch.engine.pairwise_rows_ids`)."""
+        from ..batch.engine import pairwise_rows_ids
+
+        return pairwise_rows_ids(self._distance, store, x_ids)
+
     def many_ids(
         self, store: "PairStore", x_ids: Sequence[int], y_ids: Sequence[int]
     ) -> np.ndarray:
@@ -562,6 +571,14 @@ class NearestNeighborIndex(Generic[Item]):
         each driver accounts one computation per request, which is
         exactly what a hand-written scalar loop would have counted.
         The sorted result list is returned via ``StopIteration.value``.
+
+        A bounded request's answer is the exact distance when it is at
+        most ``limit`` and otherwise *some* value above it, so a
+        generator must use a value past its limit only through ``value
+        > limit`` (discard it, never record or compare it further).
+        Every structure keeps that rule, which is what lets a driver
+        answer bounded requests with exact distances from a row cache
+        (:meth:`_lockstep_rounds`) without changing any result.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no request-generator search"
@@ -616,8 +633,8 @@ class NearestNeighborIndex(Generic[Item]):
 
         The structure's :meth:`_bulk_cache` sweep runs first.  Then all
         query generators advance together: cached requests are served
-        inline from the cache (row ``qi``), and the remaining requests
-        of the round -- one per still-active query -- are answered
+        inline (row ``qi`` of the cache), and the remaining requests of
+        the round -- one per still-active query -- are answered
         together.  A cost model
         (:func:`~repro.batch.engine.scalar_round_cheaper`, from the
         pairs' lengths and edit budgets) picks the route per round: one
@@ -629,6 +646,17 @@ class NearestNeighborIndex(Generic[Item]):
         ten pairs or more go to the engine call, which checks ``d_E``
         before any twin table, as the scalar twin does, so most of
         their pairs never reach a kernel.
+
+        For the ``d_E`` family on the numpy backend the rounds also
+        rent before they buy: they add up the modelled cost of the twin
+        work spent on the still-active queries
+        (:func:`~repro.batch.engine.twin_ns`), and once it reaches the
+        modelled cost of those queries' exact rows against the whole
+        corpus (:func:`~repro.batch.engine.row_price`) the rows are
+        computed in one bit-parallel grid (:meth:`CountingDistance.
+        rows_ids`) and serve every later request of those queries,
+        bounded ones included (see :meth:`_search_requests`).  The rows
+        live for this call only.
 
         Each query's request stream depends only on its own distances, so
         lockstep scheduling returns bit-identical results, distances
@@ -655,7 +683,7 @@ class NearestNeighborIndex(Generic[Item]):
         cache: Optional[np.ndarray],
         started: float,
     ) -> List[Tuple[Any, SearchStats]]:
-        from ..batch.engine import scalar_round_cheaper
+        from ..batch.engine import row_price, scalar_round_cheaper, twin_ns
 
         items = self.items
         counter = self._counter
@@ -668,6 +696,18 @@ class NearestNeighborIndex(Generic[Item]):
         requests: List[Optional[Request]] = [None] * n_queries
         active: List[int] = []
         sends = [gen.send for gen in generators]
+        # the row rule: its price, the twin work spent per query and on
+        # the active queries (re-summed, with the rows' cost then due,
+        # whenever the active set shrinks), each query's pattern words,
+        # and each query's row once bought
+        price = row_price(counter.name, store)
+        spent = [0] * n_queries
+        spent_active = due = priced_for = 0
+        words = [
+            (store.length_list[q] + 63) // 64 or 1
+            for q in (query_ids if price is not None else ())
+        ]
+        row_of: List[Optional[List[float]]] = [None] * n_queries
         for qi, send in enumerate(sends):
             try:
                 requests[qi] = send(None)
@@ -679,18 +719,23 @@ class NearestNeighborIndex(Generic[Item]):
             y_ids: List[int] = []
             limits: List[float] = []
             for qi in active:
-                # serve precomputed requests inline until this query
-                # either finishes or demands a real evaluation
+                # serve cached requests inline until this query either
+                # finishes or demands a real evaluation
+                row = row_of[qi]
                 while True:
                     idx, limit, cache_pos = requests[qi]
-                    if limit is not None or cache is None or cache_pos is None:
+                    if row is not None:
+                        value = row[idx]
+                    elif limit is None and cache is not None and cache_pos is not None:
+                        value = cache.item(qi, cache_pos)
+                    else:
                         parked.append(qi)
                         y_ids.append(idx)
                         limits.append(inf if limit is None else limit)
                         break
                     counts[qi] += 1
                     try:
-                        requests[qi] = sends[qi](float(cache[qi][cache_pos]))
+                        requests[qi] = sends[qi](float(value))
                     except StopIteration as stop:
                         results[qi] = stop.value
                         break
@@ -699,7 +744,8 @@ class NearestNeighborIndex(Generic[Item]):
                 continue
             x_ids = [query_ids[qi] for qi in parked]
             values: Iterable[float]
-            if scalar_round_cheaper(counter.name, store, x_ids, y_ids, limits):
+            scalar = scalar_round_cheaper(counter.name, store, x_ids, y_ids, limits)
+            if scalar:
                 # peek_within returns the same values by the
                 # precompute_bounded_ids contract
                 values = [
@@ -719,6 +765,23 @@ class NearestNeighborIndex(Generic[Item]):
                 except StopIteration as stop:
                     results[qi] = stop.value
             active = still_active
+            if price is None or not active:
+                continue
+            costs = twin_ns(store, x_ids, y_ids, scalar)
+            for qi, cost in zip(parked, costs):
+                spent[qi] += cost
+            if len(active) == priced_for:  # the same queries as last round
+                spent_active += sum(costs)
+            else:
+                priced_for = len(active)
+                spent_active = sum([spent[qi] for qi in active])
+                active_words = [words[qi] for qi in active]
+                due = price[0] * max(active_words) + price[1] * sum(active_words)
+            if spent_active >= due:
+                rows = counter.rows_ids(store, [query_ids[qi] for qi in active])
+                for qi, row in zip(active, rows.tolist()):
+                    row_of[qi] = row
+                price = None  # bought: every active query has its row
         share = (time.perf_counter() - started) / n_queries
         return [
             (

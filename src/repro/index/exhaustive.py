@@ -4,11 +4,12 @@ The baseline of Table 2's right column: computes the distance from the
 query to every indexed item.  Needs no metric properties, so it is the
 ground truth every triangle-inequality-based index is validated against.
 
-The scan is fed through the pair-batched engine
-(:meth:`~repro.index.base.CountingDistance.many`), so the ``n`` distance
-computations of one query run as a handful of stacked anti-diagonal
-sweeps instead of ``n`` interpreted DP loops -- same results, same
-reported computation count, a fraction of the wall-clock.
+The scan is fed through the pair-batched engine as an id grid against
+the interned corpus (:meth:`~repro.index.base.CountingDistance.many_ids`),
+so the ``n`` distance computations of one query -- or of a whole batch --
+run as batched kernel sweeps instead of ``n`` interpreted DP loops (one
+bit-parallel grid for the ``d_E`` family on the numpy backend) -- same
+results, same reported computation count, a fraction of the wall-clock.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ class ExhaustiveIndex(NearestNeighborIndex):
     """Linear scan over all items; ``n`` distance computations per query."""
 
     def _search(self, query: Any, k: int) -> List[SearchResult]:
-        distances = self._counter.many([(query, item) for item in self.items])
-        return self._row_results(distances, k)
+        return self._row_results(self._grid_many([query])[0], k)
 
     def _grid_many(self, queries: Sequence[Any]) -> np.ndarray:
         """The counted ``q x n`` scan grid: an id grid against the
@@ -92,8 +92,7 @@ class ExhaustiveIndex(NearestNeighborIndex):
         return [(row_results, per_query) for row_results in results]
 
     def _range_search(self, query: Any, radius: float) -> List[SearchResult]:
-        distances = self._counter.many([(query, item) for item in self.items])
-        return self._row_hits(distances, radius)
+        return self._row_hits(self._grid_many([query])[0], radius)
 
     def _row_hits(self, row: np.ndarray, radius: float) -> List[SearchResult]:
         hits = [

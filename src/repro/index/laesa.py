@@ -287,10 +287,9 @@ class LaesaIndex(NearestNeighborIndex):
         # of the k best found so far under (distance, index) order
         best: List[Tuple[float, int]] = []
 
-        def kth_best() -> float:
-            return -best[0][0] if len(best) == k else inf
-
-        def record(idx: int, d: float) -> None:
+        def record(idx: int, d: float) -> float:
+            """Offer ``(d, idx)`` to the k best; return the k-th-best
+            radius (infinite until k items are found)."""
             entry = (-d, -idx)
             if len(best) < k:
                 heapq.heappush(best, entry)
@@ -300,17 +299,20 @@ class LaesaIndex(NearestNeighborIndex):
                 # and a smaller index -- every index structure breaks ties
                 # the same way, so tied k-NN sets agree across structures
                 heapq.heapreplace(best, entry)
+            return -best[0][0] if len(best) == k else inf
 
+        pivot_position = self._pivot_position
         # First comparison: the first pivot if any, else item 0.
         current = pending[0] if pending else 0
+        radius = inf
         while True:
             visited[current] = 1
-            row_pos = self._pivot_position.get(current)
+            row_pos = pivot_position.get(current)
             if row_pos is None:
                 # Non-pivot candidates only need their distance when it can
                 # enter the k-best heap: the early-exit twin abandons the
                 # banded DP as soon as the current best radius is exceeded.
-                d = yield (current, kth_best(), None)
+                d = yield (current, radius, None)
             else:
                 # Pivot distances tighten every bound via |d(q,p) - d(p,u)|
                 # and must therefore be exact (limit None); bulk drivers
@@ -318,13 +320,12 @@ class LaesaIndex(NearestNeighborIndex):
                 d = yield (current, None, row_pos)
                 _tighten_bounds(bounds, self.pivot_rows[row_pos], d)
                 stale = True
-            record(current, d)
             # An unvisited item is live while no bound-versus-radius test
             # has eliminated it: the radius is still infinite, or its
             # bound is at most the radius.  Bounds only grow and the
             # radius only shrinks, so an eliminated item stays eliminated
             # and a NaN bound is live only while the radius is infinite.
-            radius = kth_best()
+            radius = record(current, d)
             # Next comparison: the live pending pivot with the smallest
             # finite bound (first in pivot order on ties).  Eliminated and
             # visited pivots leave `pending` for good, so the scan shrinks

@@ -5,8 +5,8 @@ LAESA is bounded by one interned table in one shared-memory block.  This
 module breaks that ceiling by partitioning the *corpus itself*: the item
 list is split into S size-balanced shards (deterministic under a seed),
 each shard builds its own independent index -- LAESA pivot tables by
-default, AESA when the shard is small enough for AESA's
-``_BULK_SWEEP_MAX_ITEMS`` gate -- and every query scatters across
+default, AESA when the shard holds at most ``_AUTO_AESA_MAX_ITEMS``
+items -- and every query scatters across
 the shards and k-merges (:mod:`repro.shard.merge`) under the canonical
 ``(distance, global index)`` tie-break.
 
@@ -41,6 +41,7 @@ the same bulk entry points and degradation accounting.
 
 from __future__ import annotations
 
+import functools
 import time
 import uuid
 import warnings
@@ -57,6 +58,7 @@ from typing import (
     Sequence,
     Tuple,
     Type,
+    cast,
 )
 
 import numpy as np
@@ -95,6 +97,10 @@ STRUCTURES = ("auto", "exhaustive", "laesa", "aesa", "bktree", "vptree")
 #: Default pivot count for per-shard LAESA tables (clamped to the shard
 #: size); override via ``structure_params={"n_pivots": ...}``.
 _DEFAULT_PIVOTS = 8
+
+#: Largest shard ``structure="auto"`` indexes with AESA (whose build is
+#: quadratic in the shard size); larger shards get LAESA.
+_AUTO_AESA_MAX_ITEMS = 512
 
 
 def resolve_shard_count(
@@ -165,10 +171,10 @@ def _resolve_structure(
     structure: str, shard_size: int, params: Mapping[str, Any]
 ) -> Tuple[Type[NearestNeighborIndex[Any]], Dict[str, Any]]:
     """Map a structure name + shard size to ``(class, constructor
-    kwargs)``.  ``"auto"`` picks AESA while the shard fits AESA's
-    bulk-sweep gate (``AesaIndex._BULK_SWEEP_MAX_ITEMS``, the regime its
-    quadratic build is affordable in), LAESA beyond it -- and then only
-    LAESA-applicable *params* are forwarded."""
+    kwargs)``.  ``"auto"`` picks AESA while the shard holds at most
+    ``_AUTO_AESA_MAX_ITEMS`` items (the regime its quadratic build is
+    affordable in), LAESA beyond it -- and then only LAESA-applicable
+    *params* are forwarded."""
     from ..index import (
         AesaIndex,
         BKTreeIndex,
@@ -184,7 +190,7 @@ def _resolve_structure(
         )
     kwargs = dict(params)
     if structure == "auto":
-        if shard_size <= AesaIndex._BULK_SWEEP_MAX_ITEMS:
+        if shard_size <= _AUTO_AESA_MAX_ITEMS:
             structure = "aesa"
             kwargs.pop("n_pivots", None)
             kwargs.pop("pivot_strategy", None)
@@ -209,6 +215,12 @@ class _Shard:
 
     index: NearestNeighborIndex[Any]
     global_ids: np.ndarray
+
+    @functools.cached_property
+    def global_list(self) -> List[int]:
+        """:attr:`global_ids` as Python ints: rebasing a hit reads one,
+        so every result of a global item shares its index object."""
+        return cast(List[int], self.global_ids.tolist())
 
 
 class ShardedIndex(NearestNeighborIndex[Any]):
@@ -343,15 +355,27 @@ class ShardedIndex(NearestNeighborIndex[Any]):
 
     # -- scatter-gather -------------------------------------------------------
 
-    def _globalise(self, shard: _Shard, hits: List[Tuple[int, float]]) -> List[SearchResult]:
+    def _globalise(
+        self,
+        shard: _Shard,
+        hits: List[Tuple[int, float]],
+        shared: Dict[float, float],
+    ) -> List[SearchResult]:
         """Rebase one shard's ``(local index, distance)`` hits onto the
         global item space.  ``global_ids`` is ascending, so per-shard
-        canonical order is preserved under the rebase."""
+        canonical order is preserved under the rebase.
+
+        Results share their objects: a global index is read from
+        :attr:`_Shard.global_list`, and equal distances of one call go
+        through *shared*, so a caller that keeps many answers holds one
+        object per distinct value instead of one per hit (hits arrive
+        unpickled from the pool, one float each)."""
         items = self.items
-        ids = shard.global_ids
+        ids = shard.global_list
         out = []
         for local, dist in hits:
-            gid = int(ids[local])
+            gid = ids[local]
+            dist = shared.setdefault(dist, dist)
             out.append(SearchResult(item=items[gid], index=gid, distance=dist))
         return out
 
@@ -472,9 +496,10 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         order = self._merge_order(len(self._shards))
         share = elapsed / max(n_queries, 1)
         out: List[Tuple[List[SearchResult], SearchStats]] = []
+        shared: Dict[float, float] = {}
         for qi in range(n_queries):
             lists = [
-                self._globalise(self._shards[si], gathered[si][qi][0])
+                self._globalise(self._shards[si], gathered[si][qi][0], shared)
                 for si in order
             ]
             count = sum(gathered[si][qi][1] for si in order)
@@ -502,7 +527,7 @@ class ShardedIndex(NearestNeighborIndex[Any]):
                 [
                     SearchResult(
                         item=r.item,
-                        index=int(shard.global_ids[r.index]),
+                        index=shard.global_list[r.index],
                         distance=r.distance,
                     )
                     for r in results
@@ -522,7 +547,7 @@ class ShardedIndex(NearestNeighborIndex[Any]):
                 [
                     SearchResult(
                         item=r.item,
-                        index=int(shard.global_ids[r.index]),
+                        index=shard.global_list[r.index],
                         distance=r.distance,
                     )
                     for r in results

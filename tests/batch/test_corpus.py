@@ -9,9 +9,10 @@ from repro.batch import intern_corpus
 from repro.batch.kernels import (
     _PAD_X,
     _PAD_Y,
-    _levenshtein_swept,
-    levenshtein_batch_numpy,
+    levenshtein_grid_encoded,
+    levenshtein_lanes_encoded,
 )
+from repro.core.levenshtein import levenshtein_distance
 
 
 WORDS = ["abc", "", "cab", "abc", "abcd", "dcba", "aaaa"]
@@ -59,10 +60,14 @@ def test_gather_matches_encode_batch_sweep():
     x_ids = np.array([0, 1, 2, 5, 6, 3])
     y_ids = np.array([4, 0, 2, 6, 1, 5])
     X, Y, mx, my = store.gather(x_ids, y_ids)
-    pairs = [(WORDS[i], WORDS[j]) for i, j in zip(x_ids, y_ids)]
-    # same integer DP results as the per-call encoding path
-    expected = levenshtein_batch_numpy(pairs)
-    assert _levenshtein_swept(X, Y, mx, my).tolist() == expected.tolist()
+    # the gathered matrices sweep to the scalar distances, as pair
+    # lanes and as a grid of every gathered x against every gathered y
+    expected = [
+        levenshtein_distance(WORDS[i], WORDS[j]) for i, j in zip(x_ids, y_ids)
+    ]
+    assert levenshtein_lanes_encoded(X, Y, mx, my).tolist() == expected
+    grid = levenshtein_grid_encoded(X, mx, Y, my)
+    assert np.diagonal(grid).tolist() == expected
 
 
 def test_store_with_queries_extends_the_alphabet():
@@ -75,10 +80,11 @@ def test_store_with_queries_extends_the_alphabet():
     X, Y, mx, my = store.gather(
         np.array([2, 3, 0]), np.array([0, 1, 3])
     )
-    expected = levenshtein_batch_numpy(
-        [("xyz", "abc"), ("abz", "cab"), ("abc", "abz")]
-    )
-    assert _levenshtein_swept(X, Y, mx, my).tolist() == expected.tolist()
+    expected = [
+        levenshtein_distance(x, y)
+        for x, y in [("xyz", "abc"), ("abz", "cab"), ("abc", "abz")]
+    ]
+    assert levenshtein_lanes_encoded(X, Y, mx, my).tolist() == expected
 
 
 def test_unencodable_items_get_an_unencoded_corpus():

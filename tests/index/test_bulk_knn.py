@@ -7,7 +7,15 @@ import pytest
 
 import repro.batch.engine as engine
 from repro.core import get_distance
-from repro.index import AesaIndex, CountingDistance, ExhaustiveIndex, LaesaIndex
+from repro.core._kernels import jit_backend
+from repro.index import (
+    AesaIndex,
+    BKTreeIndex,
+    CountingDistance,
+    ExhaustiveIndex,
+    LaesaIndex,
+    VPTreeIndex,
+)
 
 #: every test runs once per forced lockstep route (see conftest)
 pytestmark = pytest.mark.usefixtures("lockstep_route")
@@ -71,27 +79,98 @@ def test_aesa_bulk_matches_scalar(words, queries):
     _check_bulk_matches_scalar(index, queries, 3)
 
 
-def test_aesa_large_database_falls_back_to_loop(words, queries, monkeypatch):
-    # above the sweep gate the full-grid precompute would be slower than
-    # AESA's near-constant visits; bulk_knn must skip it and run only the
-    # lockstep rounds
-    index = AesaIndex(words[:40], get_distance("levenshtein"))
-    sweeps = []
-    real_precompute_ids = CountingDistance.precompute_ids
+def _spy_rows(monkeypatch, n_items):
+    """Record the ``(patterns, texts)`` shape of every bit-parallel grid
+    that computes rows against all *n_items* (pivot sweeps and pivot
+    rows run the same kernel over fewer texts)."""
+    taken = []
+    real = engine.levenshtein_grid_encoded
 
-    def spying_precompute_ids(self, store, x_ids, y_ids):
-        sweeps.append(len(x_ids))
-        return real_precompute_ids(self, store, x_ids, y_ids)
+    def spy(Xq, mq, T, mt):
+        if len(mt) == n_items:
+            taken.append(len(mq))
+        return real(Xq, mq, T, mt)
 
-    monkeypatch.setattr(CountingDistance, "precompute_ids", spying_precompute_ids)
-    # below the gate the sweep runs: the spy sees it
-    _check_bulk_matches_scalar(index, queries[:6], 2)
-    assert sweeps == [6 * 40]
-    sweeps.clear()
-    monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 10)
-    assert index._bulk_cache(index._corpus.store(queries[:6])) is None
-    _check_bulk_matches_scalar(index, queries[:6], 2)
-    assert not sweeps, "sweep used despite exceeding the size gate"
+    monkeypatch.setattr(engine, "levenshtein_grid_encoded", spy)
+    return taken
+
+
+def _spy_spent(monkeypatch):
+    """Record the modelled twin work of every lockstep round."""
+    spent = []
+    real = engine.twin_ns
+
+    def spy(store, x_ids, y_ids, scalar):
+        costs = real(store, x_ids, y_ids, scalar)
+        spent.append(sum(costs))
+        return costs
+
+    monkeypatch.setattr(engine, "twin_ns", spy)
+    return spent
+
+
+@pytest.mark.parametrize("structure", ["laesa", "aesa", "bktree", "vptree"])
+def test_row_is_taken_once_spent_work_passes_its_cost(
+    words, queries, structure, monkeypatch
+):
+    distance = get_distance("levenshtein")
+    index = {
+        "laesa": lambda: LaesaIndex(words, distance, n_pivots=2),
+        "aesa": lambda: AesaIndex(words, distance),
+        "bktree": lambda: BKTreeIndex(words, distance),
+        "vptree": lambda: VPTreeIndex(words, distance, rng=random.Random(5)),
+    }[structure]()
+    query = queries[1]
+    spent = _spy_spent(monkeypatch)
+    taken = _spy_rows(monkeypatch, len(words))
+    real_rows = CountingDistance.rows_ids
+    purchases = []
+
+    def spying_rows(self, store, x_ids):
+        purchases.append((len(x_ids), list(spent)))
+        return real_rows(self, store, x_ids)
+
+    monkeypatch.setattr(CountingDistance, "rows_ids", spying_rows)
+    # rows priced out: the call's whole twin work, round by round
+    monkeypatch.setattr(engine, "row_price", lambda name, store: (10**15, 0))
+    _check_bulk_matches_scalar(index, [query], 3)
+    assert not purchases and not taken and len(spent) > 2
+    price = sum(spent) // 2
+    # priced at half of it, one query: the rows are bought after the
+    # first round whose running total reaches the price, and serve the
+    # rest of the call
+    spent.clear()
+    monkeypatch.setattr(engine, "row_price", lambda name, store: (price, 0))
+    _check_bulk_matches_scalar(index, [query], 3)
+    ((rows, before),) = purchases
+    assert rows == 1
+    assert taken == ([] if jit_backend() is not None else [1])
+    assert sum(before) >= price > sum(before[:-1])
+    assert spent == before  # no twin work after the purchase
+
+
+def test_row_rule_never_prices_rows_for_contextual(words, queries, monkeypatch):
+    # d_C,h is not a closed form of d_E: no row, however much is spent,
+    # even with every row cost priced at zero
+    for constant in ("_ROUTE_ROW_NS", "_ROUTE_ROUND_NS", "_ROUTE_DIAGONAL_NS"):
+        monkeypatch.setattr(engine, constant, 0)
+    taken = _spy_rows(monkeypatch, 60)
+    for index in (
+        LaesaIndex(words[:60], get_distance("contextual_heuristic"), n_pivots=4),
+        AesaIndex(words[:60], get_distance("contextual_heuristic")),
+    ):
+        assert engine.row_price("contextual_heuristic", index._corpus.store()) is None
+        _check_bulk_matches_scalar(index, queries[:8], 2)
+    assert not taken
+    if jit_backend() is not None:
+        return  # the compiled backend takes no rows at all
+    # the same zero price makes d_E rows pay at the first round
+    _check_bulk_matches_scalar(
+        LaesaIndex(words[:60], get_distance("levenshtein"), n_pivots=4),
+        queries[:8],
+        2,
+    )
+    assert taken
 
 
 def test_exhaustive_bulk_matches_scalar(words, queries):
@@ -173,15 +252,14 @@ def test_laesa_bulk_matches_scalar_for_new_bounded_twins(words, queries, name):
     _check_bulk_matches_scalar(index, queries[:10], 2)
 
 
-def test_aesa_lockstep_batches_candidates_above_the_gate(
-    words, queries, monkeypatch
-):
-    # above the sweep gate the lockstep driver still answers every
-    # comparison through the batched engine, identically to the loop
-    monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 10)
+def test_aesa_lockstep_rounds_without_rows(words, queries, monkeypatch):
+    # with rows priced out the lockstep driver answers every comparison
+    # by the twins or the batched engine, identically to the loop
+    monkeypatch.setattr(engine, "row_price", lambda name, store: (10**15, 0))
+    taken = _spy_rows(monkeypatch, 40)
     index = AesaIndex(words[:40], get_distance("dmax"))
-    assert index._bulk_cache(index._corpus.store(queries[:8])) is None
     _check_bulk_matches_scalar(index, queries[:8], 2)
+    assert not taken
 
 
 def test_engine_min_pairs_env_override(monkeypatch):

@@ -8,6 +8,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.batch.engine as engine
 from repro.core import get_distance
 from repro.index import (
     AesaIndex,
@@ -70,10 +71,12 @@ class TestAgainstScalarLoop:
         ):
             _identical(index, queries, radius)
 
-    def test_aesa_above_sweep_gate(self, small_word_list, monkeypatch):
-        # beyond the gate the queries x items sweep is skipped but the
-        # lockstep rounds still batch; results and counts must not move
-        monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 4)
+    @pytest.mark.parametrize("price", [0, 10**15])
+    def test_aesa_with_and_without_rows(self, small_word_list, monkeypatch, price):
+        # rows bought after the first round, or priced out so the
+        # lockstep rounds answer everything; results and counts must not
+        # move
+        monkeypatch.setattr(engine, "row_price", lambda name, store: (price, 0))
         index = AesaIndex(small_word_list, get_distance("levenshtein"))
         _identical(index, _queries(random.Random(4), 8), 2.0)
 

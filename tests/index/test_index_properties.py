@@ -67,3 +67,64 @@ def test_member_queries_find_distance_zero(items):
     for q in items[:3]:
         found, _ = laesa.nearest(q)
         assert found.distance == 0.0
+
+
+def _drive_exact(index, query, gen):
+    """Drive a request generator answering every request -- bounded ones
+    included -- with the exact distance, as a row cache does; returns
+    the generator's result and its request count."""
+    distance = index._counter._distance
+    value = None
+    requests = 0
+    while True:
+        try:
+            idx, _limit, _cache_pos = gen.send(value)
+        except StopIteration as stop:
+            return stop.value, requests
+        requests += 1
+        value = distance(query, index.items[idx])
+
+
+_STRUCTURES = {
+    "laesa": lambda items, d: LaesaIndex(items, d, n_pivots=min(3, len(items))),
+    "aesa": AesaIndex,
+    "bktree": BKTreeIndex,
+    "vptree": lambda items, d: VPTreeIndex(items, d, rng=random.Random(0)),
+}
+
+
+#: longer words over more symbols than ``_word``, so a twin's value past
+#: its limit (the least value above it) mostly differs from the exact one
+_long_word = st.text(alphabet="abcdef", min_size=0, max_size=14)
+
+
+@pytest.mark.parametrize("structure", sorted(_STRUCTURES))
+@pytest.mark.parametrize("name", ["levenshtein", "dmax"])
+@given(
+    items=st.lists(_long_word, min_size=3, max_size=25, unique=True),
+    query=_long_word,
+    k=st.integers(1, 3),
+    radius=st.integers(0, 6),
+)
+@settings(max_examples=25, deadline=None)
+def test_exact_answers_to_bounded_requests_change_nothing(
+    structure, name, items, query, k, radius
+):
+    # every generator uses a value past its limit only through
+    # `value > limit`, so answering bounded requests with exact
+    # distances must give the scalar driver's results and counts
+    if structure == "bktree" and name != "levenshtein":
+        return  # the BK-tree takes integer metrics only
+    index = _STRUCTURES[structure](items, get_distance(name))
+    if name == "dmax":
+        radius = radius / 8
+    for run, scalar in (
+        (index._search_requests(k), index.knn(query, k)),
+        (index._range_requests(radius), index.range_search(query, radius)),
+    ):
+        want, stats = scalar
+        got, requests = _drive_exact(index, query, run)
+        assert [(r.index, r.distance) for r in got] == [
+            (r.index, r.distance) for r in want
+        ]
+        assert requests == stats.distance_computations

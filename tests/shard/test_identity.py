@@ -216,3 +216,23 @@ def test_preprocessing_is_sum_of_shards():
         s.index.preprocessing_computations for s in sharded._shards
     )
     assert sharded.preprocessing_computations == 4 * 4 * 20
+
+
+def test_bulk_results_share_index_and_distance_objects():
+    # a caller keeping many answers holds one object per global index
+    # and per distinct distance of a call, not one per hit
+    items = REGIMES["word"](400, 3)  # indices past CPython's small ints
+    queries = REGIMES["word"](12, 4)
+    sharded = ShardedIndex(
+        items, lev, shards=3, structure="laesa", structure_params={"n_pivots": 4}
+    )
+    flat = LaesaIndex(items, lev, n_pivots=4)
+    per_query = sharded.bulk_knn(queries, 6)
+    assert _results(per_query) == _results(flat.bulk_knn(queries, 6))
+    by_value = {}
+    by_index = {}
+    for results, _ in per_query:
+        for r in results:
+            assert by_value.setdefault(r.distance, r.distance) is r.distance
+            assert by_index.setdefault(r.index, r.index) is r.index
+    assert len(by_value) < sum(len(results) for results, _ in per_query)

@@ -66,10 +66,12 @@ def test_resolve_shard_count_rejects_degenerate():
         resolve_shard_count(10, 0)
 
 
-def test_auto_structure_follows_bulk_gate(monkeypatch):
+def test_auto_structure_follows_size_rule(monkeypatch):
+    import repro.shard.sharded as sharded
     from repro.index import AesaIndex, LaesaIndex
 
-    monkeypatch.setattr(AesaIndex, "_BULK_SWEEP_MAX_ITEMS", 100)
+    assert sharded._AUTO_AESA_MAX_ITEMS == 512
+    monkeypatch.setattr(sharded, "_AUTO_AESA_MAX_ITEMS", 100)
     cls, kwargs = _resolve_structure("auto", 100, {"n_pivots": 5})
     assert cls is AesaIndex and "n_pivots" not in kwargs
     cls, kwargs = _resolve_structure("auto", 101, {"n_pivots": 5})
