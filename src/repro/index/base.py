@@ -60,6 +60,7 @@ __all__ = [
     "Request",
     "RequestGenerator",
     "canonical_key",
+    "row_hits",
 ]
 
 Item = TypeVar("Item")
@@ -75,8 +76,12 @@ Request = Tuple[int, Optional[float], Optional[int]]
 
 #: The request-generator protocol: yields :data:`Request`, receives the
 #: distance via ``send`` (``None`` primes the generator), returns the
-#: sorted result list via ``StopIteration.value``.
-RequestGenerator = Generator[Request, Optional[float], Any]
+#: sorted result list via ``StopIteration.value``.  A structure that
+#: takes the row hand-off may instead receive the query's exact row (a
+#: 1-D array over the items) and then returns ``(results, answered)``,
+#: *answered* being the requests it answered from the row -- see
+#: ``NearestNeighborIndex._search_requests``.
+RequestGenerator = Generator[Request, Any, Any]
 
 
 def _validate_k(k: int, n: int) -> None:
@@ -117,6 +122,29 @@ class SearchResult:
     item: Any
     index: int
     distance: float
+
+
+def row_hits(
+    items: Sequence[Any],
+    row: np.ndarray,
+    radius: float,
+    ids: Optional[np.ndarray] = None,
+) -> List[SearchResult]:
+    """The range-search hits read from an exact distance *row*: every
+    item with ``row[i] <= radius`` -- among *ids* (ascending) when
+    given -- in canonical ``(distance, index)`` order.
+
+    A NaN entry is never a hit, exactly as ``d <= radius`` decides it.
+    """
+    values = row if ids is None else row[ids]
+    hit = values <= radius
+    found = np.flatnonzero(hit) if ids is None else ids[hit]
+    dist = values[hit]
+    order = np.argsort(dist, kind="stable")
+    return [
+        SearchResult(item=items[idx], index=idx, distance=d)
+        for idx, d in zip(found[order].tolist(), dist[order].astype(float).tolist())
+    ]
 
 
 def canonical_key(result: "SearchResult") -> Tuple[float, int]:
@@ -579,6 +607,16 @@ class NearestNeighborIndex(Generic[Item]):
         Every structure keeps that rule, which is what lets a driver
         answer bounded requests with exact distances from a row cache
         (:meth:`_lockstep_rounds`) without changing any result.
+
+        A bulk call that holds the query's exact row (its distance to
+        every item, a 1-D array) may *hand it over* as the value of the
+        request the generator is parked on.  A structure that takes the
+        hand-off (:meth:`_finish_from_row`; LAESA does) then reads that
+        request's distance and every later one from the row without
+        yielding, and returns ``(results, answered)``: *answered* is the
+        number of requests it answered from the row, the parked one
+        included, one computation each -- exactly the requests it would
+        have yielded.  The scalar search never hands a row over.
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no request-generator search"
@@ -603,6 +641,27 @@ class NearestNeighborIndex(Generic[Item]):
         computation per entry a search actually reads.
         """
         return None
+
+    def _finish_from_row(
+        self, send: Callable[[Any], Request], request: Request, row: np.ndarray
+    ) -> Tuple[Any, int]:
+        """Finish one query's generator (its ``send``, parked on
+        *request*) from the query's exact *row*, returning ``(result,
+        answered)``, *answered* counting the requests the row answered.
+
+        The default drains the generator request by request, the parked
+        one first; a structure that takes the row hand-off (see
+        :meth:`_search_requests`) overrides this to pass *row* itself.
+        """
+        values = row.tolist()
+        idx = request[0]
+        answered = 0
+        while True:
+            answered += 1
+            try:
+                idx = send(values[idx])[0]
+            except StopIteration as stop:
+                return stop.value, answered
 
     def _drive_requests(self, query: Item, gen: RequestGenerator) -> Any:
         """Run one request generator scalar-style (k-NN or range).
@@ -654,9 +713,12 @@ class NearestNeighborIndex(Generic[Item]):
         modelled cost of those queries' exact rows against the whole
         corpus (:func:`~repro.batch.engine.row_price`) the rows are
         computed in one bit-parallel grid (:meth:`CountingDistance.
-        rows_ids`) and serve every later request of those queries,
-        bounded ones included (see :meth:`_search_requests`).  The rows
-        live for this call only.
+        rows_ids`) and every active query is finished on its row at
+        once (:meth:`_finish_from_row`), bounded requests included (see
+        :meth:`_search_requests`): LAESA's generators take the row and
+        finish their walk on it, the other structures are drained from
+        it.  No round runs after the purchase, and the rows live for
+        this call only.
 
         Each query's request stream depends only on its own distances, so
         lockstep scheduling returns bit-identical results, distances
@@ -698,8 +760,7 @@ class NearestNeighborIndex(Generic[Item]):
         sends = [gen.send for gen in generators]
         # the row rule: its price, the twin work spent per query and on
         # the active queries (re-summed, with the rows' cost then due,
-        # whenever the active set shrinks), each query's pattern words,
-        # and each query's row once bought
+        # whenever the active set shrinks) and each query's pattern words
         price = row_price(counter.name, store)
         spent = [0] * n_queries
         spent_active = due = priced_for = 0
@@ -707,7 +768,6 @@ class NearestNeighborIndex(Generic[Item]):
             (store.length_list[q] + 63) // 64 or 1
             for q in (query_ids if price is not None else ())
         ]
-        row_of: List[Optional[List[float]]] = [None] * n_queries
         for qi, send in enumerate(sends):
             try:
                 requests[qi] = send(None)
@@ -721,27 +781,21 @@ class NearestNeighborIndex(Generic[Item]):
             for qi in active:
                 # serve cached requests inline until this query either
                 # finishes or demands a real evaluation
-                row = row_of[qi]
                 while True:
                     idx, limit, cache_pos = requests[qi]
-                    if row is not None:
-                        value = row[idx]
-                    elif limit is None and cache is not None and cache_pos is not None:
-                        value = cache.item(qi, cache_pos)
-                    else:
+                    if limit is not None or cache is None or cache_pos is None:
                         parked.append(qi)
                         y_ids.append(idx)
                         limits.append(inf if limit is None else limit)
                         break
                     counts[qi] += 1
                     try:
-                        requests[qi] = sends[qi](float(value))
+                        requests[qi] = sends[qi](float(cache.item(qi, cache_pos)))
                     except StopIteration as stop:
                         results[qi] = stop.value
                         break
             if not parked:
-                active = [qi for qi in active if results[qi] is None]
-                continue
+                break  # every active query finished on cached requests
             x_ids = [query_ids[qi] for qi in parked]
             values: Iterable[float]
             scalar = scalar_round_cheaper(counter.name, store, x_ids, y_ids, limits)
@@ -778,10 +832,16 @@ class NearestNeighborIndex(Generic[Item]):
                 active_words = [words[qi] for qi in active]
                 due = price[0] * max(active_words) + price[1] * sum(active_words)
             if spent_active >= due:
+                # bought: every active query finishes on its row now, read
+                # as floats like every answer the rounds send (the integer
+                # levenshtein_distance's rows are int64)
                 rows = counter.rows_ids(store, [query_ids[qi] for qi in active])
-                for qi, row in zip(active, rows.tolist()):
-                    row_of[qi] = row
-                price = None  # bought: every active query has its row
+                for qi, row in zip(active, np.asarray(rows, dtype=float)):
+                    results[qi], answered = self._finish_from_row(
+                        sends[qi], requests[qi], row
+                    )
+                    counts[qi] += answered
+                break
         share = (time.perf_counter() - started) / n_queries
         return [
             (

@@ -25,7 +25,7 @@ from .base import (
     SearchStats,
     _validate_k,
     _validate_radius,
-    canonical_key,
+    row_hits,
 )
 
 __all__ = ["ExhaustiveIndex"]
@@ -92,16 +92,7 @@ class ExhaustiveIndex(NearestNeighborIndex):
         return [(row_results, per_query) for row_results in results]
 
     def _range_search(self, query: Any, radius: float) -> List[SearchResult]:
-        return self._row_hits(self._grid_many([query])[0], radius)
-
-    def _row_hits(self, row: np.ndarray, radius: float) -> List[SearchResult]:
-        hits = [
-            SearchResult(item=self.items[idx], index=int(idx), distance=float(d))
-            for idx, d in enumerate(row)
-            if d <= radius
-        ]
-        hits.sort(key=canonical_key)
-        return hits
+        return row_hits(self.items, self._grid_many([query])[0], radius)
 
     def bulk_range_search(
         self, queries: Sequence[Any], radius: float
@@ -119,11 +110,11 @@ class ExhaustiveIndex(NearestNeighborIndex):
         started = time.perf_counter()
         with self._track_degradation():
             matrix = self._grid_many(queries)
-        results = [self._row_hits(row, radius) for row in matrix]
+        results = [row_hits(self.items, row, radius) for row in matrix]
         elapsed = time.perf_counter() - started
         self._counter.take()
         per_query = SearchStats(
             distance_computations=n,
             elapsed_seconds=elapsed / len(queries),
         )
-        return [(row_hits, per_query) for row_hits in results]
+        return [(hits, per_query) for hits in results]

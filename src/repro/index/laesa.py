@@ -39,6 +39,20 @@ pair-batched engine sweep (auto-sharded over a process pool when large
 enough) before the rounds start -- identical results and identical
 reported computation counts, a fraction of the wall-clock.
 
+When a bulk call's lockstep rounds buy a query's exact ``d_E``-family
+row, they hand the row to the generator as the value of the request the
+search is parked on (:meth:`LaesaIndex._finish_from_row`).  From then on
+the search reads every distance from the row without yielding.  The k-NN
+walk finishes in one numpy pass over the live slice of its own sorted
+order (cursor to the first bound above the radius): it stops where k of
+the distances recorded so far lie below the next bound, and takes the k
+best by one canonical ``(distance, index)`` sort (:func:`_walk_on_row`).
+A slice with NaN or infinite bounds (``d_min`` with empty strings) keeps
+stepping from the row until it is finite.  The range search selects its
+remaining survivors' hits from the row in one pass.  Either returns how
+many requests the row answered, so counts, results and tie order stay
+those of the scalar loop.
+
 Correctness requires the distance to be a metric; the paper nevertheless
 runs LAESA with the non-metric ``d_max`` and ``d_MV`` in Table 2 and
 observes (as we do) that the error rate barely moves -- the library allows
@@ -50,6 +64,7 @@ from __future__ import annotations
 
 import heapq
 import random
+from bisect import bisect_right
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -66,10 +81,12 @@ import numpy as np
 
 from .base import (
     NearestNeighborIndex,
+    Request,
     RequestGenerator,
     SearchResult,
     _tighten_bounds,
     canonical_key,
+    row_hits,
 )
 from .pivots import select_pivots
 
@@ -77,6 +94,52 @@ if TYPE_CHECKING:
     from ..batch.corpus import PairStore
 
 __all__ = ["LaesaIndex"]
+
+
+def _walk_on_row(
+    row: np.ndarray,
+    ids: np.ndarray,
+    bounds: np.ndarray,
+    visited: bytearray,
+    best: List[Tuple[float, int]],
+    k: int,
+) -> Tuple[int, List[Tuple[float, int]]]:
+    """The rest of a k-NN candidate walk, read from the query's exact
+    *row* in one pass; returns ``(compared, k_best)``.
+
+    *ids* / *bounds* are the live slice of the walk's candidate order
+    (finite bounds, ascending) and *best* the heap of the k best so far.
+    The step-by-step walk stops at the first unvisited position ``t``
+    whose bound exceeds the k-th-best radius, that is where at least
+    ``k`` of the distances recorded so far -- the heap's and those of
+    the slice before ``t`` -- lie below ``bounds[t]``.  A distance
+    counts from the first position whose bound exceeds it (a walked one
+    only after its own step), so the walk stops at the k-th smallest of
+    those positions.  The k best are then one canonical ``(distance,
+    index)`` sort of the heap and the walked slice, the order the heap
+    keeps.
+    """
+    live = np.frombuffer(visited, dtype=np.uint8)[ids] == 0
+    ids = ids[live]
+    bounds = bounds[live]
+    dist = row[ids]
+    m = len(ids)
+    prior = np.array([-nd for nd, _ in best], dtype=float)
+    starts = np.concatenate(
+        (
+            np.searchsorted(bounds, prior, side="right"),
+            np.maximum(
+                np.searchsorted(bounds, dist, side="right"), np.arange(1, m + 1)
+            ),
+        )
+    )
+    stop = int(np.partition(starts, k - 1)[k - 1]) if len(starts) >= k else m
+    values = np.concatenate((prior, dist[:stop]))
+    indices = np.concatenate(
+        (np.array([-nidx for _, nidx in best], dtype=np.intp), ids[:stop])
+    )
+    top = np.lexsort((indices, values))[:k]
+    return stop, list(zip(values[top].tolist(), indices[top].tolist()))
 
 
 class LaesaIndex(NearestNeighborIndex):
@@ -223,25 +286,60 @@ class LaesaIndex(NearestNeighborIndex):
         within the radius, which is the only case that can produce a
         hit.  Scalar and lockstep drivers account one computation per
         request, exactly like the pre-generator loop.
+
+        Handed the query's row, the generator reads the remaining pivots
+        from it and selects the remaining survivors' hits in one numpy
+        pass (:func:`~repro.index.base.row_hits`), returning ``(hits,
+        answered)``.
         """
         items = self.items
+        ndarray = np.ndarray  # a distance is a scalar, a handed-over row an array
         bounds = np.zeros(len(items), dtype=float)
         pivot_distances = {}
         hits: List[SearchResult] = []
-        for row, item_idx in enumerate(self.pivot_indices):
-            d = yield (item_idx, None, row)
+        row: Optional[np.ndarray] = None
+        answered = 0
+        for pos, item_idx in enumerate(self.pivot_indices):
+            if row is not None:
+                d = row.item(item_idx)
+                answered += 1
+            else:
+                d = yield (item_idx, None, pos)
+                if type(d) is ndarray:  # handed the row
+                    row = d
+                    d = row.item(item_idx)
+                    answered = 1
             pivot_distances[item_idx] = d
-            _tighten_bounds(bounds, self.pivot_rows[row], d)
+            _tighten_bounds(bounds, self.pivot_rows[pos], d)
         # ~(bound > radius), not bound <= radius: a NaN bound proves
         # nothing, so that item is still requested
-        for idx in np.flatnonzero(~(bounds > radius)).tolist():
-            d = pivot_distances.get(idx)
-            if d is None:
-                d = yield (idx, radius, None)
-            if d <= radius:
-                hits.append(SearchResult(item=items[idx], index=idx, distance=d))
+        survivors = np.flatnonzero(~(bounds > radius))
+        rest = survivors
+        if row is None:
+            for idx in survivors.tolist():
+                d = pivot_distances.get(idx)
+                if d is None:
+                    d = yield (idx, radius, None)
+                    if type(d) is ndarray:  # handed the row
+                        row = d
+                        rest = survivors[np.searchsorted(survivors, idx) :]
+                        break
+                if d <= radius:
+                    hits.append(SearchResult(item=items[idx], index=idx, distance=d))
+        if row is not None:
+            # The remaining survivors in one pass over the row.  A
+            # pivot's entry is its exact distance, answered already;
+            # every other survivor is one request.
+            if len(rest):
+                first = int(rest[0])
+                answered += len(rest) - sum(
+                    1
+                    for p in pivot_distances
+                    if p >= first and not bounds[p] > radius
+                )
+            hits += row_hits(items, row, radius, rest)
         hits.sort(key=canonical_key)
-        return hits
+        return hits if row is None else (hits, answered)
 
     def _bulk_cache(self, store: "PairStore") -> Optional[np.ndarray]:
         """The ``queries x pivots`` distance matrix in one engine sweep:
@@ -257,6 +355,19 @@ class LaesaIndex(NearestNeighborIndex):
         )
         return flat.reshape(len(q_ids), len(p_ids))
 
+    def _finish_from_row(
+        self, send: Callable[[Any], Request], request: Request, row: np.ndarray
+    ) -> Tuple[Any, int]:
+        """Hand *row* to the generator parked on *request*: it finishes
+        on the row without yielding and returns ``(results,
+        answered)``."""
+        try:
+            send(row)
+        except StopIteration as stop:
+            result: Tuple[Any, int] = stop.value
+            return result
+        raise RuntimeError("a LAESA search kept requesting after its row")
+
     def _search_requests(self, k: int) -> RequestGenerator:
         """LAESA's elimination loop as a request generator.
 
@@ -269,23 +380,37 @@ class LaesaIndex(NearestNeighborIndex):
         (lockstep).  See
         :meth:`~repro.index.base.NearestNeighborIndex._search_requests`
         for the protocol.
+
+        Handed the query's row, the generator reads every later distance
+        from it; once the live slice of its candidate order has finite
+        bounds it finishes the walk in one numpy pass
+        (:func:`_walk_on_row`) and returns ``(results, answered)``.
         """
         items = self.items
         n = len(items)
         inf = float("inf")
+        ndarray = np.ndarray  # a distance is a scalar, a handed-over row an array
         visited = bytearray(n)
         bounds = np.zeros(n, dtype=float)
         pending = list(self.pivot_indices)  # live, not-yet-compared pivots
-        # Every item in candidate order, with its bound: built on first
-        # use after each pivot comparison (the only step that moves a
-        # bound) and walked by `cursor`.
+        # Every item in candidate order, with its bound (as arrays and as
+        # lists): built on first use after each pivot comparison (the
+        # only step that moves a bound) and walked by `cursor`.
+        ranked = np.empty(0, dtype=np.intp)
+        ranked_bounds = np.empty(0, dtype=float)
         order: List[int] = []
         order_bounds: List[float] = []
         cursor = 0
         stale = True
+        # the query's exact row once it is handed over, and the
+        # requests answered from it
+        row: Optional[np.ndarray] = None
+        answered = 0
         # min-heap of (-distance, -index): the root is the canonical worst
-        # of the k best found so far under (distance, index) order
+        # of the k best found so far under (distance, index) order, and
+        # the final (distance, index) list once the walk ends on a row
         best: List[Tuple[float, int]] = []
+        ordered: Optional[List[Tuple[float, int]]] = None
 
         def record(idx: int, d: float) -> float:
             """Offer ``(d, idx)`` to the k best; return the k-th-best
@@ -308,7 +433,10 @@ class LaesaIndex(NearestNeighborIndex):
         while True:
             visited[current] = 1
             row_pos = pivot_position.get(current)
-            if row_pos is None:
+            if row is not None:
+                d = row.item(current)
+                answered += 1
+            elif row_pos is None:
                 # Non-pivot candidates only need their distance when it can
                 # enter the k-best heap: the early-exit twin abandons the
                 # banded DP as soon as the current best radius is exceeded.
@@ -318,6 +446,11 @@ class LaesaIndex(NearestNeighborIndex):
                 # and must therefore be exact (limit None); bulk drivers
                 # serve them from the precomputed sweep at cache_pos.
                 d = yield (current, None, row_pos)
+            if type(d) is ndarray:  # handed the row
+                row = d
+                d = row.item(current)
+                answered = 1
+            if row_pos is not None:
                 _tighten_bounds(bounds, self.pivot_rows[row_pos], d)
                 stale = True
             # An unvisited item is live while no bound-versus-radius test
@@ -355,10 +488,32 @@ class LaesaIndex(NearestNeighborIndex):
                 ranked = np.argsort(
                     np.where(np.isnan(bounds), -1.0, bounds), kind="stable"
                 )
+                ranked_bounds = bounds[ranked]
                 order = ranked.tolist()
-                order_bounds = bounds[ranked].tolist()
+                order_bounds = ranked_bounds.tolist()
                 cursor = 0
                 stale = False
+            if row is not None:
+                # The live slice ends at the first bound above the
+                # radius.  With no NaN at its head (NaN ranks first) and
+                # no infinity at its tail, the rest of the walk is one
+                # numpy pass; otherwise keep stepping from the row.
+                end = bisect_right(order_bounds, radius, cursor)
+                if (
+                    cursor < end
+                    and order_bounds[cursor] == order_bounds[cursor]
+                    and order_bounds[end - 1] != inf
+                ):
+                    walked, ordered = _walk_on_row(
+                        row,
+                        ranked[cursor:end],
+                        ranked_bounds[cursor:end],
+                        visited,
+                        best,
+                        k,
+                    )
+                    answered += walked
+                    break
             current = -1
             while cursor < n:
                 bound = order_bounds[cursor]
@@ -372,11 +527,13 @@ class LaesaIndex(NearestNeighborIndex):
                     break
             if current < 0:
                 break
-        ordered = sorted((-nd, -nidx) for nd, nidx in best)
-        return [
+        if ordered is None:
+            ordered = sorted((-nd, -nidx) for nd, nidx in best)
+        results = [
             SearchResult(item=items[idx], index=idx, distance=d)
             for d, idx in ordered
         ]
+        return results if row is None else (results, answered)
 
     # in LaesaIndex.__dict__ on purpose: perfbench/tracing.py wraps them there
     bulk_knn = NearestNeighborIndex.bulk_knn

@@ -3,6 +3,7 @@ result-for-result and count-for-count, with auto-sharding on and off."""
 
 import random
 
+import numpy as np
 import pytest
 
 import repro.batch.engine as engine
@@ -171,6 +172,107 @@ def test_row_rule_never_prices_rows_for_contextual(words, queries, monkeypatch):
         2,
     )
     assert taken
+
+
+class _SpyGenerator:
+    """A request generator that logs every value sent to it."""
+
+    def __init__(self, gen, log, qi):
+        self._gen, self._log, self._qi = gen, log, qi
+
+    def send(self, value):
+        self._log.append(("send", self._qi, value))
+        return self._gen.send(value)
+
+
+def _spy_purchase(monkeypatch, index, log):
+    """Log every generator send, every lockstep round and the row
+    purchase of *index*'s bulk calls into *log*, in order."""
+    for method in ("_search_requests", "_range_requests"):
+        real_method = getattr(index, method)
+        made = []
+
+        def spying(arg, real_method=real_method, made=made):
+            made.append(None)
+            return _SpyGenerator(real_method(arg), log, len(made) - 1)
+
+        monkeypatch.setattr(index, method, spying)
+    real_round = engine.scalar_round_cheaper
+
+    def spying_round(*args):
+        log.append(("round",))
+        return real_round(*args)
+
+    monkeypatch.setattr(engine, "scalar_round_cheaper", spying_round)
+    real_rows = CountingDistance.rows_ids
+
+    def spying_rows(self, store, x_ids):
+        log.append(("rows", len(x_ids)))
+        return real_rows(self, store, x_ids)
+
+    monkeypatch.setattr(CountingDistance, "rows_ids", spying_rows)
+
+
+def _price_at_half(monkeypatch, run):
+    """Price rows at half the twin work *run* spends with rows priced
+    out, so the purchase falls in the middle of the call."""
+    spent = _spy_spent(monkeypatch)
+    monkeypatch.setattr(engine, "row_price", lambda name, store: (10**15, 0))
+    run()
+    price = sum(spent) // 2
+    monkeypatch.setattr(engine, "row_price", lambda name, store: (price, 0))
+
+
+@pytest.mark.skipif(jit_backend() is not None, reason="numba takes no rows")
+@pytest.mark.parametrize("search", ["knn", "range"])
+@pytest.mark.parametrize("structure", ["laesa", "aesa", "bktree", "vptree"])
+def test_purchase_finishes_every_active_query(
+    words, queries, structure, search, monkeypatch
+):
+    distance = get_distance("levenshtein")
+    index = {
+        "laesa": lambda: LaesaIndex(words, distance, n_pivots=4),
+        "aesa": lambda: AesaIndex(words, distance),
+        "bktree": lambda: BKTreeIndex(words, distance),
+        "vptree": lambda: VPTreeIndex(words, distance, rng=random.Random(5)),
+    }[structure]()
+    batch = queries[:10]
+    if search == "knn":
+        loop = [index.knn(q, 3) for q in batch]
+        run = lambda: index.bulk_knn(batch, 3)
+    else:
+        loop = [index.range_search(q, 2.0) for q in batch]
+        run = lambda: index.bulk_range_search(batch, 2.0)
+    _price_at_half(monkeypatch, run)
+    log = []
+    _spy_purchase(monkeypatch, index, log)
+    got = run()
+    assert [
+        ([(r.index, r.distance) for r in res], s.distance_computations)
+        for res, s in got
+    ] == [
+        ([(r.index, r.distance) for r in res], s.distance_computations)
+        for res, s in loop
+    ]
+    (at,) = [i for i, event in enumerate(log) if event[0] == "rows"]
+    before, after = log[:at], log[at + 1 :]
+    assert ("round",) in before
+    # no round runs once the rows are bought
+    assert all(event[0] == "send" for event in after)
+    finished = {event[1] for event in after}
+    assert len(finished) == log[at][1] > 0
+    rowed = [value for _, _, value in after if isinstance(value, np.ndarray)]
+    if structure == "laesa":
+        # one hand-off per active query, and not another float after it
+        assert len(rowed) == len(after) == len(finished)
+    else:
+        # drained from the row, one float per remaining request
+        assert not rowed
+    # the loop's counts: a drained query answers one request per send
+    for qi, (_, stats) in enumerate(loop):
+        sends = [event for event in log if event[:2] == ("send", qi)]
+        if structure != "laesa" or qi not in finished:
+            assert len(sends) - 1 == stats.distance_computations
 
 
 def test_exhaustive_bulk_matches_scalar(words, queries):

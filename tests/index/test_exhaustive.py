@@ -1,7 +1,11 @@
 """Exhaustive scan: the ground truth every other index is checked against."""
 
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
 from repro.core import get_distance
 from repro.index import ExhaustiveIndex
+from repro.index.base import SearchResult, canonical_key, row_hits
 
 
 def test_finds_exact_match():
@@ -122,3 +126,72 @@ def test_scalar_scan_over_an_unencoded_corpus(monkeypatch):
     assert len(seen) == len(items)
     assert all(a is query for a, _ in seen)
     assert [b for _, b in seen] == items
+
+
+def _comprehension_hits(items, row, radius):
+    """The per-entry Python loop the numpy selection replaced."""
+    hits = [
+        SearchResult(item=items[idx], index=int(idx), distance=float(d))
+        for idx, d in enumerate(row)
+        if d <= radius
+    ]
+    hits.sort(key=canonical_key)
+    return hits
+
+
+def _hex_hits(hits):
+    return [(r.item, r.index, r.distance.hex()) for r in hits]
+
+
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, 3.0]), max_size=30),
+    radius=st.sampled_from([0.0, 0.25, 1.0, 2.5, float("inf")]),
+    ids_seed=st.integers(0, 2**16),
+)
+@settings(max_examples=100, deadline=None)
+def test_row_hits_match_the_comprehension_on_ties(values, radius, ids_seed):
+    items = [f"w{i}" for i in range(len(values))]
+    row = np.array(values, dtype=float)
+    assert _hex_hits(row_hits(items, row, radius)) == _hex_hits(
+        _comprehension_hits(items, row, radius)
+    )
+    # among a subset of ids (ascending), as LAESA's range finish asks
+    ids = np.flatnonzero(np.random.default_rng(ids_seed).random(len(values)) < 0.5)
+    want = [
+        r for r in _comprehension_hits(items, row, radius) if r.index in set(ids)
+    ]
+    assert _hex_hits(row_hits(items, row, radius, ids)) == _hex_hits(want)
+
+
+def test_row_hits_on_dmin_rows_with_nan_and_inf():
+    words = ["", "ab", "abc", "b", "", "ca", "abcd", "bca", "x"]
+    items = list(words)
+    for query in ("", "ab", "c"):
+        row = np.array([get_distance("dmin")(query, u) for u in words])
+        with_nan = row.copy()
+        with_nan[[2, 5]] = np.nan
+        for values in (row, with_nan):
+            for radius in (0.0, 0.5, 1.0, float("inf")):
+                assert _hex_hits(row_hits(items, values, radius)) == _hex_hits(
+                    _comprehension_hits(items, values, radius)
+                )
+    # the integer rows of levenshtein_distance give float distances
+    int_row = np.array([2, 0, 1, 2, 0], dtype=np.int64)
+    got = row_hits(items[:5], int_row, 1.0)
+    assert [(r.index, type(r.distance)) for r in got] == [
+        (1, float), (4, float), (2, float)
+    ]
+
+
+def test_range_search_uses_the_numpy_selection():
+    words = ["casa", "cosa", "cesta", "masa", "casa", "", "cas"]
+    index = ExhaustiveIndex(words, get_distance("dmin"))
+    for query in ("casa", "", "ca"):
+        for radius in (0.0, 0.5, float("inf")):
+            row = index._grid_many([query])[0]
+            want = _hex_hits(_comprehension_hits(words, row, radius))
+            got, stats = index.range_search(query, radius)
+            assert _hex_hits(got) == want
+            assert stats.distance_computations == len(words)
+            ((bulk, _),) = index.bulk_range_search([query], radius)
+            assert _hex_hits(bulk) == want

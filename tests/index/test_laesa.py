@@ -212,7 +212,7 @@ def _reference_search_requests(index, k):
 
 
 def _stream(index, generator, query):
-    """Drive *generator* as the scalar driver does (exact calls for
+    """Drive *generator* as the scalar search does (exact calls for
     ``limit=None``, the early-exit twin otherwise); return every request
     it yielded and its answers as ``(index, distance)`` pairs."""
     requests = []
@@ -347,3 +347,136 @@ def test_dmin_with_empty_strings_agrees_across_entry_points():
             want = [(r.index, r.distance) for r in exhaustive.range_search(q, radius)[0]]
             got = [(r.index, r.distance) for r in aesa.range_search(q, radius)[0]]
             assert got == want, (q, radius)
+
+
+def _hex(results):
+    return [(r.index, float(r.distance).hex()) for r in results]
+
+
+def _hand_off_after(index, generator, query, j):
+    """Drive *generator* as the scalar search does (exact calls for
+    ``limit=None``, the early-exit twin otherwise) for its first *j*
+    requests, then hand over the query's exact row as the value of the
+    next one.  Returns the answers as ``(index, distance.hex())`` and the
+    requests answered, before and from the row."""
+    counter = index._counter
+    row = np.array([counter._distance(query, item) for item in index.items])
+    value = None
+    count = 0
+    while True:
+        try:
+            idx, limit, _ = generator.send(value)
+        except StopIteration as stop:  # finished before the hand-off
+            return _hex(stop.value), count
+        if count == j:
+            try:
+                generator.send(row)
+            except StopIteration as stop:
+                results, answered = stop.value
+                return _hex(results), count + answered
+            raise AssertionError("the generator kept requesting after its row")
+        count += 1
+        item = index.items[idx]
+        if limit is None:
+            value = counter._distance(query, item)
+        else:
+            value = counter.peek_within(query, item, limit)
+
+
+#: short words over two symbols: duplicates (ties) and empty strings
+_tie_word = st.text(alphabet="ab", max_size=4)
+
+
+class TestRowHandOff:
+    """A row handed over after any number of requests finishes the
+    search exactly as the scalar search does: the same answers, bit for
+    bit, and the same count."""
+
+    @given(
+        data=st.data(),
+        items=st.lists(_tie_word, min_size=1, max_size=12),
+        query=_tie_word,
+        name=st.sampled_from(["levenshtein", "dmax", "dmin"]),
+        pivots=st.sampled_from(["0", "1", "k", "n"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_knn_matches_scalar_search_at_every_request(
+        self, data, items, query, name, pivots
+    ):
+        n = len(items)
+        k = data.draw(st.integers(1, n), label="k")
+        n_pivots = {"0": 0, "1": 1, "k": k, "n": n}[pivots]
+        index = LaesaIndex(items, name, n_pivots=n_pivots)
+        want, stats = index.knn(query, k)
+        for j in range(stats.distance_computations + 1):
+            got = _hand_off_after(index, index._search_requests(k), query, j)
+            assert got == (_hex(want), stats.distance_computations), j
+
+    @given(
+        data=st.data(),
+        items=st.lists(_tie_word, min_size=1, max_size=12),
+        query=_tie_word,
+        name=st.sampled_from(["levenshtein", "dmax", "dmin"]),
+        pivots=st.sampled_from(["0", "1", "2", "n"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_range_matches_scalar_search_at_every_request(
+        self, data, items, query, name, pivots
+    ):
+        n = len(items)
+        n_pivots = {"0": 0, "1": 1, "2": min(2, n), "n": n}[pivots]
+        index = LaesaIndex(items, name, n_pivots=n_pivots)
+        distance = get_distance(name)
+        # a radius equal to one of the query's distances
+        radius = data.draw(
+            st.sampled_from(sorted({distance(query, u) for u in items})),
+            label="radius",
+        )
+        want, stats = index.range_search(query, radius)
+        for j in range(stats.distance_computations + 1):
+            got = _hand_off_after(
+                index, index._range_requests(radius), query, j
+            )
+            assert got == (_hex(want), stats.distance_computations), j
+
+    def test_dmin_empty_strings_step_from_the_row(self, monkeypatch):
+        # the example of test_nan_bounds_come_first_while_radius_is_infinite:
+        # the empty items' bounds are NaN and the others' infinite, so no
+        # live slice is finite and the walk steps from the row to its end
+        import repro.index.laesa as laesa
+
+        calls = []
+        real = laesa._walk_on_row
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(laesa, "_walk_on_row", spy)
+        items = ["ab", "ba", "", "abc", "", "b", ""]
+        distance = get_distance("dmin")
+        row = np.array([[distance(items[0], u) for u in items]])
+        index = LaesaIndex.from_pivots(items, distance, [0], row)
+        want, stats = index.knn("", 2)
+        for j in range(stats.distance_computations):
+            got = _hand_off_after(index, index._search_requests(2), "", j)
+            assert got == (_hex(want), stats.distance_computations), j
+        assert not calls
+
+    def test_finite_slice_finishes_in_one_pass(self, monkeypatch):
+        import repro.index.laesa as laesa
+
+        calls = []
+        real = laesa._walk_on_row
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(laesa, "_walk_on_row", spy)
+        items = ["abab", "ab", "ba", "aab", "abb", "b", "ab", "bba", "aaa"]
+        index = LaesaIndex(items, "levenshtein", n_pivots=2)
+        want, stats = index.knn("abb", 3)
+        got = _hand_off_after(index, index._search_requests(3), "abb", 2)
+        assert got == (_hex(want), stats.distance_computations)
+        assert len(calls) == 1
