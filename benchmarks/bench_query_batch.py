@@ -8,12 +8,19 @@ held-out contours as queries.  Four modes:
 * ``--mode knn`` (default) -- nearest-neighbour search per query: the
   per-query `knn` loop vs `bulk_knn` (pivot sweep + lockstep candidate
   rounds through the banded batch kernels), for LAESA, AESA and the
-  VP-tree (lockstep rounds without a sweep);
+  VP-tree (lockstep rounds without a sweep), plus LAESA `bulk_knn` in
+  batches of 1, 8 and 32 against the same loop.  Each bulk pass
+  records its row purchases (``d_E``-family value rows, ``d_C,h``
+  check rows); the numba backend must buy none, and under
+  ``contextual_heuristic`` on numpy LAESA must buy check rows and AESA
+  none;
 * ``--mode range`` -- radius search at a paper-style tight radius (a low
   quantile of sampled training distances): the per-query `range_search`
-  loop vs the lockstep `bulk_range_search`, plus a direct timing of the
-  banded `pairwise_values_bounded` engine path against a slot-by-slot
-  ``CountingDistance.within`` loop on the same candidate workload,
+  loop vs the lockstep `bulk_range_search` (row purchases recorded and
+  checked like knn mode's, except that LAESA need not buy), plus a
+  direct timing of the banded `pairwise_values_bounded` engine path
+  against a slot-by-slot ``CountingDistance.within`` loop on the same
+  candidate workload,
   values asserted equal (for ``--distance marzal_vidal`` that compares
   the batched banded parametric kernel against the per-pair scalar
   probe);
@@ -137,6 +144,10 @@ def _check_identical(scalar, batch, label: str) -> None:
             )
 
 
+#: LAESA ``bulk_knn`` batch sizes of knn mode's per-batch rows.
+KNN_BATCHES = (1, 8, 32)
+
+
 def run_benchmark(
     distance: str,
     per_class: int,
@@ -152,12 +163,28 @@ def run_benchmark(
     started = time.perf_counter()
     scalar = [index.knn(q, k) for q in queries]
     scalar_seconds = time.perf_counter() - started
+    purchases = {}
 
-    started = time.perf_counter()
-    batch = index.bulk_knn(queries, k)
-    batch_seconds = time.perf_counter() - started
-
+    batch, batch_seconds, purchases["laesa"] = _bulk_in_batches(
+        index.bulk_knn, queries, k, len(queries)
+    )
     _check_identical(scalar, batch, "LAESA")
+
+    # the batch sizes the upper tiers send: a served batch of one, a
+    # coalesced few, a shard's tens
+    batch_rows = []
+    for size in KNN_BATCHES:
+        answers, seconds, bought = _bulk_in_batches(index.bulk_knn, queries, k, size)
+        _check_identical(scalar, answers, f"LAESA batch {size}")
+        batch_rows.append(
+            {
+                "batch": size,
+                "loop_ms_per_query": round(scalar_seconds * 1e3 / len(queries), 3),
+                "bulk_ms_per_query": round(seconds * 1e3 / len(queries), 3),
+                "bulk_over_loop": round(scalar_seconds / seconds, 2),
+                "row_purchases": bought,
+            }
+        )
 
     # AESA rides the same cache machinery; keep it honest on a small
     # database (its quadratic preprocessing regime) without letting it
@@ -167,9 +194,9 @@ def run_benchmark(
     started = time.perf_counter()
     aesa_scalar = [aesa.knn(q, k) for q in queries]
     aesa_scalar_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    aesa_batch = aesa.bulk_knn(queries, k)
-    aesa_batch_seconds = time.perf_counter() - started
+    aesa_batch, aesa_batch_seconds, purchases["aesa"] = _bulk_in_batches(
+        aesa.bulk_knn, queries, k, len(queries)
+    )
     _check_identical(aesa_scalar, aesa_batch, "AESA")
 
     # the VP-tree has no sweep: its bulk_knn is the lockstep rounds alone
@@ -177,10 +204,11 @@ def run_benchmark(
     started = time.perf_counter()
     vptree_scalar = [vptree.knn(q, k) for q in queries]
     vptree_scalar_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    vptree_batch = vptree.bulk_knn(queries, k)
-    vptree_batch_seconds = time.perf_counter() - started
+    vptree_batch, vptree_batch_seconds, purchases["vptree"] = _bulk_in_batches(
+        vptree.bulk_knn, queries, k, len(queries)
+    )
     _check_identical(vptree_scalar, vptree_batch, "VP-tree")
+    _check_purchases(distance, purchases, laesa_buys=True)
 
     comps = [s.distance_computations for _, s in batch]
     return {
@@ -201,6 +229,8 @@ def run_benchmark(
         "vptree_scalar_seconds": round(vptree_scalar_seconds, 4),
         "vptree_batch_seconds": round(vptree_batch_seconds, 4),
         "vptree_speedup": round(vptree_scalar_seconds / vptree_batch_seconds, 2),
+        "row_purchases": purchases,
+        "batches": batch_rows,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -234,11 +264,11 @@ def run_range_benchmark(
     started = time.perf_counter()
     scalar = [index.range_search(q, radius) for q in queries]
     scalar_seconds = time.perf_counter() - started
+    purchases = {}
 
-    started = time.perf_counter()
-    batch = index.bulk_range_search(queries, radius)
-    batch_seconds = time.perf_counter() - started
-
+    batch, batch_seconds, purchases["laesa"] = _bulk_in_batches(
+        index.bulk_range_search, queries, radius, len(queries)
+    )
     _check_identical(scalar, batch, "LAESA range")
 
     aesa_n = min(len(train), 120)
@@ -246,10 +276,11 @@ def run_range_benchmark(
     started = time.perf_counter()
     aesa_scalar = [aesa.range_search(q, radius) for q in queries]
     aesa_scalar_seconds = time.perf_counter() - started
-    started = time.perf_counter()
-    aesa_batch = aesa.bulk_range_search(queries, radius)
-    aesa_batch_seconds = time.perf_counter() - started
+    aesa_batch, aesa_batch_seconds, purchases["aesa"] = _bulk_in_batches(
+        aesa.bulk_range_search, queries, radius, len(queries)
+    )
     _check_identical(aesa_scalar, aesa_batch, "AESA range")
+    _check_purchases(distance, purchases, laesa_buys=False)
 
     # Direct bounded-engine vs scalar-twin comparison on the tight-radius
     # candidate workload (every query against a training slice at the
@@ -291,6 +322,7 @@ def run_range_benchmark(
         "bounded_engine_seconds": round(engine_seconds, 4),
         "bounded_within_seconds": round(within_seconds, 4),
         "bounded_speedup": round(within_seconds / engine_seconds, 2),
+        "row_purchases": purchases,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -393,28 +425,59 @@ def _short_words(n: int, seed: int, lo: int = 3, hi: int = 12) -> list:
 
 
 class _RowPurchases:
-    """Counts the row purchases of the lockstep rounds (calls of
-    ``CountingDistance.rows_ids``) while installed as a wrapper."""
+    """Counts the row purchases of the lockstep rounds while installed
+    as a wrapper: calls of ``CountingDistance.rows_ids`` (``d_E``-family
+    value rows) and ``CountingDistance.check_rows_ids`` (``d_C,h``'s
+    ``d_E`` check rows)."""
 
     def __init__(self) -> None:
         self.count = 0
+        self._real: dict = {}
 
     def __enter__(self) -> "_RowPurchases":
         from repro.index.base import CountingDistance
 
-        real = self._real = CountingDistance.rows_ids
+        for method in ("rows_ids", "check_rows_ids"):
+            real = self._real[method] = getattr(CountingDistance, method)
 
-        def counting(counter, store, x_ids):
-            self.count += 1
-            return real(counter, store, x_ids)
+            def counting(counter, store, x_ids, real=real):
+                self.count += 1
+                return real(counter, store, x_ids)
 
-        CountingDistance.rows_ids = counting
+            setattr(CountingDistance, method, counting)
         return self
 
     def __exit__(self, *exc) -> None:
         from repro.index.base import CountingDistance
 
-        CountingDistance.rows_ids = self._real
+        for method, real in self._real.items():
+            setattr(CountingDistance, method, real)
+
+
+def _bulk_in_batches(bulk_call, queries, arg, batch):
+    """``bulk_call`` over *queries* in batches of *batch*: ``(answers,
+    seconds, row purchases)``."""
+    with _RowPurchases() as purchases:
+        started = time.perf_counter()
+        answers = []
+        for lo in range(0, len(queries), batch):
+            answers.extend(bulk_call(queries[lo : lo + batch], arg))
+        seconds = time.perf_counter() - started
+    return answers, seconds, purchases.count
+
+
+def _check_purchases(distance: str, purchases: dict, laesa_buys: bool) -> None:
+    """The numba backend takes no rows at all.  On numpy, AESA's
+    ``d_C,h`` searches buy no ``d_E`` check rows (it asks exact
+    distances only), and LAESA's k-NN bulk call (*laesa_buys*) must buy
+    them: its bounded requests check ``d_E``.  (A tight-radius range
+    search asks too few of them for the rent to reach a row.)"""
+    if jit.backend_name() == "numba":
+        if any(purchases.values()):
+            raise AssertionError(f"numba took rows: {purchases}")
+    elif distance == "contextual_heuristic":
+        if purchases["aesa"] or (laesa_buys and not purchases["laesa"]):
+            raise AssertionError(f"d_C,h check rows misbought: {purchases}")
 
 
 def _words_row(index, queries, arg, batch, truth, label, repeats, search="knn"):
@@ -432,12 +495,8 @@ def _words_row(index, queries, arg, batch, truth, label, repeats, search="knn"):
         started = time.perf_counter()
         loop = [one(q, arg) for q in queries]
         loop_s = min(loop_s, time.perf_counter() - started)
-        with _RowPurchases() as purchases:
-            started = time.perf_counter()
-            bulk = []
-            for lo in range(0, len(queries), batch):
-                bulk.extend(bulk_call(queries[lo : lo + batch], arg))
-            bulk_s = min(bulk_s, time.perf_counter() - started)
+        bulk, seconds, bought = _bulk_in_batches(bulk_call, queries, arg, batch)
+        bulk_s = min(bulk_s, seconds)
     _check_identical(loop, bulk, label)
     for q, ((got, _), want) in enumerate(zip(bulk, truth)):
         if [(r.index, r.distance) for r in got] != want:
@@ -455,7 +514,7 @@ def _words_row(index, queries, arg, batch, truth, label, repeats, search="knn"):
         "loop_ms_per_query": round(loop_s * 1e3 / n, 3),
         "bulk_ms_per_query": round(bulk_s * 1e3 / n, 3),
         "bulk_over_loop": round(loop_s / bulk_s, 2),
-        "row_purchases": purchases.count,
+        "row_purchases": bought,
     }
 
 

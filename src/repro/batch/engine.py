@@ -61,6 +61,7 @@ from __future__ import annotations
 import os
 import time
 import warnings
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -86,7 +87,7 @@ from ..core.bounded import (
     _edit_budget,
     bounded_for,
     contextual_edit_budget,
-    contextual_pruned_value,
+    contextual_edit_decision,
     mv_bound_plan,
     mv_pruned_value,
 )
@@ -966,30 +967,24 @@ def _replay_bounded_lev(
 
 
 def _replay_bounded_contextual(
-    same: bool, m: int, n: int, limit: float, d_e: int, ni: int, exact: bool
+    m: int, n: int, limit: float, d_e: int, ni: int, exact: bool
 ) -> float:
-    """Replay ``bounded_contextual_heuristic`` from a banded twin-table
-    kernel result.
-
-    The twin's banded DP recovers exactly these integers whenever
-    ``d_E`` fits the edit budget (``exact`` from the kernel, whose
-    budget covers this request's), so the canonical-cost branch is
-    bit-identical; the pruned branches replay the twin's closed forms.
-    ``same`` is the twin's leading ``x == y`` shortcut (callers decide
-    it from content or from interned encoded rows).
+    """Replay ``bounded_contextual_heuristic`` from twin tables: the
+    scalar twin's own decision (:func:`~repro.core.bounded.
+    contextual_edit_decision`) on ``d_e`` when ``exact`` -- the tables'
+    budget covered this request's, or the call held the pair's ``d_E``
+    -- and on "over budget" otherwise, then ``canonical_cost`` of the
+    tables' integers, which are the twin's whenever ``d_E`` fits the
+    budget.  An equal pair reaches here with ``d_e == 0`` and exact, so
+    it answers 0.0 like the twin's leading ``x == y`` shortcut.
     """
-    if same:
-        return 0.0
-    total = m + n
-    k = total if limit == _INF else contextual_edit_budget(limit, total)
-    if exact and (k >= total or d_e <= k):
-        cost = canonical_cost(m, n, d_e, ni)
-        if cost is None:  # pragma: no cover - DP guarantees feasibility
-            raise AssertionError(f"infeasible heuristic ({m}, {n}) slot")
-        return cost
-    if abs(m - n) > k:
-        return contextual_pruned_value(max(k, abs(m - n) - 1), total)
-    return contextual_pruned_value(k, total)
+    decided = contextual_edit_decision(m, n, limit, d_e if exact else None)
+    if decided is not None:
+        return decided
+    cost = canonical_cost(m, n, d_e, ni)
+    if cost is None:  # pragma: no cover - DP guarantees feasibility
+        raise AssertionError(f"infeasible heuristic ({m}, {n}) slot")
+    return cost
 
 
 def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
@@ -1055,10 +1050,12 @@ def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
 #: ``d_E`` first, and still price what the check leaves: the twin
 #: tables, which both routes now build only for pairs within budget
 #: (:func:`_checked_tables` prices its checks and the survivors' tables
-#: with them too).  The round model still prices the scalar route by
-#: the budget's band, so it sends contour rounds of about 10 pairs or
-#: more to the engine, where the two routes now do nearly the same work
-#: (a near tie at 16 pairs in ``bench_query_batch.py --mode route``).
+#: with them too).  Until a call holds ``d_E`` check rows the round
+#: model prices the scalar route by the budget's band, so it sends
+#: contour rounds of about 10 pairs or more to the engine, where the
+#: two routes now do nearly the same work (a near tie at 16 pairs in
+#: ``bench_query_batch.py --mode route``); with them, it prices only the
+#: survivors' tables, in the band of their exact ``d_E``.
 #:
 #: ``_ROUTE_ROW_NS`` prices the bit-parallel grid behind exact rows
 #: (:func:`row_price`) per corpus symbol and per ``uint64`` word of each
@@ -1072,9 +1069,14 @@ def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
 #: ms per call, 19-20 us per column-word and 14-15 ns per symbol-word
 #: (absolute and relative fits).  The existing call and diagonal prices
 #: are close to the first two, so only the symbol-word price is new.
-#: Small grids read up to a third above the model (0.66 ms against
-#: 0.54 for one row of 40 dictionary words), so they buy a little
-#: early.
+#: The model reads low wherever it was checked, so rows are bought
+#: early: small word grids by up to a third (0.66 ms against 0.54 for
+#: one row of 40 dictionary words), contour grids by more.  On the 500
+#: digit contours of perfbench digits-classify (items up to 110
+#: symbols, two pattern words; best of 15 on the same host) one row
+#: took 2.9 ms against a modelled 2.4 (median 4.2), 8 rows 18.4 ms
+#: against 8.4 and 32 rows 39.9 ms against 27.8 -- the ``d_E`` rows
+#: ``d_C,h`` buys as check rows cost up to 2.2x their price.
 _ROUTE_ROUND_NS = 200_000
 _ROUTE_DIAGONAL_NS = 15_000
 _ROUTE_PAIR_DIAGONAL_NS = 650
@@ -1096,6 +1098,7 @@ def scalar_round_cheaper(
     x_ids: Sequence[int],
     y_ids: Sequence[int],
     limits: Sequence[float],
+    edits: Optional[Sequence[int]] = None,
 ) -> bool:
     """Whether one lockstep round's bounded requests cost less as
     scalar twin calls than as one batched sweep
@@ -1110,7 +1113,10 @@ def scalar_round_cheaper(
     stop sooner), so its cost is bounded from the round's longest
     sides; the ``d_C,h`` twin fills the Ukkonen band of its edit budget
     (:func:`_kernel_budget`), the whole table when the band covers it,
-    nothing when ``|m - n|`` already busts it.  O(1) per pair.
+    nothing when ``|m - n|`` already busts it -- or, when the round
+    holds the pairs' exact ``d_E`` (*edits*, read from check rows), the
+    band of that ``d_E`` for the pairs within budget and nothing for the
+    rest.  O(1) per pair.
     """
     lev = name in _LEV_FAMILY
     if (
@@ -1136,29 +1142,36 @@ def scalar_round_cheaper(
         shorter = longest_x if longest_x < longest_y else longest_y
         scalar = pairs * (_ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * shorter)
         return scalar <= _batched_ns(pairs, longest_x + longest_y)
-    cells = (
-        _band_cells(m, n, _kernel_budget("contextual_heuristic", m, n, limit))
-        for m, n, limit in zip(
-            [lengths[x] for x in x_ids], [lengths[y] for y in y_ids], limits
-        )
+    sides = ([lengths[x] for x in x_ids], [lengths[y] for y in y_ids])
+    budgets: Iterable[int] = map(
+        partial(_kernel_budget, "contextual_heuristic"), *sides, limits
     )
+    if edits is not None:
+        budgets = (e if e <= k else -1 for e, k in zip(edits, budgets))
+    cells = map(_band_cells, *sides, budgets)
     return _scalar_tables_cheaper(pairs, cells, longest_x + longest_y)
 
 
 def row_price(name: Optional[str], store: "PairStore") -> Optional[Tuple[int, int]]:
-    """The modelled cost of exact rows against the whole corpus
-    (:func:`pairwise_rows_ids`), as ``(sweep_ns, word_ns)``: rows for a
-    set of patterns cost ``sweep_ns`` per ``uint64`` word of the longest
-    pattern (one word per 64 symbols) plus ``word_ns`` per word of each
-    pattern.  ``None`` when rows are not on offer: only the ``d_E``
-    family on the numpy backend over an encoded store runs the
-    bit-parallel grid.
+    """The modelled cost of exact ``d_E`` rows against the whole corpus
+    (one bit-parallel grid, :func:`pairwise_rows_ids`), as ``(sweep_ns,
+    word_ns)``: rows for a set of patterns cost ``sweep_ns`` per
+    ``uint64`` word of the longest pattern (one word per 64 symbols)
+    plus ``word_ns`` per word of each pattern.  ``None`` when rows are
+    not on offer: only the numpy backend over an encoded store runs the
+    grid, and only two kinds of distance take its rows -- the ``d_E``
+    family, whose values they are, and ``d_C,h``, whose ``d_E`` checks
+    they answer (check rows).
 
     ``sweep_ns`` is one call's overhead, priced like a batched round's,
     plus one column per symbol of the longest item, priced like an
     anti-diagonal; ``word_ns`` touches each item symbol once.
     """
-    if name not in _LEV_FAMILY or jit_backend() is not None or not store.encoded:
+    if (
+        name not in _LEV_FAMILY + ("contextual_heuristic",)
+        or jit_backend() is not None
+        or not store.encoded
+    ):
         return None
     items = store.lengths[: store.n_corpus]
     fixed = _ROUTE_ROUND_NS + _ROUTE_DIAGONAL_NS * int(items.max())
@@ -1168,9 +1181,11 @@ def row_price(name: Optional[str], store: "PairStore") -> Optional[Tuple[int, in
 def twin_ns(
     store: "PairStore", x_ids: Sequence[int], y_ids: Sequence[int], scalar: bool
 ) -> List[int]:
-    """The modelled cost of each pair of one ``d_E``-family lockstep
-    round, by the route it took: a scalar twin call per pair, or an
-    equal share of one batched sweep."""
+    """The modelled cost of each pair of one lockstep round, by the
+    route it took: a scalar ``d_E`` twin call per pair (for ``d_C,h``,
+    its ``d_E`` check), or an equal share of one batched sweep -- the
+    twin work exact rows would have saved, which the lockstep driver
+    adds up against :func:`row_price`."""
     lengths = store.length_list
     if scalar:
         return [
@@ -1372,10 +1387,10 @@ def _checked_tables(
     ux: np.ndarray,
     uy: np.ndarray,
     bounds: np.ndarray,
-    same: Sequence[bool],
     d_out: np.ndarray,
     ni_out: np.ndarray,
     exact: np.ndarray,
+    edits: Optional[np.ndarray],
 ) -> np.ndarray:
     """Check ``d_E`` before building the ``d_C,h`` twin tables of the
     unique pairs ``zip(ux, uy)`` at their edit budgets *bounds*, and
@@ -1384,36 +1399,50 @@ def _checked_tables(
 
     The heuristic fixes ``k = d_E``, so a pair whose ``d_E`` exceeds its
     budget replays a closed form and needs no table; neither does a pair
-    of equal items (*same*) or one whose length gap busts its budget.
-    Every other pair is first checked by the bit-parallel ``d_E`` core,
-    like the scalar twin: a failing pair is settled (*exact* False), a
-    passing one needs its tables only in the band of its exact ``d_E``
-    (*bounds* is narrowed in place).  The checks run in pair order
-    while they pay: once their cost (``_ROUTE_PAIR_NS +
-    _ROUTE_COLUMN_NS * min(m, n)`` each) exceeds the kernel
-    pair-diagonals the failing pairs saved (``_ROUTE_PAIR_DIAGONAL_NS *
-    (m + n)`` each), the rest of the call goes unchecked, at its budget
-    (``inf``-limit pairs carry the whole table).  The tables left over
-    are built here as scalar band DPs (into *d_out*, *ni_out* and
-    *exact*) when :func:`_scalar_tables_cheaper` prices them lower than
-    one batched sweep, and returned otherwise.
+    of equal items (its ``d_E`` is 0) or one whose length gap busts its
+    budget.  Every other pair is checked: a failing pair is settled
+    (*exact* False), a passing one needs its tables only in the band of
+    its exact ``d_E`` (*bounds* is narrowed in place).  When the caller
+    holds the pairs' exact ``d_E`` (*edits*, read from check rows) every
+    pair is checked, at no cost.  Otherwise the bit-parallel ``d_E``
+    core checks them in pair order, like the scalar twin, while the
+    checks pay: once their cost (``_ROUTE_PAIR_NS + _ROUTE_COLUMN_NS *
+    min(m, n)`` each) exceeds the kernel pair-diagonals the failing
+    pairs saved (``_ROUTE_PAIR_DIAGONAL_NS * (m + n)`` each), the rest of
+    the call goes unchecked, at its budget (``inf``-limit pairs carry
+    the whole table).  The tables left over are built here as scalar
+    band DPs (into *d_out*, *ni_out* and *exact*) when
+    :func:`_scalar_tables_cheaper` prices them lower than one batched
+    sweep, and returned otherwise.
     """
     m_all, n_all = store.lengths[ux], store.lengths[uy]
     exact[np.abs(m_all - n_all) > bounds] = False
-    live = exact & ~np.asarray(same, dtype=bool)
-    spent = saved = 0
-    for u in np.flatnonzero(live & (bounds < m_all + n_all)).tolist():
-        if spent > saved:
-            break
-        m, n = int(m_all[u]), int(n_all[u])
-        spent += _ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * min(m, n)
-        x, y = store.sym(int(ux[u])), store.sym(int(uy[u]))
-        d = _within(x, y, int(bounds[u]))
-        if d is None:
-            live[u] = exact[u] = False
-            saved += _ROUTE_PAIR_DIAGONAL_NS * (m + n)
-        else:
-            bounds[u] = d
+    lengths = store.length_list  # cheaper than store.same's own test
+    live = exact & ~np.asarray(
+        [
+            lengths[i] == lengths[j] and store.same(i, j)
+            for i, j in zip(ux.tolist(), uy.tolist())
+        ],
+        dtype=bool,
+    )
+    if edits is not None:
+        over = live & (edits > bounds)
+        live[over] = exact[over] = False
+        bounds[live] = edits[live]
+    else:
+        spent = saved = 0
+        for u in np.flatnonzero(live & (bounds < m_all + n_all)).tolist():
+            if spent > saved:
+                break
+            m, n = int(m_all[u]), int(n_all[u])
+            spent += _ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * min(m, n)
+            x, y = store.sym(int(ux[u])), store.sym(int(uy[u]))
+            d = _within(x, y, int(bounds[u]))
+            if d is None:
+                live[u] = exact[u] = False
+                saved += _ROUTE_PAIR_DIAGONAL_NS * (m + n)
+            else:
+                bounds[u] = d
     tables = np.flatnonzero(live)
     sides = (m_all[tables].tolist(), n_all[tables].tolist())
     cells = map(_band_cells, *sides, bounds[tables].tolist())
@@ -1437,6 +1466,7 @@ def pairwise_values_bounded_ids(
     x_ids: Sequence[int],
     y_ids: Sequence[int],
     limits: Sequence[float],
+    edits: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Early-exit twin of :func:`pairwise_values_ids` with per-pair
     limits.
@@ -1470,7 +1500,11 @@ def pairwise_values_bounded_ids(
     over budget settle without a table, and the survivors' tables, in
     the band of their exact ``d_E``, run as scalar band DPs or the
     batched sweep, whichever is cheaper -- so a contextual call often
-    reaches no kernel at all.
+    reaches no kernel at all.  A caller that holds each pair's exact
+    ``d_E`` (*edits*, aligned with the pairs; the lockstep driver reads
+    them from its check rows) has every pair checked from it instead,
+    at no cost; other distances, and the numba backend, which checks
+    nothing, ignore *edits*.
     ``marzal_vidal`` requests run the batched banded *parametric* kernel
     (:func:`_bounded_mv_ids`).
 
@@ -1535,18 +1569,16 @@ def pairwise_values_bounded_ids(
     ni_unique = np.zeros(len(uniq), dtype=np.int64)
     exact_unique = np.ones(len(uniq), dtype=bool)
     swept = np.arange(len(uniq))
-    if contextual:
-        lengths = store.length_list  # cheaper than store.same's own test
-        same = [
-            lengths[i] == lengths[j] and store.same(i, j)
-            for i, j in zip(ux.tolist(), uy.tolist())
-        ]
-        # the numba backend, whose costs are unmeasured, sends every
-        # pair straight to its compiled kernel
-        if jit_backend() is None:
-            swept = _checked_tables(
-                store, ux, uy, bounds, same, d_unique, ni_unique, exact_unique
-            )
+    # the numba backend, whose costs are unmeasured, sends every d_C,h
+    # pair straight to its compiled kernel
+    if contextual and jit_backend() is None:
+        edits_unique = None
+        if edits is not None:
+            edits_unique = np.empty(len(uniq), dtype=np.int64)
+            edits_unique[take] = edits
+        swept = _checked_tables(
+            store, ux, uy, bounds, d_unique, ni_unique, exact_unique, edits_unique
+        )
     sizes = (lens[ux[swept]] + lens[uy[swept]]).tolist()
     for bucket in _sizes_buckets(sizes, _BUCKET_SIZE):
         idx = swept[bucket]
@@ -1587,13 +1619,7 @@ def pairwise_values_bounded_ids(
         m, n_len = int(lens[x_ids[p]]), int(lens[y_ids[p]])
         if contextual:
             out[p] = _replay_bounded_contextual(
-                same[slot],
-                m,
-                n_len,
-                limit,
-                int(d_unique[slot]),
-                int(ni_unique[slot]),
-                exact,
+                m, n_len, limit, int(d_unique[slot]), int(ni_unique[slot]), exact
             )
         else:
             out[p] = _replay_bounded_lev(

@@ -37,6 +37,8 @@ __all__ = [
     "bounded_dmin",
     "bounded_yujian_bo",
     "bounded_contextual_heuristic",
+    "contextual_edit_decision",
+    "contextual_heuristic_from_edits",
     "bounded_marzal_vidal",
     "mv_bound_plan",
     "mv_pruned_value",
@@ -232,6 +234,59 @@ def _banded_heuristic_tables(
     return None
 
 
+def contextual_edit_decision(
+    m: int, n: int, limit: float, d_e: Optional[int]
+) -> Optional[float]:
+    """The bounded ``d_C,h`` answer that the edit distance of a pair
+    with sides *m* and *n* settles alone, or ``None`` when the answer
+    is ``canonical_cost(m, n, d_e, Ni)``, ``Ni`` read from the twin
+    tables in the band of *d_e*.
+
+    *d_e* is the pair's exact ``d_E``, or ``None`` when it is known only
+    to exceed the request's edit budget (:func:`contextual_edit_budget`).
+    The heuristic fixes ``k = d_E`` (the paper's Section 4.1), so ``d_E
+    = 0`` (equal sides) answers 0.0 at every limit, and a pair over
+    budget gets the closed form :func:`contextual_pruned_value` at the
+    larger of the budget and ``|m - n| - 1`` (``d_E >= |m - n|``, so a
+    length gap past the budget proves more).
+    """
+    if d_e == 0:
+        return 0.0
+    total = m + n
+    k = contextual_edit_budget(limit, total)
+    if d_e is None or d_e > k:
+        return contextual_pruned_value(max(k, abs(m - n) - 1), total)
+    return None
+
+
+def contextual_heuristic_from_edits(
+    x: StringLike, y: StringLike, limit: float, d_e: Optional[int]
+) -> float:
+    """One bounded ``d_C,h`` request decided from its edit distance
+    *d_e*: the closed form of :func:`contextual_edit_decision`, or the
+    twin tables filled in the Ukkonen band of the exact ``d_E`` -- whose
+    integers are those of the full tables -- and one
+    :func:`~repro.core.contextual.canonical_cost` evaluation.
+
+    The value is :func:`bounded_contextual_heuristic`'s, bit for bit,
+    whichever way *d_e* was found: by that twin's own bit-parallel
+    check, or read from an exact ``d_E`` row (the lockstep driver's
+    check rows).
+    """
+    x, y = require_strings(x, y)
+    m, n = len(x), len(y)
+    decided = contextual_edit_decision(m, n, limit, d_e)
+    if decided is not None:
+        return decided
+    d_e, ni = cast(Tuple[int, int], _banded_heuristic_tables(x, y, cast(int, d_e)))
+    from .contextual import canonical_cost
+
+    cost = canonical_cost(m, n, d_e, ni)
+    if cost is None:  # pragma: no cover - the DP guarantees feasibility
+        raise AssertionError(f"infeasible heuristic for {x!r}, {y!r}")
+    return cost
+
+
 def bounded_contextual_heuristic(
     x: StringLike, y: StringLike, limit: float
 ) -> float:
@@ -241,42 +296,28 @@ def bounded_contextual_heuristic(
     Exact whenever ``d_C,h(x, y) <= limit``; otherwise returns a value
     guaranteed to exceed *limit* (a lower bound of the true distance, up
     to float rounding of the harmonic sums on the exact side).  The
-    heuristic fixes ``k = d_E`` (the paper's Section 4.1), so ``d_C,h <=
-    limit`` forces ``d_E`` under the edit budget of
-    :func:`contextual_edit_budget`.  The bit-parallel ``d_E`` check of
+    heuristic fixes ``k = d_E``, so ``d_C,h <= limit`` forces ``d_E``
+    under the edit budget of :func:`contextual_edit_budget`.  The
+    bit-parallel ``d_E`` check of
     :func:`~repro.core.levenshtein.levenshtein_within` decides that
-    first, in at most ``min(|x|, |y|)`` word-operation columns: a pair
-    over budget gets the closed-form pruned value with no table at all,
-    and a pair within it fills the twin tables only in the Ukkonen band
-    of its exact ``d_E`` -- the same integers the budget's band would
-    give, so the value is the same float -- to recover ``Ni``, one
-    :func:`~repro.core.contextual.canonical_cost` evaluation away from
-    the heuristic's value.
+    first, in at most ``min(|x|, |y|)`` word-operation columns (none
+    when ``|m - n|`` already busts the budget), and
+    :func:`contextual_heuristic_from_edits` answers from its result: a
+    pair over budget gets the closed-form pruned value with no table at
+    all, and a pair within it fills the twin tables only in the band of
+    its exact ``d_E``.
     """
     x, y = require_strings(x, y)
     if x == y:
         return 0.0
-    m, n = len(x), len(y)
-    total = m + n
+    total = len(x) + len(y)
     k = contextual_edit_budget(limit, total)
     if k >= total:
         # the band covers the whole table: nothing to prune
         from .contextual import contextual_distance_heuristic
 
         return contextual_distance_heuristic(x, y)
-    if k < 0 or abs(m - n) > k:
-        # d_E >= |m - n| already busts the budget without any DP
-        return contextual_pruned_value(max(k, abs(m - n) - 1), total)
-    d_e = _within(x, y, k)
-    if d_e is None:
-        return contextual_pruned_value(k, total)
-    d_e, ni = cast(Tuple[int, int], _banded_heuristic_tables(x, y, d_e))
-    from .contextual import canonical_cost
-
-    cost = canonical_cost(m, n, d_e, ni)
-    if cost is None:  # pragma: no cover - the DP guarantees feasibility
-        raise AssertionError(f"infeasible heuristic for {x!r}, {y!r}")
-    return cost
+    return contextual_heuristic_from_edits(x, y, limit, _within(x, y, k))
 
 
 # ---------------------------------------------------------------------------

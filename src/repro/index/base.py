@@ -23,6 +23,7 @@ import numbers
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -43,7 +44,8 @@ from typing import (
 
 import numpy as np
 
-from ..core.bounded import bounded_for
+from ..core.bounded import bounded_for, contextual_heuristic_from_edits
+from ..core.levenshtein import levenshtein_distance
 from ..core.registry import get_distance
 
 if TYPE_CHECKING:
@@ -234,17 +236,26 @@ class CountingDistance:
         self.calls += len(pairs)
         return pairwise_values(self._distance, pairs)
 
-    def peek_within(self, x: Any, y: Any, limit: float) -> float:
+    def peek_within(
+        self, x: Any, y: Any, limit: float, d_e: Optional[int] = None
+    ) -> float:
         """:meth:`within` without touching the counter.
 
         Lockstep bulk drivers use this for rounds whose scalar twin
         calls cost less than one batched sweep
         (:func:`~repro.batch.engine.scalar_round_cheaper`); they account
-        the computation themselves, like :meth:`charge`.
+        the computation themselves, like :meth:`charge`.  A driver that
+        holds the pair's exact ``d_E`` in a check row passes it as
+        *d_e* (only under ``d_C,h``), and the twin decides from it
+        without its own check
+        (:func:`~repro.core.bounded.contextual_heuristic_from_edits`,
+        the same value).
         """
-        if self._bounded is not None and limit != float("inf"):
-            return self._bounded(x, y, limit)
-        return self._distance(x, y)
+        if self._bounded is None or limit == float("inf"):
+            return self._distance(x, y)
+        if d_e is not None:
+            return contextual_heuristic_from_edits(x, y, limit, d_e)
+        return self._bounded(x, y, limit)
 
     def precompute_bounded(
         self, pairs: Sequence[Tuple[Any, Any]], limits: Sequence[float]
@@ -267,17 +278,20 @@ class CountingDistance:
         x_ids: Sequence[int],
         y_ids: Sequence[int],
         limits: Sequence[float],
+        edits: Optional[Sequence[int]] = None,
     ) -> np.ndarray:
         """:meth:`precompute_bounded` over interned store ids: the same
         bit-identical-to-``within`` guarantee, with kernel inputs
         gathered from the index's interned corpus instead of re-encoded
         per round.  Lockstep bulk drivers use this for each round's
-        grouped candidate evaluations.  Uncounted, like every
-        precompute."""
+        grouped candidate evaluations, passing the pairs' exact ``d_E``
+        as *edits* once they hold check rows (see
+        :func:`~repro.batch.engine.pairwise_values_bounded_ids`).
+        Uncounted, like every precompute."""
         from ..batch import pairwise_values_bounded_ids
 
         return pairwise_values_bounded_ids(
-            self._distance, store, x_ids, y_ids, limits
+            self._distance, store, x_ids, y_ids, limits, edits
         )
 
     def precompute_ids(
@@ -298,6 +312,17 @@ class CountingDistance:
         from ..batch.engine import pairwise_rows_ids
 
         return pairwise_rows_ids(self._distance, store, x_ids)
+
+    def check_rows_ids(self, store: "PairStore", x_ids: Sequence[int]) -> np.ndarray:
+        """The exact ``d_E`` (integers) from each store id in *x_ids* to
+        every corpus item, in-process and uncounted: the check rows
+        that answer the ``d_E`` checks of the ``d_C,h`` twin for the
+        rest of a lockstep call (:meth:`peek_within`,
+        :meth:`precompute_bounded_ids`).  They are no distance the
+        search reads, so nothing is charged for them."""
+        from ..batch.engine import pairwise_rows_ids
+
+        return pairwise_rows_ids(levenshtein_distance, store, x_ids)
 
     def many_ids(
         self, store: "PairStore", x_ids: Sequence[int], y_ids: Sequence[int]
@@ -706,19 +731,33 @@ class NearestNeighborIndex(Generic[Item]):
         before any twin table, as the scalar twin does, so most of
         their pairs never reach a kernel.
 
-        For the ``d_E`` family on the numpy backend the rounds also
-        rent before they buy: they add up the modelled cost of the twin
+        On the numpy backend the rounds also rent before they buy
+        exact ``d_E`` rows: they add up the modelled cost of the twin
         work spent on the still-active queries
         (:func:`~repro.batch.engine.twin_ns`), and once it reaches the
-        modelled cost of those queries' exact rows against the whole
-        corpus (:func:`~repro.batch.engine.row_price`) the rows are
-        computed in one bit-parallel grid (:meth:`CountingDistance.
-        rows_ids`) and every active query is finished on its row at
-        once (:meth:`_finish_from_row`), bounded requests included (see
-        :meth:`_search_requests`): LAESA's generators take the row and
-        finish their walk on it, the other structures are drained from
-        it.  No round runs after the purchase, and the rows live for
+        modelled cost of those queries' rows against the whole corpus
+        (:func:`~repro.batch.engine.row_price`) the rows are computed in
+        one bit-parallel grid, at most once per call; they live for
         this call only.
+
+        * For the ``d_E`` family the rows are the distances
+          (:meth:`CountingDistance.rows_ids`): every active query is
+          finished on its row at once (:meth:`_finish_from_row`),
+          bounded requests included (see :meth:`_search_requests`).
+          LAESA's generators take the row and finish their walk on it,
+          the other structures are drained from it, and no round runs
+          after the purchase.
+        * ``d_C,h`` is no closed form of ``d_E``, so its rows are check
+          rows (:meth:`CountingDistance.check_rows_ids`), and only its
+          bounded requests, whose twin checks ``d_E`` first, pay rent
+          (AESA's exact requests never do).  The rounds go on, and
+          every later ``d_E`` check of those queries reads the row: the
+          scalar route passes it to :meth:`CountingDistance.
+          peek_within`, the engine route to :meth:`CountingDistance.
+          precompute_bounded_ids`, and either decides each request from
+          it (:func:`~repro.core.bounded.
+          contextual_heuristic_from_edits`), the same value as the
+          twin's own check.
 
         Each query's request stream depends only on its own distances, so
         lockstep scheduling returns bit-identical results, distances
@@ -762,6 +801,11 @@ class NearestNeighborIndex(Generic[Item]):
         # the active queries (re-summed, with the rows' cost then due,
         # whenever the active set shrinks) and each query's pattern words
         price = row_price(counter.name, store)
+        # d_C,h is no closed form of d_E: its rows answer the d_E checks
+        # of its bounded requests (check rows, by query) and the rounds
+        # go on
+        checks_only = counter.name == "contextual_heuristic"
+        check_rows: Dict[int, np.ndarray] = {}
         spent = [0] * n_queries
         spent_active = due = priced_for = 0
         words = [
@@ -797,18 +841,25 @@ class NearestNeighborIndex(Generic[Item]):
             if not parked:
                 break  # every active query finished on cached requests
             x_ids = [query_ids[qi] for qi in parked]
+            edits: Optional[List[int]] = None
+            if check_rows:
+                edits = [check_rows[qi].item(y) for qi, y in zip(parked, y_ids)]
             values: Iterable[float]
-            scalar = scalar_round_cheaper(counter.name, store, x_ids, y_ids, limits)
+            scalar = scalar_round_cheaper(
+                counter.name, store, x_ids, y_ids, limits, edits
+            )
             if scalar:
                 # peek_within returns the same values by the
                 # precompute_bounded_ids contract
                 values = [
-                    peek(queries[qi], items[y], limit)
-                    for qi, y, limit in zip(parked, y_ids, limits)
+                    peek(queries[qi], items[y], limit, d_e)
+                    for qi, y, limit, d_e in zip(
+                        parked, y_ids, limits, edits or repeat(None)
+                    )
                 ]
             else:
                 values = counter.precompute_bounded_ids(
-                    store, x_ids, y_ids, limits
+                    store, x_ids, y_ids, limits, edits
                 )
             still_active: List[int] = []
             for qi, value in zip(parked, values):
@@ -822,6 +873,8 @@ class NearestNeighborIndex(Generic[Item]):
             if price is None or not active:
                 continue
             costs = twin_ns(store, x_ids, y_ids, scalar)
+            if checks_only:  # an exact request checks nothing
+                costs = [0 if limit == inf else c for c, limit in zip(costs, limits)]
             for qi, cost in zip(parked, costs):
                 spent[qi] += cost
             if len(active) == priced_for:  # the same queries as last round
@@ -831,11 +884,19 @@ class NearestNeighborIndex(Generic[Item]):
                 spent_active = sum([spent[qi] for qi in active])
                 active_words = [words[qi] for qi in active]
                 due = price[0] * max(active_words) + price[1] * sum(active_words)
-            if spent_active >= due:
+            if spent_active >= due and spent_active:  # no rent, no row
+                bought = [query_ids[qi] for qi in active]
+                if checks_only:
+                    # one purchase per call: every later request of the
+                    # call belongs to a query that holds its row
+                    rows = counter.check_rows_ids(store, bought)
+                    check_rows = dict(zip(active, rows))
+                    price = None
+                    continue
                 # bought: every active query finishes on its row now, read
                 # as floats like every answer the rounds send (the integer
                 # levenshtein_distance's rows are int64)
-                rows = counter.rows_ids(store, [query_ids[qi] for qi in active])
+                rows = counter.rows_ids(store, bought)
                 for qi, row in zip(active, np.asarray(rows, dtype=float)):
                     results[qi], answered = self._finish_from_row(
                         sends[qi], requests[qi], row

@@ -18,6 +18,7 @@ from repro.core.bounded import (
     bounded_marzal_vidal,
     bounded_yujian_bo,
     contextual_edit_budget,
+    contextual_heuristic_from_edits,
     contextual_pruned_value,
 )
 from repro.core.contextual import (
@@ -357,3 +358,59 @@ class TestBoundedMarzalVidal:
 
     def test_equal_strings_are_zero(self):
         assert bounded_marzal_vidal("abab", "abab", 0.0) == 0.0
+
+
+@st.composite
+def _edit_decided_requests(draw):
+    """``(x, y, limit)`` over 1-3 symbols, empty and equal pairs
+    included, with a length gap past any small budget a quarter of the
+    time; the limit below 0, at ``inf``, at or above 2, equal to an
+    attainable value (the pair's own ``d_C,h``, or a pruned value of its
+    length total) or anywhere in ``[0, 2)``."""
+    text = st.text(alphabet=draw(st.sampled_from(["a", "ab", "abc"])), max_size=40)
+    x = draw(text)
+    y = draw(
+        st.one_of(
+            text,
+            st.just(x),
+            st.integers(0, len(x) // 4).map(lambda cut: x[:cut]),
+        )
+    )
+    total = len(x) + len(y)
+    limit = draw(
+        st.one_of(
+            st.floats(-3.0, -1e-9),
+            st.just(float("inf")),
+            st.floats(2.0, 8.0),
+            st.just(contextual_distance_heuristic(x, y)),
+            st.integers(0, total).map(lambda k: contextual_pruned_value(k, total)),
+            st.floats(0.0, 2.0, exclude_max=True),
+        )
+    )
+    return x, y, limit
+
+
+class TestDecidedFromEdits:
+    """A request decided from the pair's exact ``d_E`` -- as the lockstep
+    driver's check rows hand it over -- returns the twin's float, bit
+    for bit; so does one whose ``d_E`` is known only to bust the
+    budget."""
+
+    @given(_edit_decided_requests())
+    @example(("", "", -1.0))  # equal and empty, below 0
+    @example(("abc", "abc", -0.5))  # equal, below 0
+    @example(("aaaaaaaaaaaa", "a", 0.2))  # length gap past the budget
+    @example(("abab", "baba", float("inf")))
+    @example(("abab", "baba", 2.0))
+    @example(("ab", "ba", contextual_distance_heuristic("ab", "ba")))
+    @example(("aabb", "abab", contextual_pruned_value(1, 8)))
+    @settings(max_examples=400, deadline=None)
+    def test_bit_identical_to_the_twin(self, request):
+        x, y, limit = request
+        d_e = levenshtein_distance(x, y)
+        want = bounded_contextual_heuristic(x, y, limit)
+        got = contextual_heuristic_from_edits(x, y, limit, d_e)
+        assert got.hex() == want.hex(), (x, y, limit)
+        if x != y and d_e > contextual_edit_budget(limit, len(x) + len(y)):
+            unknown = contextual_heuristic_from_edits(x, y, limit, None)
+            assert unknown.hex() == want.hex(), (x, y, limit)

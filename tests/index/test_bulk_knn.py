@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import repro.batch.engine as engine
+import repro.core.bounded as bounded_module
 from repro.core import get_distance
 from repro.core._kernels import jit_backend
 from repro.index import (
@@ -150,28 +151,132 @@ def test_row_is_taken_once_spent_work_passes_its_cost(
     assert spent == before  # no twin work after the purchase
 
 
+def _spy_purchases(monkeypatch):
+    """Record every row purchase of the lockstep rounds as ``(kind,
+    counter, query symbols)``: ``"values"`` rows (``rows_ids``) or
+    ``d_E`` ``"checks"`` rows (``check_rows_ids``)."""
+    bought = []
+    for kind, method in (("values", "rows_ids"), ("checks", "check_rows_ids")):
+        real = getattr(CountingDistance, method)
+
+        def spy(self, store, x_ids, kind=kind, real=real):
+            bought.append((kind, self, [store.sym(i) for i in x_ids]))
+            return real(self, store, x_ids)
+
+        monkeypatch.setattr(CountingDistance, method, spy)
+    return bought
+
+
 def test_row_rule_never_prices_rows_for_contextual(words, queries, monkeypatch):
-    # d_C,h is not a closed form of d_E: no row, however much is spent,
-    # even with every row cost priced at zero
+    # d_C,h is not a closed form of d_E: no d_C,h value row is bought,
+    # however much is spent, even with every row cost priced at zero --
+    # only d_E check rows, and only for bounded requests, so AESA (exact
+    # requests only) buys none
     for constant in ("_ROUTE_ROW_NS", "_ROUTE_ROUND_NS", "_ROUTE_DIAGONAL_NS"):
         monkeypatch.setattr(engine, constant, 0)
     taken = _spy_rows(monkeypatch, 60)
-    for index in (
-        LaesaIndex(words[:60], get_distance("contextual_heuristic"), n_pivots=4),
-        AesaIndex(words[:60], get_distance("contextual_heuristic")),
-    ):
-        assert engine.row_price("contextual_heuristic", index._corpus.store()) is None
+    bought = _spy_purchases(monkeypatch)
+    laesa = LaesaIndex(words[:60], get_distance("contextual_heuristic"), n_pivots=4)
+    aesa = AesaIndex(words[:60], get_distance("contextual_heuristic"))
+    for index in (laesa, aesa):
         _check_bulk_matches_scalar(index, queries[:8], 2)
-    assert not taken
+    assert all(kind == "checks" for kind, _, _ in bought)
     if jit_backend() is not None:
-        return  # the compiled backend takes no rows at all
+        # the compiled backend takes no rows at all
+        assert engine.row_price("contextual_heuristic", laesa._corpus.store()) is None
+        assert not bought and not taken
+        return
+    # LAESA's bounded requests bought check rows once, at the first
+    # round: one d_E grid against every item
+    ((_, counter, _),) = bought
+    assert counter is laesa._counter
+    assert taken == [len(bought[0][2])]
     # the same zero price makes d_E rows pay at the first round
+    bought.clear()
     _check_bulk_matches_scalar(
         LaesaIndex(words[:60], get_distance("levenshtein"), n_pivots=4),
         queries[:8],
         2,
     )
-    assert taken
+    assert [kind for kind, _, _ in bought] == ["values"]
+
+
+def _contextual_answers(results):
+    return [
+        ([(r.index, r.distance.hex()) for r in found], stats.distance_computations)
+        for found, stats in results
+    ]
+
+
+@pytest.mark.parametrize("price", ["zero", "never"])
+@pytest.mark.parametrize("search", ["knn", "range"])
+@pytest.mark.parametrize("structure", ["laesa", "vptree"])
+def test_contextual_check_rows_keep_loop_answers(
+    words, queries, structure, search, price, monkeypatch
+):
+    distance = get_distance("contextual_heuristic")
+    index = {
+        "laesa": lambda: LaesaIndex(words, distance, n_pivots=4),
+        "vptree": lambda: VPTreeIndex(words, distance, rng=random.Random(5)),
+    }[structure]()
+    batch = queries[:12] + queries[-3:]  # members and duplicates
+    if search == "knn":
+        loop = [index.knn(q, 3) for q in batch]
+        run = lambda: index.bulk_knn(batch, 3)
+    else:
+        loop = [index.range_search(q, 0.4) for q in batch]
+        run = lambda: index.bulk_range_search(batch, 0.4)
+    real_price = engine.row_price
+    cost = 0 if price == "zero" else 10**15
+    # the purchase at the first round, or never; no rows where the
+    # backend offers none
+    monkeypatch.setattr(
+        engine,
+        "row_price",
+        lambda name, store: None if real_price(name, store) is None else (cost, 0),
+    )
+    # purchases and bit-parallel d_E checks, in call order
+    log = _spy_purchases(monkeypatch)
+    for module in (bounded_module, engine):
+        real_within = module._within
+
+        def within(x, y, bound, real_within=real_within):
+            log.append(("within", None, x))
+            return real_within(x, y, bound)
+
+        monkeypatch.setattr(module, "_within", within)
+    assert _contextual_answers(run()) == _contextual_answers(loop)
+    assert not [event for event in log if event[0] == "values"]
+    bought = [i for i, event in enumerate(log) if event[0] == "checks"]
+    if price == "never" or jit_backend() is not None:
+        assert not bought  # the numba leg takes no rows at all
+        return
+    # one purchase, and no d_E check of a query that holds its row runs
+    # the bit-parallel core after it
+    (at,) = bought
+    rowed = set(log[at][2])
+    assert rowed
+    assert not [x for _, _, x in log[at + 1 :] if x in rowed]
+
+
+def test_aesa_buys_no_check_rows(words, queries, monkeypatch):
+    # AESA asks exact d_C,h distances only: nothing it spends is a d_E
+    # check, so even free rows are never bought
+    monkeypatch.setattr(engine, "row_price", lambda name, store: (0, 0))
+    bought = _spy_purchases(monkeypatch)
+    index = AesaIndex(words[:50], get_distance("contextual_heuristic"))
+    _check_bulk_matches_scalar(index, queries[:10], 2)
+    assert _contextual_answers(
+        index.bulk_range_search(queries[:10], 0.4)
+    ) == _contextual_answers([index.range_search(q, 0.4) for q in queries[:10]])
+    assert not bought
+
+
+def test_check_rows_need_the_numpy_grid(words, monkeypatch):
+    # the numba backend offers no rows: not even d_C,h's check rows
+    index = LaesaIndex(words, get_distance("contextual_heuristic"), n_pivots=2)
+    monkeypatch.setattr(engine, "jit_backend", lambda: object())
+    assert engine.row_price("contextual_heuristic", index._corpus.store()) is None
 
 
 class _SpyGenerator:
