@@ -21,6 +21,12 @@ Usage::
 
     PYTHONPATH=src python benchmarks/bench_pairwise_batch.py            # full
     PYTHONPATH=src python benchmarks/bench_pairwise_batch.py --smoke    # CI
+    PYTHONPATH=src python benchmarks/bench_pairwise_batch.py --smoke --lengths 90 160
+
+``--lengths`` overrides the string-length range of either run: the
+smoke run's 60-110 symbols keep every ``d_C,h`` sweep in ``uint16``
+cells, 90-160 also reaches the ``int32`` cells of buckets whose padded
+lengths sum past 253.
 """
 
 from __future__ import annotations
@@ -124,6 +130,14 @@ def main(argv=None) -> int:
         "--items", type=int, default=None, help="override the item count"
     )
     parser.add_argument(
+        "--lengths",
+        type=int,
+        nargs=2,
+        metavar=("LO", "HI"),
+        default=None,
+        help="override the string-length range (inclusive)",
+    )
+    parser.add_argument(
         "--scalar-pairs",
         type=int,
         default=500,
@@ -150,6 +164,10 @@ def main(argv=None) -> int:
         n_items = args.items or 200
         min_len, max_len = 90, 160  # DNA-length regime
         scalar_pairs = args.scalar_pairs
+    if args.lengths is not None:
+        min_len, max_len = args.lengths
+        if not 0 <= min_len <= max_len:
+            parser.error("--lengths needs 0 <= LO <= HI")
 
     record = run_benchmark(
         args.distance,

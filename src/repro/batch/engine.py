@@ -48,10 +48,10 @@ Which distances are batched
 ``levenshtein`` and the length-ratio family (``dmax``, ``dsum``,
 ``dmin``, ``yujian_bo``) reduce to one batched ``d_E`` sweep plus a
 closed-form per-pair normalisation; ``contextual_heuristic`` reduces to
-the batched twin-table sweep plus one ``canonical_cost`` evaluation per
-pair.  The final per-pair arithmetic deliberately replays the *scalar*
-implementations' expressions so batch results are bit-identical to the
-scalar ones (asserted by the tests).  Everything else (exact ``d_C``,
+the batched twin-table sweep plus ``canonical_cost`` replayed over the
+bucket's arrays.  The final per-pair arithmetic deliberately replays the
+*scalar* implementations' expressions so batch results are bit-identical
+to the scalar ones (asserted by the tests).  Everything else (exact ``d_C``,
 ``d_MV``, arbitrary user callables) falls back to one scalar call per
 *unique* pair -- the dedupe and symmetry savings still apply.
 """
@@ -92,6 +92,7 @@ from ..core.bounded import (
     mv_pruned_value,
 )
 from ..core.contextual import canonical_cost
+from ..core.harmonic import harmonic_prefix
 from ..core.levenshtein import _within, levenshtein_distance
 from ..core.marzal_vidal import mv_normalized_distance
 from ..core.types import Symbols, as_symbols
@@ -300,6 +301,36 @@ def _lev_finalize(
     )
 
 
+def _canonical_finalize(
+    mx: np.ndarray, my: np.ndarray, d_e: np.ndarray, ni: np.ndarray
+) -> np.ndarray:
+    """:func:`~repro.core.contextual.canonical_cost` over arrays of
+    lengths and twin-table integers ``(d_E, Ni)``.
+
+    ``H`` is read from the process-wide prefix table, grown to the
+    largest peak first, and the scalar expression's operation order is
+    kept: ``harmonic_range(m, peak)``, then ``+ ns / peak`` only where
+    ``ns > 0``, then ``+ harmonic_range(n, n + nd)``.  An empty range
+    reads ``H(a) - H(a) == 0.0``, the scalar's own value, so every float
+    is bit-identical to the scalar one.
+    """
+    m = np.asarray(mx, dtype=np.int64)
+    n = np.asarray(my, dtype=np.int64)
+    ni = np.asarray(ni, dtype=np.int64)
+    nd = m - n + ni
+    ns = np.asarray(d_e, dtype=np.int64) - ni - nd
+    infeasible = (ni < 0) | (nd < 0) | (ns < 0)
+    if infeasible.any():  # pragma: no cover - DP guarantees feasibility
+        slot = int(np.argmax(infeasible))
+        raise AssertionError(f"infeasible heuristic at slot {slot}")
+    peak = m + ni  # == n + nd
+    H = harmonic_prefix(int(peak.max(initial=0)))
+    cost = H[peak] - H[m]
+    cost = np.where(ns > 0, cost + ns / np.maximum(peak, 1), cost)
+    cost += H[peak] - H[n]
+    return cost
+
+
 def _sizes_buckets(sizes: Sequence[int], bucket_size: int) -> List[List[int]]:
     """Group indices by size to keep kernel padding low.
 
@@ -352,13 +383,7 @@ def _evaluate_encoded(
     """
     if name == "contextual_heuristic":
         d_e, ni = contextual_heuristic_batch_encoded(X, Y, mx, my)
-        out = np.empty(len(mx), dtype=float)
-        for p in range(len(mx)):
-            cost = canonical_cost(int(mx[p]), int(my[p]), int(d_e[p]), int(ni[p]))
-            if cost is None:  # pragma: no cover - DP guarantees feasibility
-                raise AssertionError(f"infeasible heuristic at slot {p}")
-            out[p] = cost
-        return out
+        return _canonical_finalize(mx, my, d_e, ni)
     if name == "marzal_vidal":  # jit-only: gated by _is_batched
         return jit_backend().mv_distance_batch_encoded(X, Y, mx, my)
     if name == "contextual":  # jit-only: gated by _is_batched
@@ -1056,6 +1081,21 @@ def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
 #: two routes now do nearly the same work (a near tie at 16 pairs in
 #: ``bench_query_batch.py --mode route``); with them, it prices only the
 #: survivors' tables, in the band of their exact ``d_E``.
+#:
+#: The two diagonal prices were fitted on ``int64`` cells with the
+#: sweep's bookkeeping redone on every diagonal.  The bounded sweeps now
+#: run ``uint16`` cells on these buckets (``kernels._cells``) and redo
+#: that bookkeeping only when a pair leaves: on full-band 90 x 90
+#: contour-like buckets of 1-256 pairs (same host, medians of 9
+#: interleaved runs, least squares per diagonal, two readings) the
+#: fixed share of a diagonal fell by a quarter to two fifths (16-30 us
+#: to 10-20 us at one pair) and the per-pair share from 260-485 ns to
+#: 80-200 ns.  In ``bench_query_batch.py --mode route`` a batched round
+#: of 16 contour pairs took 4.3 ms against 5.2 on the old sweeps, and
+#: 64 pairs 10.2 against 14.0; the model picks the measured winner in
+#: 12 of 12 cells (11 of 12 before: the 16-pair near tie is now a clear
+#: batched win), so the prices were kept and read high for the batched
+#: route.
 #:
 #: ``_ROUTE_ROW_NS`` prices the bit-parallel grid behind exact rows
 #: (:func:`row_price`) per corpus symbol and per ``uint64`` word of each

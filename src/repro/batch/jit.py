@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, Hashable, Sequence, Tuple
 import numpy as np
 import numpy.typing as npt
 
+from ..core.harmonic import harmonic_prefix
 from ..core.types import Symbols
 from ..tools import knobs
 
@@ -841,21 +842,11 @@ def insertion_table_final(x: Symbols, y: Symbols, k_max: int) -> np.ndarray:
     return _insertion_final(cx, cy, k_max)
 
 
-def _harmonic_prefix(n: int) -> np.ndarray:
-    """``H(0..n)`` as a float array, lifted from the process-wide
-    :class:`repro.core.harmonic.HarmonicTable` so the compiled cost
-    evaluation adds exactly the doubles the scalar path adds."""
-    from ..core.harmonic import _TABLE
-
-    _TABLE.value(n)  # ensure the table covers 0..n
-    return np.asarray(_TABLE._values[: n + 1], dtype=np.float64)
-
-
 def contextual_distance(x: Symbols, y: Symbols) -> float:
     """Compiled exact ``d_C`` of one pair (heuristic bound + capped
     k-axis DP, all inside the kernel)."""
     cx, cy = _encode_single(x, y)
-    return float(_cdc_pair(cx, cy, _harmonic_prefix(len(cx) + len(cy))))
+    return float(_cdc_pair(cx, cy, harmonic_prefix(len(cx) + len(cy))))
 
 
 def contextual_distance_batch(
@@ -876,5 +867,5 @@ def contextual_distance_batch_encoded(
     """:func:`contextual_distance_batch` over pre-encoded matrices."""
     out = np.zeros(len(mx), dtype=np.float64)
     if len(mx):
-        _cdc_batch(X, Y, mx, my, _harmonic_prefix(int((mx + my).max())), out)
+        _cdc_batch(X, Y, mx, my, harmonic_prefix(int((mx + my).max())), out)
     return out

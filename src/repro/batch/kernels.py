@@ -45,6 +45,7 @@ from typing import (
     List,
     Sequence,
     Tuple,
+    Type,
     cast,
 )
 
@@ -84,8 +85,6 @@ __all__ = [
     "mv_banded_probe_batch_encoded_numpy",
 ]
 
-_NEG = -(1 << 30)
-
 #: Padding sentinels; negative so they never collide with real codes and
 #: distinct from each other so padded x never matches padded y.
 _PAD_X = -1
@@ -99,6 +98,37 @@ _PAD_Y = -2
 #: to cadence 1 (asserted by the tests); sampling just shaves the two
 #: window reductions per diagonal on buckets that rarely retire.
 _RETIRE_CADENCE = 4
+
+
+def _cells(width: int, packed: bool) -> Tuple[Type[np.integer], int, int]:
+    """``(cell type, K, inf)`` of an integer anti-diagonal sweep over a
+    bucket whose padded widths sum to ``M + N = width``.
+
+    ``K`` is the cost of one paid step and ``inf`` the sentinel above
+    every real cell.  The packed twin tables (``packed``) use
+    ``K = M + N + 2``, strictly above any feasible ``Ni``, and ``inf =
+    (M + N + 1) * K``, above any feasible pack; the ``d_E`` sweep uses
+    ``K = 1`` and ``inf = M + N + 2``.  No cell ever exceeds ``inf + K``
+    (a sentinel plus one step), so the cells take the narrowest of
+    ``uint16``, ``int32`` and ``int64`` holding it: ``uint16`` up to
+    ``M + N = 253`` for the twin tables and ``65,532`` for ``d_E``.
+    Fewer bytes per cell is what every per-diagonal numpy pass moves.
+    """
+    K = width + 2 if packed else 1
+    inf = (width + 1) * K if packed else width + 2
+    top = inf + K
+    for cell in (np.uint16, np.int32):
+        if top <= np.iinfo(cell).max:
+            return cell, K, inf
+    return np.int64, K, inf
+
+
+def _harvest_schedule(final: np.ndarray) -> Dict[int, np.ndarray]:
+    """Row positions grouped by the anti-diagonal ``final[row]`` on
+    which each pair's answer is harvested."""
+    order = np.argsort(final, kind="stable")
+    diagonals, starts = np.unique(final[order], return_index=True)
+    return dict(zip(diagonals.tolist(), np.split(order, starts[1:])))
 
 
 def _encode_one(seq: Symbols, codes: Dict[Hashable, int]) -> np.ndarray:
@@ -272,7 +302,7 @@ def contextual_heuristic_batch_bounded_encoded(
         return jit.contextual_heuristic_batch_bounded_encoded(
             X, Y, mx, my, bounds
         )
-    return _contextual_swept_bounded(X, Y, mx, my, bounds)
+    return _swept_bounded(X, Y, mx, my, bounds, packed=True)
 
 
 def mv_banded_probe_batch(
@@ -573,6 +603,15 @@ def contextual_heuristic_batch_numpy(
     insertion ``K - 1`` (``d+1``, ``ni+1``).  ``ni <= d`` always
     (insertions are paid operations), so packs stay non-negative and
     decode as ``d = ceil(pack / K)``, ``ni = d * K - pack``.
+
+    Cells take the narrowest type holding the sentinel plus one step,
+    ``(M + N + 2) ** 2`` for padded widths ``M`` and ``N`` (see
+    :func:`_cells`): ``uint16`` up to ``M + N = 253``, then ``int32``.
+    Every op stays in that type -- the mismatch mask is multiplied by a
+    typed ``K``, and a cell's deletion and insertion are compared as
+    ``min(up + 1, left) + (K - 1)``, so nothing is subtracted from an
+    unsigned cell -- and harvested packs turn ``int64`` before the
+    negating ceiling division.
     """
     if len(pairs) == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
@@ -597,20 +636,17 @@ def _contextual_swept(
         return out_d, out_ni
     M, N = X.shape[1], Y.shape[1]
     size = M + 1
-    K = M + N + 2  # strictly above any feasible ni
-    inf = (M + N + 1) * K  # above any feasible pack, overflow-safe
-    # pair rows harvested per diagonal, computed once up front
-    done_at: Dict[int, List[int]] = {}
-    for p in range(P):
-        if not (mx[p] and my[p]):
-            continue  # empty-sided pairs were answered above
-        done_at.setdefault(int(mx[p] + my[p]), []).append(p)
-    prev2 = np.full((P, size), inf, dtype=np.int64)
-    prev = np.full((P, size), inf, dtype=np.int64)
+    cell, K, inf = _cells(M + N, packed=True)
+    paid = cell(K)  # typed: a Python int would widen the mask to int64
+    # empty-sided pairs were answered above: they come due on no diagonal
+    done_at = _harvest_schedule(np.where(x_empty | y_empty, 0, mx + my))
+    prev2 = np.full((P, size), inf, dtype=cell)
+    prev = np.full((P, size), inf, dtype=cell)
     prev2[:, 0] = 0  # (0, 0): d=0, ni=0
     prev[:, 0] = K - 1  # (0, 1): d=1, ni=1 (one insertion)
     prev[:, 1] = K  # (1, 0): d=1, ni=0 (one deletion)
-    cur = np.empty((P, size), dtype=np.int64)
+    cur = np.empty((P, size), dtype=cell)
+    Yr = np.ascontiguousarray(Y[:, ::-1])  # each diagonal reads y backwards
     for t in range(2, M + N + 1):
         lo = max(0, t - N)
         hi = min(M, t)
@@ -629,17 +665,17 @@ def _contextual_swept(
             cur[:, t] = t * K  # (t, 0): d=t, ni=0
         if a <= b:
             xs = X[:, a - 1 : b]
-            ys = Y[:, t - b - 1 : t - a][:, ::-1]
-            diag = prev2[:, a - 1 : b] + (xs != ys) * K
-            step = np.minimum(
-                prev[:, a - 1 : b] + K,  # deletion of x[i-1]
-                prev[:, a : b + 1] + (K - 1),  # insertion of y[j-1]
-            )
+            ys = Yr[:, N - t + a : N - t + b + 1]  # y[t-a-1], ..., y[t-b-1]
+            diag = (xs != ys) * paid
+            diag += prev2[:, a - 1 : b]
+            # deletion of x[i-1] (+K) or insertion of y[j-1] (+K-1),
+            # with no subtraction from an unsigned cell
+            step = np.minimum(prev[:, a - 1 : b] + 1, prev[:, a : b + 1])
+            step += K - 1
             np.minimum(diag, step, out=cur[:, a : b + 1])
-        ready = done_at.get(t)
-        if ready is not None:
-            idx = np.asarray(ready, dtype=np.int64)
-            pack = cur[idx, mx[idx]]
+        idx = done_at.get(t)
+        if idx is not None:
+            pack = cur[idx, mx[idx]].astype(np.int64)  # negated below
             d = -(-pack // K)  # ceil: ni = 0 packs sit exactly on d * K
             out_d[idx] = d
             out_ni[idx] = d * K - pack
@@ -668,7 +704,7 @@ def _contextual_swept(
 #   final value provably busts the budget) -- the anti-diagonal analogue
 #   of the scalar twins' row-abort.  Sampling cannot change any output:
 #   a pair that retires a few diagonals late still reports the same
-#   pruned sentinel, and harvest (which runs every diagonal) compares
+#   pruned sentinel, and harvest (on the pair's final diagonal) compares
 #   the final cell against the budget either way;
 # * once at least half a bucket has retired or harvested, the matrices
 #   are compacted to the surviving rows, so the bucket physically shrinks
@@ -682,6 +718,14 @@ def _contextual_swept(
 # the exact value (and, for the twin tables, the exact ``Ni``) in that
 # case.  Out-of-window neighbours are sentinel-infinity, which only makes
 # band-edge cells *larger*, never smaller, preserving both directions.
+#
+# Cells are as narrow as the full sweeps' (:func:`_cells`): a band-edge
+# cell adds one step to a sentinel, so ``inf + K`` -- ``M + N + 3`` for
+# ``d_E``, ``(M + N + 2) ** 2`` for the packed twin tables -- must fit,
+# which keeps ``d_E`` buckets in ``uint16`` up to ``M + N = 65,532`` and
+# twin-table buckets up to 253.  Retirement compares the narrow window
+# minima against the ``int64`` budgets, and harvested packs turn
+# ``int64`` before they are decoded.
 
 
 def levenshtein_batch_bounded_numpy(
@@ -705,97 +749,8 @@ def _levenshtein_swept_bounded(
     my: IntVector,
     bounds: Sequence[int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    P = len(mx)
-    out = np.zeros(P, dtype=np.int64)
-    exact = np.zeros(P, dtype=bool)
-    if P == 0:
-        return out, exact
-    b_all = np.minimum(
-        np.maximum(np.asarray(bounds, dtype=np.int64), 0), mx + my
-    )
-    gap = np.abs(mx - my)
-    pruned = gap > b_all  # d_E >= |m - n| already busts the budget
-    trivial = ((mx == 0) | (my == 0)) & ~pruned
-    out[trivial] = np.maximum(mx, my)[trivial]
-    exact[trivial] = True  # gap <= budget and d_E == gap for empty sides
-    out[pruned] = b_all[pruned] + 1
-    rows = np.nonzero(~trivial & ~pruned)[0]
-    if len(rows) == 0:
-        return out, exact
-    X, Y = X[rows], Y[rows]
-    mx, my, b = mx[rows], my[rows], b_all[rows]
-    M, N = X.shape[1], Y.shape[1]
-    size = M + 1
-    inf = M + N + 2
-    final = mx + my
-    cadence = _RETIRE_CADENCE
-    since_check = 0
-    prev_win = (0, min(M, 1))  # written window of diagonal 1
-    live = np.ones(len(rows), dtype=bool)
-    prev2 = np.full((len(rows), size), inf, dtype=np.int64)
-    prev = np.full((len(rows), size), inf, dtype=np.int64)
-    prev2[:, 0] = 0  # cell (0, 0)
-    prev[:, 0] = 1  # cell (0, 1)
-    prev[:, 1] = 1  # cell (1, 0)
-    cur = np.empty((len(rows), size), dtype=np.int64)
-    for t in range(2, M + N + 1):
-        if not live.any():
-            break
-        # widest surviving band; >= 1 so the window never goes empty and
-        # its edges move by at most one column per diagonal (the sweep's
-        # sentinel bookkeeping relies on that, exactly like the full
-        # kernels' one-cell-beyond-the-window reads)
-        B = max(int(b[live].max()), 1)
-        lo = max(0, t - N)
-        hi = min(M, t)
-        L = max(lo, (t - B + 1) // 2)  # ceil((t - B) / 2)
-        H = min(hi, (t + B) // 2)
-        a = max(1, L)
-        bb = min(H, t - 1)
-        cur[:, a - 1] = inf
-        if bb + 1 <= M:
-            cur[:, bb + 1] = inf
-        if L == 0:
-            cur[:, 0] = t  # cell (0, t): t insertions
-        if H == t:
-            cur[:, t] = t  # cell (t, 0): t deletions
-        if a <= bb:
-            xs = X[:, a - 1 : bb]
-            ys = Y[:, t - bb - 1 : t - a][:, ::-1]
-            sub = prev2[:, a - 1 : bb] + (xs != ys)
-            step = np.minimum(prev[:, a - 1 : bb], prev[:, a : bb + 1]) + 1
-            np.minimum(sub, step, out=cur[:, a : bb + 1])
-        ready = live & (final == t)
-        if ready.any():
-            idx = np.nonzero(ready)[0]
-            vals = cur[idx, mx[idx]]
-            ok = vals <= b[idx]
-            out[rows[idx]] = np.where(ok, vals, b[idx] + 1)
-            exact[rows[idx]] = ok
-            live[idx] = False
-        since_check += 1
-        if since_check >= cadence and live.any():
-            # retirement check, sampled: minima of the last two diagonals
-            # over their written windows (all later cells derive from
-            # them by non-negative increments)
-            since_check = 0
-            min_cur = cur[:, L : H + 1].min(axis=1)
-            min_prev = prev[:, prev_win[0] : prev_win[1] + 1].min(axis=1)
-            dead = live & (min_cur > b) & (min_prev > b)
-            if dead.any():
-                idx = np.nonzero(dead)[0]
-                out[rows[idx]] = b[idx] + 1
-                live[idx] = False
-        prev2, prev, cur = prev, cur, prev2
-        prev_win = (L, H)
-        n_live = int(live.sum())
-        if n_live and n_live * 2 <= len(rows):
-            keep = np.nonzero(live)[0]
-            rows, X, Y = rows[keep], X[keep], Y[keep]
-            mx, my, b, final = mx[keep], my[keep], b[keep], final[keep]
-            prev2, prev, cur = prev2[keep], prev[keep], cur[keep]
-            live = np.ones(n_live, dtype=bool)
-    return out, exact
+    values, _, exact = _swept_bounded(X, Y, mx, my, bounds, packed=False)
+    return values, exact
 
 
 def contextual_heuristic_batch_bounded_numpy(
@@ -813,16 +768,28 @@ def contextual_heuristic_batch_bounded_numpy(
         zeros = np.zeros(0, dtype=np.int64)
         return zeros, zeros.copy(), np.zeros(0, dtype=bool)
     X, Y, mx, my = encode_batch(pairs)
-    return _contextual_swept_bounded(X, Y, mx, my, bounds)
+    return _swept_bounded(X, Y, mx, my, bounds, packed=True)
 
 
-def _contextual_swept_bounded(
+def _swept_bounded(
     X: IntMatrix,
     Y: IntMatrix,
     mx: IntVector,
     my: IntVector,
     bounds: Sequence[int],
+    packed: bool,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The banded bounded sweep of both bounded kernels (see the block
+    comment above): ``(d_e, ni, exact)``, with ``ni`` the exact ``Ni``
+    of the packed twin tables (``packed``) and 0 for plain ``d_E``.
+
+    Both recurrences take a paid step of ``K`` and differ only in the
+    insertion, which costs ``K - 1`` in the packed tables (``d + 1``,
+    ``ni + 1``) and ``K = 1`` in ``d_E``.  The sweep's bookkeeping --
+    the widest surviving band, the live count, the pairs due on each
+    diagonal -- changes only when a pair is harvested or retired, so it
+    is recomputed then rather than on every diagonal.
+    """
     P = len(mx)
     out_d = np.zeros(P, dtype=np.int64)
     out_ni = np.zeros(P, dtype=np.int64)
@@ -832,43 +799,45 @@ def _contextual_swept_bounded(
     b_all = np.minimum(
         np.maximum(np.asarray(bounds, dtype=np.int64), 0), mx + my
     )
-    gap = np.abs(mx - my)
-    pruned = gap > b_all
-    x_empty = (mx == 0) & ~pruned
-    y_empty = (my == 0) & ~x_empty & ~pruned
-    out_d[x_empty] = my[x_empty]
+    pruned = np.abs(mx - my) > b_all  # d_E >= |m - n| busts the budget
+    trivial = ((mx == 0) | (my == 0)) & ~pruned
+    out_d[trivial] = np.maximum(mx, my)[trivial]  # d_E == |m - n|
+    x_empty = trivial & (mx == 0)
     out_ni[x_empty] = my[x_empty]  # pure insertions
-    out_d[y_empty] = mx[y_empty]
-    out_ni[y_empty] = 0  # pure deletions
-    exact[x_empty | y_empty] = True
+    exact[trivial] = True
     out_d[pruned] = b_all[pruned] + 1
-    rows = np.nonzero(~x_empty & ~y_empty & ~pruned)[0]
+    rows = np.nonzero(~trivial & ~pruned)[0]
     if len(rows) == 0:
         return out_d, out_ni, exact
-    X, Y = X[rows], Y[rows]
-    mx, my, b = mx[rows], my[rows], b_all[rows]
-    M, N = X.shape[1], Y.shape[1]
+    X, Yr = X[rows], Y[rows, ::-1]  # each diagonal reads y backwards
+    mx, b = mx[rows], b_all[rows]
+    final = mx + my[rows]
+    M, N = X.shape[1], Yr.shape[1]
     size = M + 1
-    K = M + N + 2  # strictly above any feasible ni
-    inf = (M + N + 1) * K
-    final = mx + my
+    cell, K, inf = _cells(M + N, packed)
+    paid = cell(K)  # typed: a Python int would widen the mask to int64
+    insertion = K - 1 if packed else K
     cadence = _RETIRE_CADENCE
     since_check = 0
     prev_win = (0, min(M, 1))  # written window of diagonal 1
     live = np.ones(len(rows), dtype=bool)
-    prev2 = np.full((len(rows), size), inf, dtype=np.int64)
-    prev = np.full((len(rows), size), inf, dtype=np.int64)
-    prev2[:, 0] = 0  # (0, 0): d=0, ni=0
-    prev[:, 0] = K - 1  # (0, 1): d=1, ni=1 (one insertion)
-    prev[:, 1] = K  # (1, 0): d=1, ni=0 (one deletion)
-    cur = np.empty((len(rows), size), dtype=np.int64)
+    n_live = len(rows)
+    due = _harvest_schedule(final)
+    # widest surviving band; >= 1 so the window never goes empty and its
+    # edges move by at most one column per diagonal (the sweep's sentinel
+    # bookkeeping relies on that, exactly like the full kernels'
+    # one-cell-beyond-the-window reads)
+    B = max(int(b.max()), 1)
+    prev2 = np.full((len(rows), size), inf, dtype=cell)
+    prev = np.full((len(rows), size), inf, dtype=cell)
+    prev2[:, 0] = 0  # (0, 0)
+    prev[:, 0] = insertion  # (0, 1): one insertion
+    prev[:, 1] = K  # (1, 0): one deletion
+    cur = np.empty((len(rows), size), dtype=cell)
     for t in range(2, M + N + 1):
-        if not live.any():
-            break
-        B = max(int(b[live].max()), 1)
         lo = max(0, t - N)
         hi = min(M, t)
-        L = max(lo, (t - B + 1) // 2)
+        L = max(lo, (t - B + 1) // 2)  # ceil((t - B) / 2)
         H = min(hi, (t + B) // 2)
         a = max(1, L)
         bb = min(H, t - 1)
@@ -876,30 +845,41 @@ def _contextual_swept_bounded(
         if bb + 1 <= M:
             cur[:, bb + 1] = inf
         if L == 0:
-            cur[:, 0] = t * K - t  # (0, t): d=t, ni=t insertions
+            cur[:, 0] = t * insertion  # (0, t): t insertions
         if H == t:
-            cur[:, t] = t * K  # (t, 0): d=t, ni=0
+            cur[:, t] = t * K  # (t, 0): t deletions
         if a <= bb:
             xs = X[:, a - 1 : bb]
-            ys = Y[:, t - bb - 1 : t - a][:, ::-1]
-            diag = prev2[:, a - 1 : bb] + (xs != ys) * K
-            step = np.minimum(
-                prev[:, a - 1 : bb] + K,  # deletion of x[i-1]
-                prev[:, a : bb + 1] + (K - 1),  # insertion of y[j-1]
-            )
+            ys = Yr[:, N - t + a : N - t + bb + 1]  # y[t-a-1], ..., y[t-bb-1]
+            mismatch = xs != ys
+            diag = prev2[:, a - 1 : bb] + (mismatch * paid if packed else mismatch)
+            # min(del + K, ins + insertion) as min(del + K - insertion,
+            # ins) + insertion: K - insertion is 1 or 0, and no unsigned
+            # cell is ever subtracted from
+            up = prev[:, a - 1 : bb]  # deletion of x[i-1]
+            step = np.minimum(up + 1 if packed else up, prev[:, a : bb + 1])
+            step += insertion
             np.minimum(diag, step, out=cur[:, a : bb + 1])
-        ready = live & (final == t)
-        if ready.any():
-            idx = np.nonzero(ready)[0]
-            pack = cur[idx, mx[idx]]
-            d = -(-pack // K)
-            ok = d <= b[idx]
-            out_d[rows[idx]] = np.where(ok, d, b[idx] + 1)
-            out_ni[rows[idx]] = np.where(ok, d * K - pack, 0)
-            exact[rows[idx]] = ok
-            live[idx] = False
+        changed = False
+        ready = due.get(t)
+        if ready is not None:
+            idx = ready[live[ready]]
+            if len(idx):
+                pack = cur[idx, mx[idx]].astype(np.int64)  # negated below
+                d = -(-pack // K)  # ceil: ni = 0 packs sit exactly on d * K
+                ok = d <= b[idx]
+                out_d[rows[idx]] = np.where(ok, d, b[idx] + 1)
+                out_ni[rows[idx]] = np.where(ok, d * K - pack, 0)
+                exact[rows[idx]] = ok
+                live[idx] = False
+                n_live -= len(idx)
+                changed = True
         since_check += 1
-        if since_check >= cadence and live.any():
+        if since_check >= cadence and n_live:
+            # retirement check, sampled: minima of the last two diagonals
+            # over their written windows (all later cells derive from
+            # them by non-negative increments); packs above b * K hold
+            # d_E > b, because ni <= d
             since_check = 0
             min_cur = cur[:, L : H + 1].min(axis=1)
             min_prev = prev[:, prev_win[0] : prev_win[1] + 1].min(axis=1)
@@ -908,15 +888,21 @@ def _contextual_swept_bounded(
                 idx = np.nonzero(dead)[0]
                 out_d[rows[idx]] = b[idx] + 1
                 live[idx] = False
+                n_live -= len(idx)
+                changed = True
         prev2, prev, cur = prev, cur, prev2
         prev_win = (L, H)
-        n_live = int(live.sum())
-        if n_live and n_live * 2 <= len(rows):
-            keep = np.nonzero(live)[0]
-            rows, X, Y = rows[keep], X[keep], Y[keep]
-            mx, my, b, final = mx[keep], my[keep], b[keep], final[keep]
-            prev2, prev, cur = prev2[keep], prev[keep], cur[keep]
-            live = np.ones(n_live, dtype=bool)
+        if not n_live:
+            break
+        if changed:
+            if n_live * 2 <= len(rows):
+                keep = np.nonzero(live)[0]
+                rows, X, Yr = rows[keep], X[keep], Yr[keep]
+                mx, b, final = mx[keep], b[keep], final[keep]
+                prev2, prev, cur = prev2[keep], prev[keep], cur[keep]
+                live = np.ones(n_live, dtype=bool)
+                due = _harvest_schedule(final)
+            B = max(int(b[live].max()), 1)
     return out_d, out_ni, exact
 
 

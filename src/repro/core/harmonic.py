@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from typing import List
 
-__all__ = ["harmonic", "harmonic_range", "HarmonicTable"]
+import numpy as np
+
+__all__ = ["harmonic", "harmonic_range", "harmonic_prefix", "HarmonicTable"]
 
 
 class HarmonicTable:
@@ -59,6 +61,13 @@ class HarmonicTable:
             return 0.0
         return self.value(high) - self.value(low)
 
+    def prefix(self, n: int) -> np.ndarray:
+        """``[H(0), ..., H(n)]`` as a float64 array of the table's own
+        doubles (grown to ``n`` first), so array code subtracts exactly
+        what :meth:`partial` subtracts."""
+        self.value(n)
+        return np.asarray(self._values[: n + 1], dtype=np.float64)
+
 
 _TABLE = HarmonicTable()
 
@@ -73,3 +82,9 @@ def harmonic_range(low: int, high: int) -> float:
     from length ``low`` to length ``high`` one insertion at a time (or the
     mirror-image deletion cost)."""
     return _TABLE.partial(low, high)
+
+
+def harmonic_prefix(n: int) -> np.ndarray:
+    """``[H(0), ..., H(n)]`` from the process-wide table, for array code
+    that must add the same doubles as :func:`harmonic_range`."""
+    return _TABLE.prefix(n)

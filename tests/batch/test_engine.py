@@ -1,14 +1,20 @@
 """The batch engine against scalar distances: every registry entry,
 empty strings, duplicates, mixed-length buckets, both matrix shapes."""
 
+import importlib
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.batch import distances_from, pairwise_matrix, pairwise_values
-from repro.batch.engine import _buckets
+from repro.batch.engine import _buckets, _canonical_finalize
 from repro.core import get_distance, get_spec, list_distances
+from repro.core.contextual import canonical_cost
+from repro.core.harmonic import HarmonicTable
 from repro.core.levenshtein import levenshtein_distance
 
 ALL_NAMES = [spec.name for spec in list_distances()]
@@ -141,3 +147,44 @@ def test_tuple_and_string_representations_agree():
         "levenshtein", [("ab", "ba"), (("a", "b"), ("b", "a"))]
     )
     assert values.tolist() == [expected, expected]
+
+
+@st.composite
+def _canonical_rows(draw):
+    """A feasible ``(m, n, k, ni)``: ``ni``, ``nd`` and ``ns`` each zero
+    or not, equal lengths included (``nd == ni``)."""
+    m = draw(st.integers(0, 300))
+    ni = draw(st.just(0) | st.integers(0, 200))
+    peak = m + ni
+    nd = draw(st.sampled_from([0, ni, peak]) | st.integers(0, peak))
+    ns = 0 if peak == 0 else draw(st.just(0) | st.integers(0, peak))
+    return m, peak - nd, ni + nd + ns, ni
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_canonical_rows(), min_size=1, max_size=30), st.integers(0, 64))
+def test_canonical_finalize_is_bit_identical(rows, size):
+    # a fresh table shorter than most peaks: the vectorised replay must
+    # grow it before it reads H
+    module = importlib.import_module("repro.core.harmonic")
+    with mock.patch.object(module, "_TABLE", HarmonicTable(size)):
+        m, n, k, ni = (np.asarray(col, dtype=np.int64) for col in zip(*rows))
+        got = _canonical_finalize(m, n, k, ni)
+        want = [canonical_cost(*row).hex() for row in rows]
+    assert [float(v).hex() for v in got] == want
+
+
+def test_canonical_finalize_keeps_the_scalar_order():
+    # with all three terms non-zero, about one row in twenty rounds
+    # differently if the sums are reordered
+    rng = random.Random(0xCA11)
+    rows = []
+    for _ in range(5000):
+        m, ni = rng.randint(0, 300), rng.randint(1, 200)
+        nd = rng.randint(1, m + ni)
+        rows.append((m, m + ni - nd, ni + nd + rng.randint(1, m + ni), ni))
+    m, n, k, ni = (np.asarray(col, dtype=np.int64) for col in zip(*rows))
+    got = _canonical_finalize(m, n, k, ni)
+    assert [float(v).hex() for v in got] == [
+        canonical_cost(*row).hex() for row in rows
+    ]
