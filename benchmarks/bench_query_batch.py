@@ -26,9 +26,9 @@ held-out contours as queries.  Four modes:
   probe);
 * ``--mode repeat`` -- the engine runtime: the same index serves
   several consecutive ``bulk_knn`` calls with the persistent pool on
-  (ambient default) vs off (``REPRO_PERSISTENT_POOL=0``: id sweeps then
-  run in-process, since only the persistent pool attaches the
-  shared-memory corpus), results asserted bit-identical;
+  (ambient default) vs off (``REPRO_PERSISTENT_POOL=0``: no process
+  pool, so every engine call runs in-process), results asserted
+  bit-identical;
 * ``--mode route`` -- the per-round lockstep route: one round of
   {1, 2, 4, 8, 16, 64} pairs on dictionary words (``levenshtein``) and
   on digit contours (``contextual_heuristic``), timed both ways (one
@@ -54,8 +54,9 @@ Either way the batched paths must return bit-identical results and
 identical per-query ``distance_computations`` (asserted, not sampled);
 only the wall-clock may differ.  Results are appended as one JSON object
 per run to ``BENCH_query.json`` (each row tagged with the ambient
-``pool`` mode: persistent vs per-call) so the perf trajectory survives
-across PRs.
+``pool`` mode: ``persistent``, or ``per-call`` -- the historic name of
+the ``REPRO_PERSISTENT_POOL=0`` regime, which now runs in-process) so
+the perf trajectory survives across PRs.
 
 Usage::
 
@@ -611,14 +612,15 @@ def run_repeat_benchmark(
     seed: int = 0xD161,
 ) -> dict:
     """Repeated bulk queries against one fixed index: the persistent
-    pool (ambient default) vs the per-call path
-    (``REPRO_PERSISTENT_POOL=0``).
+    pool (ambient default) vs no pool at all
+    (``REPRO_PERSISTENT_POOL=0``: every engine call in-process).
 
     The index is built under each regime and then serves *rounds*
     consecutive ``bulk_knn`` calls -- the serving-traffic shape where
-    the per-call costs the runtime removes (spawning a pool every sweep)
-    actually repeat.  Neighbours, distances and per-query computation
-    counts are asserted bit-identical between the regimes.
+    the pool's one-time costs (spawn, corpus publication) amortise.
+    Neighbours, distances and per-query computation counts are asserted
+    bit-identical between the regimes; the row keeps its historic
+    ``percall_seconds`` key for the in-process time.
     """
     train, queries = _workload(per_class, n_train, n_queries, seed)
 
@@ -675,7 +677,7 @@ def main(argv=None) -> int:
         choices=("knn", "range", "repeat", "route", "words"),
         default="knn",
         help="benchmark k-NN (default), radius search, repeated bulk "
-        "queries (persistent vs per-call pool), the lockstep round "
+        "queries (persistent pool vs in-process), the lockstep round "
         "route (scalar vs batched per pair count), or the word rows "
         "(loop vs bulk on short words and the dictionary)",
     )

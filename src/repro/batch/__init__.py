@@ -12,7 +12,9 @@ Entry points:
 * :func:`pairwise_values` -- distances for an explicit pair list;
 * :func:`pairwise_values_ids` / :func:`pairwise_values_bounded_ids` --
   the same over ``(id, id)`` pairs of an interned corpus
-  (:func:`intern_corpus`), the only way the indexes reach the engine;
+  (:func:`intern_corpus`): the one path through the engine, which the
+  indexes call directly and every pair-list and matrix entry point
+  reaches by interning its items into a throwaway corpus per call;
   the bounded twin returns early-exit distances with per-pair limits,
   bit-identical to ``CountingDistance.within`` (the batched candidate
   phase of the lockstep ``bulk_*`` drivers);

@@ -1,10 +1,11 @@
 """Interned corpora: encode a fixed database once, dispatch ids.
 
-Every engine entry point re-normalises and re-encodes its items on each
-call -- fine for one-off pair lists, wasteful for the bulk query paths,
-which evaluate the *same database* over and over (a pivot sweep per bulk
-call, a candidate round per lockstep iteration).  This module makes the
-encoding a build-time cost:
+The kernels sweep encoded symbols.  Encoding per call would be wasteful
+for the bulk query paths, which evaluate the *same database* over and
+over (a pivot sweep per bulk call, a candidate round per lockstep
+iteration), so this module makes the encoding a build-time cost -- and
+gives one-off pair lists and matrices the same id space, interned into
+a throwaway corpus per call:
 
 * :class:`InternedCorpus` -- the database's sequences normalised with
   :func:`~repro.core.types.as_symbols` and encoded against one **shared

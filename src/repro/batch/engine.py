@@ -24,24 +24,26 @@ has more than one core and every worker would receive at least
 ``_MIN_PAIRS_PER_WORKER`` pairs -- big consumers (Table 2 trials, AESA
 preprocessing, histogram sweeps, bulk query phases) parallelise without
 opting in pair-list by pair-list.  Pass an integer to force a pool size,
-or ``None``/``0``/``1`` to force serial evaluation.  The pool itself is
-the **persistent** one of :mod:`repro.batch.runtime` (spawned once,
-reused across calls; ``REPRO_PERSISTENT_POOL=0`` restores the old
-one-pool-per-call behaviour bit-identically).
+or ``None``/``0``/``1`` to force serial evaluation.  The pool is the
+**persistent** one of :mod:`repro.batch.runtime` (spawned once, reused
+across calls); ``REPRO_PERSISTENT_POOL=0`` keeps every call in-process
+(same values).
 
 Interned dispatch
 -----------------
-:func:`pairwise_values_ids` and :func:`pairwise_values_bounded_ids` are
-the id-space entry points every index uses: callers holding an interned
-corpus (:mod:`repro.batch.corpus`) dispatch ``(id, id)`` pairs against
-matrices encoded once at index-build time, so repeated bulk queries skip
-normalisation, content hashing and ``encode_batch`` entirely; sharded
-fan-out sends workers only id arrays against a shared-memory
-publication of the corpus.  The bounded path has one implementation:
-:func:`pairwise_values_bounded` interns its pair list into a throwaway
-corpus and calls the id twin.  Values are bit-identical to the scalar
-functions either way (same kernels, same replay arithmetic -- asserted
-by the tests).
+Every entry point runs on interned ids.  :func:`pairwise_values_ids` and
+:func:`pairwise_values_bounded_ids` take ``(id, id)`` pairs of a
+:class:`~repro.batch.corpus.PairStore`: the indexes dispatch them
+against matrices encoded once at index-build time, so repeated bulk
+queries skip normalisation, content hashing and encoding entirely, and
+sharded fan-out sends workers only id arrays against a shared-memory
+publication of the corpus.  The pair-list and matrix entry points are
+adapters: they intern the call's distinct items (keyed by their
+normalised symbols) into a throwaway corpus once per call and dispatch
+id arrays against it -- built per block or strip in the streaming
+calls, so those keep their memory bound.  Values are bit-identical to
+the scalar functions either way (same kernels, same replay arithmetic
+-- asserted by the tests).
 
 Which distances are batched
 ---------------------------
@@ -51,9 +53,12 @@ closed-form per-pair normalisation; ``contextual_heuristic`` reduces to
 the batched twin-table sweep plus ``canonical_cost`` replayed over the
 bucket's arrays.  The final per-pair arithmetic deliberately replays the
 *scalar* implementations' expressions so batch results are bit-identical
-to the scalar ones (asserted by the tests).  Everything else (exact ``d_C``,
-``d_MV``, arbitrary user callables) falls back to one scalar call per
-*unique* pair -- the dedupe and symmetry savings still apply.
+to the scalar ones (asserted by the tests).  Exact ``d_C`` and ``d_MV``
+fall back to one scalar call per *unique* id pair -- on the normalised
+symbols in-process, on the published code rows in a pool worker (every
+registered distance compares symbols only for equality, so the two give
+the same floats) -- and arbitrary user callables to one call per unique
+id pair on the stored raw items; the dedupe savings still apply.
 """
 
 from __future__ import annotations
@@ -100,7 +105,6 @@ from .corpus import PairStore, intern_corpus
 from .kernels import (
     contextual_heuristic_batch_bounded_encoded,
     contextual_heuristic_batch_encoded,
-    encode_batch,
     levenshtein_batch_bounded_encoded,
     levenshtein_batch_encoded,
     levenshtein_grid_encoded,
@@ -170,7 +174,7 @@ def _min_pairs_per_worker() -> int:
 
 
 def _is_batched(name: Optional[str]) -> bool:
-    """Whether *name* has a batched kernel path in `_evaluate_batched`.
+    """Whether *name* has a batched kernel path in :func:`_evaluate_ids`.
 
     The Levenshtein family and the contextual heuristic always do; exact
     ``d_C`` and ``d_MV`` gain one when the numba backend is active (their
@@ -198,10 +202,6 @@ def _resolve_workers(workers: Workers, n_unique: int, registered: bool) -> int:
     receive at least ``_MIN_PAIRS_PER_WORKER`` unique pairs -- i.e. when
     ``n_unique // cpu_count >= _MIN_PAIRS_PER_WORKER``.
     """
-    if isinstance(workers, str) and workers != "auto":
-        raise ValueError(
-            f"workers must be 'auto', an int, or None; got {workers!r}"
-        )
     if not registered or n_unique == 0:
         return 0
     if workers == "auto":
@@ -357,15 +357,6 @@ def _sizes_buckets(sizes: Sequence[int], bucket_size: int) -> List[List[int]]:
     return buckets
 
 
-def _buckets(
-    pairs: Sequence[Tuple[Symbols, Symbols]], bucket_size: int
-) -> List[List[int]]:
-    """Group pair indices by combined length (see :func:`_sizes_buckets`)."""
-    return _sizes_buckets(
-        [len(x) + len(y) for x, y in pairs], bucket_size
-    )
-
-
 def _evaluate_encoded(
     name: str,
     X: np.ndarray,
@@ -373,13 +364,12 @@ def _evaluate_encoded(
     mx: np.ndarray,
     my: np.ndarray,
 ) -> np.ndarray:
-    """One kernel sweep over an already-encoded (single-bucket) chunk.
+    """One kernel sweep over an already-gathered (single-bucket) chunk.
 
-    The shared back half of :func:`_evaluate_batched` and the interned
-    id-dispatch paths: everything downstream of encoding works from the
-    code matrices and lengths alone (``d_C,h``'s ``canonical_cost``
-    replay included -- equal pairs recover ``(d_E, Ni) = (0, 0)`` from
-    the DP, so their cost is 0.0 without a symbol comparison).
+    Everything downstream of the gather works from the code matrices and
+    lengths alone (``d_C,h``'s ``canonical_cost`` replay included --
+    equal pairs recover ``(d_E, Ni) = (0, 0)`` from the DP, so their
+    cost is 0.0 without a symbol comparison).
     """
     if name == "contextual_heuristic":
         d_e, ni = contextual_heuristic_batch_encoded(X, Y, mx, my)
@@ -391,26 +381,27 @@ def _evaluate_encoded(
     return _lev_finalize(name, mx, my, levenshtein_batch_encoded(X, Y, mx, my))
 
 
-def _evaluate_batched(
-    name: str, pairs: Sequence[Tuple[Symbols, Symbols]]
-) -> np.ndarray:
-    """Batched evaluation of one of the kernel-backed distances."""
-    out = np.empty(len(pairs), dtype=np.int64 if name == _LEV_INT else float)
-    for bucket in _buckets(pairs, _BUCKET_SIZE):
-        chunk = [pairs[p] for p in bucket]
-        X, Y, mx, my = encode_batch(chunk)
-        out[bucket] = _evaluate_encoded(name, X, Y, mx, my)
-    return out
-
-
 def _evaluate_ids(
     name: str, store: "PairStore", x_ids: np.ndarray, y_ids: np.ndarray
 ) -> np.ndarray:
-    """Batched evaluation of kernel-backed distances over store ids:
-    bucket by combined length, *gather* (never re-encode) each bucket's
-    kernel inputs out of the store's interned matrices, sweep.  On the
-    numpy backend the ``d_E`` family first takes every grid row it can
-    (:func:`_evaluate_grid`)."""
+    """Evaluate a registered distance over unique, ``x != y`` store id
+    pairs -- in-process on a :class:`~repro.batch.corpus.PairStore`, or
+    in a pool worker on the shared-memory store of
+    :func:`~repro.batch.runtime.attach_store`.
+
+    Kernel-backed distances bucket by combined length, *gather* (never
+    re-encode) each bucket's kernel inputs out of the store's matrices
+    and sweep; on the numpy backend the ``d_E`` family first takes every
+    grid row it can (:func:`_evaluate_grid`).  The rest (exact ``d_C``
+    and ``d_MV`` on numpy) call the scalar function per pair on
+    ``store.sym`` -- the normalised symbols in-process, the code rows in
+    a worker, which every registered distance scores alike because it
+    compares symbols only for equality.
+    """
+    if not _is_batched(name):
+        fn, pairs = _worker_fn(name), zip(x_ids.tolist(), y_ids.tolist())
+        values = [fn(store.sym(i), store.sym(j)) for i, j in pairs]
+        return np.asarray(values, dtype=float)
     out = np.empty(len(x_ids), dtype=np.int64 if name == _LEV_INT else float)
     rest = np.arange(len(x_ids))
     if name in _LEV_FAMILY and jit_backend() is None:
@@ -460,28 +451,9 @@ def _evaluate_grid(
     return np.flatnonzero(~in_grid)
 
 
-def _evaluate_unique(
-    name: Optional[str],
-    fn: Callable,
-    pairs: Sequence[Tuple[Symbols, Symbols]],
-    raw_pairs: Sequence[Tuple[Any, Any]],
-) -> np.ndarray:
-    """Evaluate every (already unique) pair, batched when possible.
-
-    Scalar fallbacks are called on ``raw_pairs`` -- each slot's original
-    item representations -- so representation-sensitive callables see
-    exactly what a plain loop would have handed them; the normalised
-    ``pairs`` feed the kernels (and the dedupe that aligned the lists).
-    """
-    if _is_batched(name):
-        return _evaluate_batched(name, pairs)
-    return np.asarray([fn(x, y) for x, y in raw_pairs], dtype=float)
-
-
 #: Worker-lifetime memo of registry resolutions: a persistent-pool
 #: worker serves many task shards over its life, and resolving the
-#: distance (a registry scan) per shard was pure overhead.  Harmless in
-#: per-call pools too (each worker simply resolves once).
+#: distance (a registry scan) per shard was pure overhead.
 _WORKER_FNS: Dict[str, Callable] = {}
 
 
@@ -494,24 +466,12 @@ def _worker_fn(name: str) -> Callable:
     return fn
 
 
-def _mp_evaluate(args: Tuple[str, List[Tuple[Symbols, Symbols]]]) -> np.ndarray:
-    """Process-pool worker: evaluate one chunk of pairs by registry name."""
-    from . import faults
-
-    faults.worker_task()
-    name, chunk = args
-    if _is_batched(name):
-        return _evaluate_batched(name, chunk)
-    fn = _worker_fn(name)
-    return np.asarray([fn(x, y) for x, y in chunk], dtype=float)
-
-
 def _mp_evaluate_ids(
     args: Tuple[str, Any, np.ndarray, np.ndarray],
 ) -> np.ndarray:
-    """Process-pool worker: evaluate one chunk of *id pairs* against a
-    shared-memory store publication -- only the name, the token and two
-    id arrays crossed the process boundary."""
+    """The engine's pool worker task: evaluate one chunk of *id pairs*
+    against a shared-memory store publication -- only the name, the
+    token and two id arrays crossed the process boundary."""
     from . import faults
     from . import runtime as _runtime
 
@@ -580,9 +540,9 @@ def _map_chunks(
     worker: Callable[[Any], Any],
     chunks: List[Any],
     workers: int,
-    sizes: Optional[List[int]] = None,
-    serial: Optional[Callable[[Any], Any]] = None,
-) -> List[Any]:
+    sizes: List[int],
+    serial: Callable[[Any], Any],
+) -> Optional[List[Any]]:
     """Run *chunks* through the degradation ladder.
 
     Rungs, healthiest first -- every rung computes the very same values
@@ -592,39 +552,18 @@ def _map_chunks(
     1. the persistent pool under supervision
        (:meth:`~repro.batch.runtime.EngineRuntime.supervised_map`:
        per-chunk deadlines, health-checked pool, fresh-pool retries);
-    2. a disposable per-call pool for whatever chunks still failed
-       (also the whole path when ``REPRO_PERSISTENT_POOL=0``);
-    3. in-process serial evaluation of the stragglers via *serial*
-       (defaults to calling *worker* inline) -- cannot fail, so the
-       ladder always terminates with complete results.
+    2. a disposable per-call pool for whatever chunks still failed;
+    3. in-process evaluation of the stragglers via *serial* -- cannot
+       fail, so the ladder always terminates with complete results.
 
     Returns the per-chunk results, or ``None`` when pooling was never
-    available at all (no fork, no subprocesses) -- the quiet pre-existing
-    contract, under which callers evaluate serially themselves.  *sizes*
-    (pairs per chunk) scales the supervision deadlines.
+    available at all (no fork, no subprocesses) -- the quiet contract
+    under which the caller evaluates serially itself.  *sizes* (pairs
+    per chunk) scales the supervision deadlines.
     """
     from . import runtime as _runtime
 
     n = len(chunks)
-    all_sizes: List[Optional[int]] = (
-        list(sizes) if sizes is not None else [None] * n
-    )
-    if not _runtime.persistent_pool_enabled():
-        parts = _percall_map(worker, chunks, all_sizes)
-        if parts is None:
-            return None
-        if any(r is _CHUNK_FAILED for r in parts):
-            # historic contract: a failed per-call pool means the caller
-            # re-evaluates serially -- but say so, it's a degradation
-            warnings.warn(
-                "engine fan-out: per-call pool failed; "
-                "falling back to in-process serial evaluation",
-                _runtime.DegradedExecutionWarning,
-                stacklevel=2,
-            )
-            _runtime.DEGRADATION.record("serial_fallbacks", n)
-            return None
-        return parts
     supervised = _runtime.get_runtime().supervised_map(
         worker, chunks, workers, sizes=sizes
     )
@@ -643,7 +582,7 @@ def _map_chunks(
     retried = _percall_map(
         worker,
         [chunks[i] for i in failed],
-        [all_sizes[i] for i in failed],
+        [sizes[i] for i in failed],
     )
     stragglers: List[int] = []
     if retried is None:
@@ -663,35 +602,9 @@ def _map_chunks(
         _runtime.DegradedExecutionWarning,
         stacklevel=2,
     )
-    run = serial if serial is not None else worker
     for i in stragglers:
-        results[i] = run(chunks[i])
+        results[i] = serial(chunks[i])
     return results
-
-
-def _fan_out(
-    name: str,
-    pairs: List[Tuple[Symbols, Symbols]],
-    workers: int,
-) -> Optional[np.ndarray]:
-    """Evaluate *pairs* across a process pool; None if the pool fails.
-
-    Chunks are contiguous slices of the (caller-sorted) pair list; child
-    processes re-resolve the distance from its registry *name*, so only
-    strings/tuples cross the process boundary.
-    """
-    chunk_count = min(workers, max(1, len(pairs) // _min_pairs_per_worker()))
-    if chunk_count < 2:
-        return None
-    bounds = np.linspace(0, len(pairs), chunk_count + 1).astype(int)
-    chunks = [
-        (name, pairs[bounds[c] : bounds[c + 1]]) for c in range(chunk_count)
-    ]
-    sizes = [len(chunk[1]) for chunk in chunks]
-    parts = _map_chunks(_mp_evaluate, chunks, chunk_count, sizes=sizes)
-    if parts is None:
-        return None
-    return np.concatenate(parts)
 
 
 def _fan_out_ids(
@@ -702,13 +615,14 @@ def _fan_out_ids(
     workers: int,
 ) -> Optional[np.ndarray]:
     """Evaluate id pairs across the persistent pool via a shared-memory
-    publication of *store*; None when anything is unavailable (the
-    caller then evaluates serially -- identical values).
+    publication of *store*; None when anything is unavailable, and under
+    ``REPRO_PERSISTENT_POOL=0`` (the caller then evaluates in-process --
+    identical values).
 
     The corpus block is published once per corpus and cached by every
-    worker for its lifetime; the per-call query block is published
-    ephemerally and unlinked as soon as the call returns.  Only the id
-    arrays travel per task.
+    worker until the master releases it; the per-call query block is
+    published ephemerally and unlinked as soon as the call returns.
+    Only the id arrays travel per task.
     """
     from . import runtime as _runtime
 
@@ -746,6 +660,35 @@ def _fan_out_ids(
     return np.concatenate(parts)
 
 
+def _intern_items(items: Sequence[Any]) -> Tuple["PairStore", np.ndarray]:
+    """Intern one call's items into a throwaway store; returns the store
+    and each item's id.
+
+    Items are keyed by their normalised symbols
+    (:func:`~repro.core.types.as_symbols`), so repeats -- and equal
+    content as a tuple or a list -- share the id of the first-seen raw
+    item.  Items that cannot be keyed (non-sequences, unhashable
+    symbols) get one id per position in a corpus without an encoding,
+    which the id entry points answer through their scalar fallbacks.
+    The shared front of the pair-list and matrix adapters.
+    """
+    kept: List[Any] = []
+    ids: List[int] = []
+    try:
+        slot_of: Dict[Symbols, int] = {}
+        for item in items:
+            key = as_symbols(item)
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = len(kept)
+                kept.append(item)
+            ids.append(slot)
+    except TypeError:
+        kept = list(items)
+        ids = list(range(len(kept)))
+    return intern_corpus(kept).store(), np.asarray(ids, dtype=np.int64)
+
+
 def pairwise_values(
     distance: DistanceLike,
     pairs: Sequence[Tuple[Any, Any]],
@@ -755,71 +698,33 @@ def pairwise_values(
     """Evaluate *distance* over *pairs*, returning an aligned 1-D array.
 
     ``distance`` is a registry name, a registered distance function, the
-    raw :func:`~repro.core.levenshtein.levenshtein_distance`, or any other
-    callable (scalar fallback).  Repeated pairs are computed once; for
-    registered distances ``x == y`` pairs are 0 without computation.
-    Inputs are normalised with :func:`~repro.core.types.as_symbols`, so
-    equal content in different representations (``"ab"`` vs
-    ``("a", "b")``) also dedupes.
+    raw :func:`~repro.core.levenshtein.levenshtein_distance` (int64
+    values), or any other callable (scalar fallback).  Repeated pairs are
+    computed once; for registered distances ``x == y`` pairs are 0
+    without computation.  Items are keyed by their normalised symbols
+    (:func:`~repro.core.types.as_symbols`), so equal content as a tuple
+    or a list also dedupes.
 
     ``workers`` defaults to ``"auto"``: unique-pair chunks fan out over a
     process pool whenever the machine has more than one core and every
     worker would receive at least ``_MIN_PAIRS_PER_WORKER`` pairs (only
-    for distances resolvable by registry name; silently serial when the
-    platform forbids subprocesses).  An integer forces the pool size;
-    ``None``/``0``/``1`` force serial evaluation.
+    for registered distances; silently serial when the platform forbids
+    subprocesses).  An integer forces the pool size; ``None``/``0``/``1``
+    force serial evaluation.
 
-    Unregistered callables are always invoked on the *original* item
-    representations (the normalised form only keys the dedupe), so
-    representation-sensitive callables behave exactly as in a plain
-    loop; note that of several raw pairs sharing one normalised key only
-    the first is evaluated.  Items that are not symbol sequences (or
-    whose symbols are not hashable) cannot be normalised or deduplicated
-    at all; such pairs are evaluated with a plain scalar loop so
-    arbitrary item types keep working through the index layer.
+    An adapter over :func:`pairwise_values_ids`: the pairs' distinct
+    items are interned into a throwaway corpus once per call.  An
+    unregistered callable is called once per distinct normalised pair,
+    in first-seen order, on the *first-seen raw item* of each normalised
+    key (so a list stays a list), and ``x == y`` pairs are called too.
+    Items that are not symbol sequences (or whose symbols are not
+    hashable) cannot be keyed; their pairs are evaluated verbatim, one
+    call per pair, so arbitrary item types keep working.
     """
-    n = len(pairs)
-    name, fn = _resolve(distance)
-    registered = name is not None
-    slot_of: Dict[Tuple[Symbols, Symbols], int] = {}
-    unique: List[Tuple[Symbols, Symbols]] = []
-    unique_raw: List[Tuple[Any, Any]] = []  # first-seen raw pair per slot
-    take_from = np.empty(n, dtype=np.int64)
-    zero_mask = np.zeros(n, dtype=bool)
-    try:
-        for p, (raw_x, raw_y) in enumerate(pairs):
-            pair = (as_symbols(raw_x), as_symbols(raw_y))
-            if registered and pair[0] == pair[1]:
-                zero_mask[p] = True
-                take_from[p] = -1
-                continue
-            slot = slot_of.get(pair)
-            if slot is None:
-                slot = len(unique)
-                slot_of[pair] = slot
-                unique.append(pair)
-                unique_raw.append((raw_x, raw_y))
-            take_from[p] = slot
-    except TypeError:
-        # non-sequence items or unhashable symbols: registered distances
-        # could not have accepted them anyway, so this is the arbitrary-
-        # callable case -- evaluate verbatim, pair by pair
-        return np.asarray([fn(x, y) for x, y in pairs], dtype=float)
-    values: Optional[np.ndarray] = None
-    n_workers = _resolve_workers(workers, len(unique), registered)
-    if n_workers > 1 and unique:
-        values = _fan_out(name, unique, n_workers)
-    if values is None:
-        values = _evaluate_unique(name, fn, unique, unique_raw)
-    if len(unique):
-        dtype = values.dtype
-    else:
-        dtype = np.int64 if name == _LEV_INT else float
-    out = np.zeros(n, dtype=dtype)
-    filled = ~zero_mask
-    if filled.any():
-        out[filled] = values[take_from[filled]]
-    return out
+    store, ids = _intern_items([item for x, y in pairs for item in (x, y)])
+    return pairwise_values_ids(
+        distance, store, ids[0::2], ids[1::2], workers=workers
+    )
 
 
 def _scalar_cores_cheaper(m: np.ndarray, n: np.ndarray) -> bool:
@@ -835,6 +740,30 @@ def _scalar_cores_cheaper(m: np.ndarray, n: np.ndarray) -> bool:
     return scalar <= _ROUTE_ROUND_NS + _ROUTE_DIAGONAL_NS * longest
 
 
+def _raw_values_ids(
+    fn: Callable[[Any, Any], Any],
+    registered: bool,
+    store: "PairStore",
+    x_ids: np.ndarray,
+    y_ids: np.ndarray,
+    dtype: Any,
+) -> np.ndarray:
+    """One call of *fn* per unique id pair on the stored raw items, in
+    first-seen order -- the path of unregistered callables and of stores
+    without an encoding (where an id is the only equality known, so a
+    registered distance answers ``i == j`` pairs 0 without a call)."""
+    n_store = len(store)
+    uniq, first, take = np.unique(
+        x_ids * n_store + y_ids, return_index=True, return_inverse=True
+    )
+    values = np.zeros(len(uniq), dtype=dtype)
+    for u in np.argsort(first, kind="stable").tolist():
+        i, j = divmod(int(uniq[u]), n_store)
+        if not (registered and i == j):
+            values[u] = fn(store.raw(i), store.raw(j))
+    return values[take]
+
+
 def pairwise_values_ids(
     distance: DistanceLike,
     store: "PairStore",
@@ -843,43 +772,44 @@ def pairwise_values_ids(
     *,
     workers: Workers = "auto",
 ) -> np.ndarray:
-    """:func:`pairwise_values` over interned store ids.
+    """:func:`pairwise_values` over interned store ids -- the one
+    unbounded path every entry point runs.
 
     ``store`` is a :class:`~repro.batch.corpus.PairStore`; entry ``p``
-    equals ``pairwise_values(distance, [(store.raw(x_ids[p]),
-    store.raw(y_ids[p]))])[0]`` bit for bit, but kernel inputs are
-    *gathered* from the store's encoded matrices instead of re-encoded,
-    deduplication keys on integer id pairs instead of content, and
-    sharded fan-out ships only id arrays against a shared-memory
-    publication of the store (persistent pool).  Distances without a
-    batched kernel path, and stores without an encoding, fall back to
-    :func:`pairwise_values` on the stored raw items -- identical
-    behaviour, including for arbitrary representation-sensitive
-    callables.
+    equals ``distance(store.raw(x_ids[p]), store.raw(y_ids[p]))`` bit
+    for bit.  Kernel inputs are *gathered* from the store's encoded
+    matrices, deduplication keys on integer id pairs, and sharded
+    fan-out ships only id arrays against a shared-memory publication of
+    the store (persistent pool).  Registered distances without a
+    batched kernel (exact ``d_C`` and ``d_MV`` on numpy) call the
+    scalar function once per unique id pair, fanned out the same way.
+    Unregistered callables, and every distance on a store without an
+    encoding, are called once per unique id pair on the stored raw
+    items, in first-seen order.
 
     Two deliberate differences from content-keyed dedupe: distinct ids
     holding equal content are evaluated per id pair (their kernel result
-    is identical), and the ``x == y`` shortcut triggers on ``id_x ==
-    id_y`` (duplicated items still evaluate to the same 0.0 through the
-    kernels).
+    is identical), and the ``x == y`` shortcut of registered distances
+    triggers on ``id_x == id_y`` (duplicated items still evaluate to the
+    same 0.0 through the kernels).  A bad ``workers`` argument raises
+    ``ValueError`` before any evaluation.
     """
+    if isinstance(workers, str) and workers != "auto":
+        raise ValueError(
+            f"workers must be 'auto', an int, or None; got {workers!r}"
+        )
     x_ids = np.asarray(x_ids, dtype=np.int64)
     y_ids = np.asarray(y_ids, dtype=np.int64)
     if len(x_ids) != len(y_ids):
         raise ValueError(
             f"{len(x_ids)} x_ids but {len(y_ids)} y_ids; they must align"
         )
-    n = len(x_ids)
-    name, _ = _resolve(distance)
-    if name is None or not _is_batched(name) or not store.encoded:
-        pairs = [
-            (store.raw(int(i)), store.raw(int(j)))
-            for i, j in zip(x_ids, y_ids)
-        ]
-        return pairwise_values(distance, pairs, workers=workers)
+    name, fn = _resolve(distance)
     dtype = np.int64 if name == _LEV_INT else float
-    out = np.zeros(n, dtype=dtype)
-    if n == 0:
+    if name is None or not store.encoded:
+        return _raw_values_ids(fn, name is not None, store, x_ids, y_ids, dtype)
+    out = np.zeros(len(x_ids), dtype=dtype)
+    if not len(x_ids):
         return out
     if name in _LEV_FAMILY and jit_backend() is None:
         m, n_len = store.lengths[x_ids], store.lengths[y_ids]
@@ -1311,12 +1241,11 @@ def pairwise_values_bounded(
     limits[i])`` returns, bit for bit (see
     :func:`pairwise_values_bounded_ids` for the contract).
 
-    An adapter over :func:`pairwise_values_bounded_ids`: the distinct
-    items of *pairs* (keyed by their normalised symbols) are interned
-    into a throwaway corpus, and the pairs dispatch as id pairs against
-    it.  Items that cannot be interned (arbitrary objects, unhashable
-    symbols) get one id per position in a corpus without an encoding,
-    which the id path answers through the scalar twins.  ``workers`` is
+    An adapter over :func:`pairwise_values_bounded_ids`, interning the
+    pairs' distinct items exactly like :func:`pairwise_values` (items
+    that cannot be interned get one id per position in a corpus without
+    an encoding, which the id path answers through the scalar twins).
+    ``workers`` is
     accepted for signature parity; the bounded path always runs
     serially.
     """
@@ -1324,22 +1253,7 @@ def pairwise_values_bounded(
         raise ValueError(
             f"{len(pairs)} pairs but {len(limits)} limits; they must align"
         )
-    items: List[Any] = []
-    ids: List[int] = []
-    try:
-        slot_of: Dict[Symbols, int] = {}
-        for x, y in pairs:
-            for item in (x, y):
-                key = as_symbols(item)
-                slot = slot_of.get(key)
-                if slot is None:
-                    slot = slot_of[key] = len(items)
-                    items.append(item)
-                ids.append(slot)
-    except TypeError:
-        items = [item for pair in pairs for item in pair]
-        ids = list(range(len(items)))
-    store = intern_corpus(items).store()
+    store, ids = _intern_items([item for x, y in pairs for item in (x, y)])
     return pairwise_values_bounded_ids(
         distance, store, ids[0::2], ids[1::2], limits
     )
@@ -1668,6 +1582,14 @@ def pairwise_values_bounded_ids(
     return out
 
 
+def _upper_triangle(start: int, stop: int, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions ``(i, j)`` with ``start <= i < stop`` and ``j >= i`` of
+    an ``n x n`` matrix's upper triangle (diagonal included), row by
+    row."""
+    rows, cols = np.triu_indices(stop - start, 0, n - start)
+    return rows + start, cols + start
+
+
 def pairwise_matrix(
     distance: DistanceLike,
     xs: Sequence[Any],
@@ -1681,40 +1603,30 @@ def pairwise_matrix(
     upper triangle (including the diagonal) is evaluated and mirrored, so
     an ``n x n`` matrix costs ``C(n, 2) + n`` unique-pair evaluations --
     fewer still after dedupe and the registered ``x == y`` shortcut.
+    The items are interned once (see :func:`pairwise_values`) and the
+    matrix runs as id arrays through :func:`pairwise_values_ids`.
     """
     if ys is None:
         n = len(xs)
-        flat = pairwise_values(
-            distance, _triangle_pairs(xs, 0, n), workers=workers
+        store, ids = _intern_items(xs)
+        rows, cols = _upper_triangle(0, n, n)
+        flat = pairwise_values_ids(
+            distance, store, ids[rows], ids[cols], workers=workers
         )
         matrix = np.zeros((n, n), dtype=flat.dtype)
-        _mirror_triangle_strip(matrix, flat, 0, n)
+        matrix[rows, cols] = flat
+        matrix[cols, rows] = flat
         return matrix
-    pairs = [(x, y) for x in xs for y in ys]
-    flat = pairwise_values(distance, pairs, workers=workers)
+    store, ids = _intern_items([*xs, *ys])
+    x_ids, y_ids = ids[: len(xs)], ids[len(xs) :]
+    flat = pairwise_values_ids(
+        distance,
+        store,
+        np.repeat(x_ids, len(y_ids)),
+        np.tile(y_ids, len(x_ids)),
+        workers=workers,
+    )
     return flat.reshape(len(xs), len(ys))
-
-
-def _triangle_pairs(
-    xs: Sequence[Any], start: int, stop: int
-) -> List[Tuple[Any, Any]]:
-    """Upper-triangle pairs (diagonal included) for rows start..stop."""
-    n = len(xs)
-    return [(xs[i], xs[j]) for i in range(start, stop) for j in range(i, n)]
-
-
-def _mirror_triangle_strip(
-    out: np.ndarray, flat: np.ndarray, start: int, stop: int
-) -> None:
-    """Write the row strip evaluated by :func:`_triangle_pairs` into
-    *out*, mirroring each row's tail into the matching column."""
-    n = out.shape[0]
-    pos = 0
-    for i in range(start, stop):
-        row = flat[pos : pos + n - i]
-        out[i, i:] = row
-        out[i:, i] = row
-        pos += n - i
 
 
 def pairwise_matrix_blocks(
@@ -1729,9 +1641,11 @@ def pairwise_matrix_blocks(
 
     Yields ``(start, stop, block)`` where ``block[r]`` holds the distances
     from ``xs[start + r]`` to every column item (``ys``, or ``xs`` itself
-    when ``ys is None``).  Peak memory is one ``block_rows x n_cols``
-    shard plus that block's unique pairs, so paper-scale gene sets whose
-    full matrix exceeds memory can be folded over (or spilled to disk via
+    when ``ys is None``).  The items are interned once per call; each
+    block's id arrays are built as it is evaluated, so peak memory is
+    the interned items plus one ``block_rows x n_cols`` shard and that
+    block's pairs -- paper-scale gene sets whose full matrix exceeds
+    memory can be folded over (or spilled to disk via
     :func:`pairwise_matrix_memmap`).
 
     Dedupe, the registered ``x == y`` shortcut and ``workers`` sharding
@@ -1742,12 +1656,19 @@ def pairwise_matrix_blocks(
     """
     if block_rows < 1:
         raise ValueError(f"block_rows must be >= 1, got {block_rows}")
-    cols = xs if ys is None else ys
+    store, ids = _intern_items([*xs] if ys is None else [*xs, *ys])
+    x_ids = ids[: len(xs)]
+    col_ids = x_ids if ys is None else ids[len(xs) :]
     for start in range(0, len(xs), block_rows):
         stop = min(start + block_rows, len(xs))
-        pairs = [(xs[i], c) for i in range(start, stop) for c in cols]
-        flat = pairwise_values(distance, pairs, workers=workers)
-        yield start, stop, flat.reshape(stop - start, len(cols))
+        flat = pairwise_values_ids(
+            distance,
+            store,
+            np.repeat(x_ids[start:stop], len(col_ids)),
+            np.tile(col_ids, stop - start),
+            workers=workers,
+        )
+        yield start, stop, flat.reshape(stop - start, len(col_ids))
 
 
 def pairwise_matrix_memmap(
@@ -1786,12 +1707,15 @@ def pairwise_matrix_memmap(
         os.fspath(path), mode="w+", dtype=float, shape=(n_rows, n_cols)
     )
     if ys is None:
+        store, ids = _intern_items(xs)
         for start in range(0, n_rows, block_rows):
             stop = min(start + block_rows, n_rows)
-            flat = pairwise_values(
-                distance, _triangle_pairs(xs, start, stop), workers=workers
+            rows, cols = _upper_triangle(start, stop, n_rows)
+            flat = pairwise_values_ids(
+                distance, store, ids[rows], ids[cols], workers=workers
             )
-            _mirror_triangle_strip(out, flat, start, stop)
+            out[rows, cols] = flat
+            out[cols, rows] = flat
     else:
         for start, stop, block in pairwise_matrix_blocks(
             distance, xs, ys, block_rows=block_rows, workers=workers
@@ -1816,6 +1740,7 @@ def distances_from(
     workers: Workers = "auto",
 ) -> np.ndarray:
     """Distances from one *source* to every target (one matrix row)."""
-    return pairwise_values(
-        distance, [(source, t) for t in targets], workers=workers
+    store, ids = _intern_items([source, *targets])
+    return pairwise_values_ids(
+        distance, store, np.full(len(targets), ids[0]), ids[1:], workers=workers
     )

@@ -10,17 +10,19 @@ them one-time:
 * :class:`EngineRuntime` (one per process, via :func:`get_runtime`) owns
   a **lazily spawned, reused** process pool.  The first sharded engine
   call pays the spawn; every later call just maps chunks onto the live
-  workers.  ``REPRO_PERSISTENT_POOL=0`` opts out (read per call), which
-  restores the old one-pool-per-call behaviour bit-identically -- the
-  pool only moves *where* chunks run, never what they compute;
+  workers.  ``REPRO_PERSISTENT_POOL=0`` opts out (read per call): every
+  engine call and shard scatter then stays in-process -- the pool only
+  moves *where* chunks run, never what they compute;
 * interned corpora (:mod:`repro.batch.corpus`) are published to
   ``multiprocessing.shared_memory`` **once**: the padded code matrices
   and length vector are copied into named segments, and the sharded
   fan-out then sends workers only ``(name, token, id-array)`` tuples --
   each worker attaches the segments on first sight, caches the mapping
-  for its lifetime, and gathers kernel inputs straight out of shared
-  pages.  Per-call query batches ride along as *ephemeral* blocks,
-  unlinked as soon as the call returns;
+  until the master releases the corpus (every token lists the keys the
+  master still publishes, and a worker drops the rest), and gathers
+  kernel inputs straight out of shared pages.  Per-call query batches
+  ride along as *ephemeral* blocks, unlinked as soon as the call
+  returns;
 * worker-side caches also memoise the distance-function resolution per
   registry name, so a worker resolves each kernel **once per lifetime**
   instead of once per task shard.
@@ -75,9 +77,11 @@ from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     TypedDict,
     cast,
@@ -111,7 +115,9 @@ __all__ = [
     "StoreToken",
     "attach_arrays",
     "attach_store",
+    "drop_released",
     "publish_generation",
+    "register_view_cache",
     "release_attachment",
     "shm_ring_enabled",
 ]
@@ -119,8 +125,9 @@ __all__ = [
 
 
 def persistent_pool_enabled() -> bool:
-    """Whether sharded fan-out may reuse the persistent pool;
-    ``REPRO_PERSISTENT_POOL=0`` opts out (read per call)."""
+    """Whether engine fan-outs and shard scatters may use the persistent
+    pool; ``REPRO_PERSISTENT_POOL=0`` keeps them in-process (read per
+    call)."""
     return knobs.get_flag("REPRO_PERSISTENT_POOL")
 
 
@@ -371,13 +378,13 @@ class _ArraySpec:
 class BlockToken:
     """One encoded block (padded x/y matrices + lengths) in shared memory.
 
-    ``persistent`` blocks (interned corpora) may be cached by workers for
-    their lifetime; ephemeral blocks (per-call query batches) are
-    attached per task and closed immediately after.  ``generation``
-    stamps the publication: persistent blocks keep a *stable* key per
-    corpus, so a worker holding a cached attachment can tell a
-    republication (generation advanced -- the old segments were
-    unlinked) from the publication it already mapped.
+    ``persistent`` blocks (interned corpora) may be cached by workers
+    until the master releases them; ephemeral blocks (per-call query
+    batches) are attached per task and closed immediately after.
+    ``generation`` stamps the publication: persistent blocks keep a
+    *stable* key per corpus, so a worker holding a cached attachment
+    can tell a republication (generation advanced -- the old segments
+    were unlinked) from the publication it already mapped.
     """
 
     key: str
@@ -391,10 +398,15 @@ class BlockToken:
 @dataclass(frozen=True)
 class StoreToken:
     """A :class:`~repro.batch.corpus.PairStore` published to shared
-    memory: the corpus block plus an optional extra (query) block."""
+    memory for one call: the corpus block plus an optional extra (query)
+    block.  ``live`` holds the keys of every persistent publication the
+    master still holds at call time (:meth:`EngineRuntime.live_keys`),
+    so a worker can drop the cached attachments of released ones
+    (:func:`drop_released`)."""
 
     corpus: BlockToken
     extra: Optional[BlockToken]
+    live: FrozenSet[str] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -417,9 +429,9 @@ class ArraysToken:
 class _ShmStore:
     """Worker-side :class:`~repro.batch.corpus.PairStore` stand-in backed
     by attached shared-memory blocks -- just the ``lengths`` vector and
-    the ``gather`` method the encoded evaluation path needs (the gather
-    itself is :func:`repro.batch.corpus.gather_rows`, shared with the
-    master-side store so the two paths cannot drift)."""
+    the ``gather`` and ``sym`` methods the engine's evaluation needs
+    (the gather itself is :func:`repro.batch.corpus.gather_rows`, shared
+    with the master-side store so the two paths cannot drift)."""
 
     def __init__(
         self,
@@ -435,6 +447,16 @@ class _ShmStore:
         else:
             self._extra_xy = None
             self.lengths = c_len
+
+    def sym(self, i: int) -> Tuple[int, ...]:
+        """Id *i*'s symbols as codes of the shared alphabet: equal iff
+        the symbols are, which is all a registered distance compares."""
+        if i < self.n_corpus:
+            row = self._corpus_xy[0][i]
+        else:
+            assert self._extra_xy is not None
+            row = self._extra_xy[0][i - self.n_corpus]
+        return tuple(row[: self.lengths[i]].tolist())
 
     def gather(
         self, x_ids: np.ndarray, y_ids: np.ndarray
@@ -455,7 +477,8 @@ class _ShmStore:
 # worker-side attachment (runs inside pool processes)
 # ---------------------------------------------------------------------------
 
-#: Worker-lifetime cache of attached *persistent* blocks:
+#: Worker cache of attached *persistent* blocks, kept until the master
+#: releases them (:func:`drop_released`):
 #: key -> (generation, (rows_x, rows_y, lengths), [SharedMemory handles]).
 _ATTACHED_BLOCKS: Dict[str, Tuple[int, Tuple[np.ndarray, ...], List[Any]]] = {}
 
@@ -479,15 +502,15 @@ def _attach_array(spec: _ArraySpec) -> Tuple[np.ndarray, Any]:
 def _attach_block(token: BlockToken) -> Tuple[Tuple[np.ndarray, ...], List[Any]]:
     if token.persistent:
         cached = _ATTACHED_BLOCKS.get(token.key)
+        if cached is not None and cached[0] == token.generation:
+            return cached[1], cached[2]
         if cached is not None:
-            generation, arrays, handles = cached
-            if generation == token.generation:
-                return arrays, handles
             # A runtime shutdown unlinked the segments this cache maps
             # (publication generation advanced): reading them would
-            # silently return dead pages, so drop and re-attach.
-            _ATTACHED_BLOCKS.pop(token.key, None)
-            release_attachment(handles)
+            # silently return dead pages, so drop (no view of them may
+            # outlive the entry, or the close fails) and re-attach.
+            del cached
+            release_attachment(_ATTACHED_BLOCKS.pop(token.key)[2])
             DEGRADATION.record("stale_attachments")
     arrays: List[np.ndarray] = []
     handles: List[Any] = []
@@ -504,7 +527,8 @@ def _attach_block(token: BlockToken) -> Tuple[Tuple[np.ndarray, ...], List[Any]]
 def attach_store(token: StoreToken) -> Tuple[_ShmStore, List[Any]]:
     """Attach a published store inside a worker.  Returns the store and
     the list of *ephemeral* handles the caller must close after use
-    (persistent blocks stay cached for the worker's lifetime)."""
+    (persistent blocks stay cached until the master releases them)."""
+    drop_released(token.live)
     corpus_arrays, _ = _attach_block(token.corpus)
     ephemeral: List[Any] = []
     extra_arrays = None
@@ -515,9 +539,45 @@ def attach_store(token: StoreToken) -> Tuple[_ShmStore, List[Any]]:
     return _ShmStore(corpus_arrays, extra_arrays), ephemeral
 
 
-#: Worker-lifetime cache of attached *persistent* array bundles:
+#: Worker cache of attached *persistent* array bundles, kept until the
+#: master releases them (:func:`drop_released`):
 #: key -> (generation, {name: array}, [SharedMemory handles]).
 _ATTACHED_ARRAYS: Dict[str, Tuple[int, Dict[str, np.ndarray], List[Any]]] = {}
+
+#: Other worker caches keyed by persistent publication keys whose
+#: entries view attached pages (the sharded tier's rebuilt shard
+#: indexes), see :func:`register_view_cache`.
+_VIEW_CACHES: List[Dict[str, Any]] = []
+
+
+def register_view_cache(cache: Dict[str, Any]) -> None:
+    """Have :func:`drop_released` empty *cache*'s entries of released
+    keys before it closes the attachments those entries view."""
+    _VIEW_CACHES.append(cache)
+
+
+def drop_released(live: FrozenSet[str]) -> None:
+    """Close every cached persistent attachment whose key is not in
+    *live* -- the keys the master still publishes
+    (:attr:`StoreToken.live`).  The master unlinks a publication when
+    its corpus or index is garbage collected; without this a worker
+    would keep the mapping and its handles for its whole life, one per
+    dropped index or fanned-out throwaway corpus.  Registered view
+    caches go first, so no cached view pins the pages being closed."""
+    for cache in _VIEW_CACHES:
+        for key in [key for key in cache if key not in live]:
+            del cache[key]
+    _close_released(_ATTACHED_BLOCKS, live)
+    _close_released(_ATTACHED_ARRAYS, live)
+
+
+def _close_released(
+    attached: Dict[str, Tuple[Any, Any, List[Any]]], live: FrozenSet[str]
+) -> None:
+    for key in [key for key in attached if key not in live]:
+        # pop first: the entry's arrays view the pages, and a segment
+        # with a live view cannot be closed
+        release_attachment(attached.pop(key)[2])
 
 
 def attach_arrays(token: ArraysToken) -> Tuple[Dict[str, np.ndarray], List[Any]]:
@@ -525,19 +585,18 @@ def attach_arrays(token: ArraysToken) -> Tuple[Dict[str, np.ndarray], List[Any]]
 
     Returns ``({name: array}, ephemeral_handles)``; the caller must
     close the handles after use when the bundle is not persistent
-    (persistent bundles stay cached for the worker's lifetime, with the
-    same generation verification as :func:`_attach_block` -- a bundle
+    (persistent bundles stay cached until the master releases them, with
+    the same generation verification as :func:`_attach_block` -- a bundle
     whose segments a runtime shutdown unlinked is dropped and
     re-attached instead of read as dead pages).
     """
     if token.persistent:
         cached = _ATTACHED_ARRAYS.get(token.key)
+        if cached is not None and cached[0] == token.generation:
+            return cached[1], []
         if cached is not None:
-            generation, arrays, handles = cached
-            if generation == token.generation:
-                return arrays, []
-            _ATTACHED_ARRAYS.pop(token.key, None)
-            release_attachment(handles)
+            del cached
+            release_attachment(_ATTACHED_ARRAYS.pop(token.key)[2])
             DEGRADATION.record("stale_attachments")
     arrays: Dict[str, np.ndarray] = {}
     handles: List[Any] = []
@@ -681,6 +740,8 @@ class EngineRuntime:
         self._pool = None
         self._pool_size = 0
         self._published: List[Any] = []  # SharedMemory handles we own
+        #: keys of the persistent publications not yet released
+        self._live: Set[str] = set()
         self._counter = itertools.count()
         # The segment ring: released *reusable* (ephemeral) segments park
         # here instead of being unlinked, and the next ephemeral publish
@@ -732,6 +793,13 @@ class EngineRuntime:
             ctx = multiprocessing.get_context()
         size = max(workers, self._pool_size, os.cpu_count() or 1)
         try:
+            # workers must inherit this process' resource tracker: one
+            # forked before it runs starts its own on its first attach,
+            # and that tracker unlinks every segment the worker attached
+            # -- the master's live corpora too -- when the worker exits
+            from multiprocessing import resource_tracker
+
+            resource_tracker.ensure_running()
             pool = ctx.Pool(processes=size)
         except Exception:  # pragma: no cover - sandboxed/forbidden fork
             return None
@@ -739,24 +807,6 @@ class EngineRuntime:
         self._pool = pool
         self._pool_size = size
         return pool
-
-    def map(
-        self, fn: Callable[[Any], Any], chunks: Sequence[Any], workers: int
-    ) -> Optional[List[Any]]:
-        """``pool.map`` on the persistent pool; ``None`` when the pool is
-        unavailable or died mid-call (the caller falls back).  Unlike
-        :meth:`supervised_map` this is all-or-nothing and deadline-free
-        -- the engine's fan-out uses the supervised form."""
-        pool = self.pool(workers)
-        if pool is None:
-            return None
-        try:
-            return pool.map(fn, chunks)
-        except Exception:
-            # a dead pool poisons every later call: discard so the next
-            # sharded call can spawn a fresh one
-            self._discard_pool(kill=True)
-            return None
 
     def supervised_map(
         self,
@@ -924,7 +974,7 @@ class EngineRuntime:
         key: Optional[str] = None,
     ) -> Optional[BlockToken]:
         """Copy one encoded block into shared memory; ``None`` on failure
-        (callers fall back to raw-pair dispatch).  A partial failure
+        (callers evaluate in-process).  A partial failure
         unlinks the segments already created, so a failed publication
         never leaks.  *key* fixes the worker-cache key (persistent
         corpus blocks use a stable per-corpus key so generation
@@ -938,6 +988,8 @@ class EngineRuntime:
             specs.append(spec)
         if key is None:
             key = f"{_session_prefix()}-block-{next(self._counter)}"
+        if persistent:
+            self._live.add(key)
         return BlockToken(
             key,
             persistent,
@@ -946,6 +998,12 @@ class EngineRuntime:
             specs[2],
             generation=_PUBLISH_GENERATION,
         )
+
+    def live_keys(self) -> FrozenSet[str]:
+        """The keys of every persistent publication not yet released --
+        the attachments a worker may keep cached; every other cached
+        one it drops on its next attach (:func:`drop_released`)."""
+        return frozenset(self._live)
 
     def publish_store(self, store: "PairStore") -> Optional[StoreToken]:
         """Publish a :class:`~repro.batch.corpus.PairStore`: the corpus
@@ -988,7 +1046,7 @@ class EngineRuntime:
             )
             if extra_token is None:
                 return None
-        return StoreToken(token, extra_token)
+        return StoreToken(token, extra_token, self.live_keys())
 
     def publish_arrays(
         self,
@@ -1011,6 +1069,8 @@ class EngineRuntime:
             specs.append((name, spec))
         if key is None:
             key = f"{_session_prefix()}-arrays-{next(self._counter)}"
+        if persistent:
+            self._live.add(key)
         return ArraysToken(
             key, persistent, tuple(specs), generation=_PUBLISH_GENERATION
         )
@@ -1020,6 +1080,7 @@ class EngineRuntime:
         consumers are done.  Idempotent, like :meth:`release_block`."""
         if token is None:
             return
+        self._live.discard(token.key)
         self._release_names({spec.shm_name for _, spec in token.specs})
 
     def ring_stats(self) -> Dict[str, int]:
@@ -1062,6 +1123,7 @@ class EngineRuntime:
         race freely."""
         if token is None:
             return
+        self._live.discard(token.key)
         self._release_names(
             {
                 token.rows_x.shm_name,
@@ -1080,6 +1142,7 @@ class EngineRuntime:
         global _PUBLISH_GENERATION
         _PUBLISH_GENERATION += 1
         self._discard_pool()
+        self._live.clear()
         published, self._published = self._published, []
         ring, self._ring = self._ring, []
         self._ring_names.clear()

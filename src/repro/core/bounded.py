@@ -98,7 +98,7 @@ def bounded_dmin(x: StringLike, y: StringLike, limit: float) -> float:
     x, y = require_strings(x, y)
     shortest = min(len(x), len(y))
     if shortest == 0:
-        return 0.0 if x == y else float("inf")
+        return 0.0 if len(x) == len(y) else float("inf")
     k = _edit_budget(limit * shortest)
     d = levenshtein_bounded(x, y, k)
     if d <= k:

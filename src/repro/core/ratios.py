@@ -62,7 +62,8 @@ def min_normalized_distance(x: StringLike, y: StringLike) -> float:
     x, y = require_strings(x, y)
     shortest = min(len(x), len(y))
     if shortest == 0:
-        return 0.0 if x == y else float("inf")
+        # both empty iff the lengths agree ("" and () included)
+        return 0.0 if len(x) == len(y) else float("inf")
     return levenshtein_distance(x, y) / shortest
 
 

@@ -28,37 +28,20 @@ Distance = Callable[[Any, Any], float]
 
 
 def _distance_row(
-    items: Sequence[Any],
-    distance: Distance,
-    pivot_index: int,
-    store: Optional[Any] = None,
+    distance: Distance, store: Any, pivot_index: int
 ) -> np.ndarray:
-    if store is not None and hasattr(distance, "many_ids"):
-        # Interned corpus: the pivot row is an id grid against the
-        # already-encoded matrices -- no pair list, no re-encoding, and
-        # sharded fan-out ships only id arrays against the shared-memory
-        # publication.  Values and reported computation counts are
-        # bit-identical to the raw-pair sweep (asserted by the tests).
-        n = len(items)
-        return np.asarray(
-            distance.many_ids(
-                store,
-                np.full(n, pivot_index, dtype=np.int64),
-                np.arange(n, dtype=np.int64),
-            ),
-            dtype=float,
-        )
-    pivot = items[pivot_index]
-    if hasattr(distance, "many"):
-        # CountingDistance: one pair-batched sweep instead of n scalar
-        # calls (same values, same reported computation count).
-        row = distance.many([(pivot, item) for item in items])
+    """The distances from store id *pivot_index* to every corpus item:
+    one id grid against the interned corpus, counted per pair for a
+    :class:`~repro.index.base.CountingDistance`."""
+    n = store.n_corpus
+    pivots = np.full(n, pivot_index, dtype=np.int64)
+    items = np.arange(n, dtype=np.int64)
+    if hasattr(distance, "many_ids"):
+        row = distance.many_ids(store, pivots, items)
     else:
-        # Raw callables go through the engine directly (batched when the
-        # function is a registered distance, scalar fallback otherwise).
-        from ..batch import distances_from
+        from ..batch import pairwise_values_ids
 
-        row = distances_from(distance, pivot, items)
+        row = pairwise_values_ids(distance, store, pivots, items)
     return np.asarray(row, dtype=float)
 
 
@@ -142,15 +125,20 @@ def select_pivots(
 
     ``strategy`` is one of ``"maxmin"`` (LAESA's default: each new pivot
     maximises its minimum distance to the chosen set), ``"maxsum"`` (ditto
-    with the sum), or ``"random"``.  *store* is an optional
+    with the sum), or ``"random"``.  Each pivot row dispatches as an id
+    grid against an interned corpus: *store* is the caller's
     :class:`~repro.batch.corpus.PairStore` covering *items* (ids ``[0,
-    len(items))``); when given, each pivot row dispatches as an id grid
-    against the interned corpus instead of a raw pair list -- identical
-    rows, identical counts, none of the per-row re-encoding.
+    len(items))``, as LAESA passes its own), or, when omitted, the items
+    are interned once per call.  Rows and counts are the same either
+    way.
     """
+    if store is None:
+        from ..batch import intern_corpus
+
+        store = intern_corpus(items).store()
     return _select(
         len(items),
-        lambda idx: _distance_row(items, distance, idx, store),
+        lambda idx: _distance_row(distance, store, idx),
         count,
         strategy,
         rng,

@@ -156,17 +156,20 @@ def _distance_from_name(name: str) -> Callable[[Any, Any], float]:
     return fn
 
 
-#: Worker-lifetime cache of reconstructed shard indexes:
+#: Worker cache of reconstructed shard indexes, dropped with the
+#: attachments they view once the master releases the shard:
 #: bundle key -> (publication generation, index).
 _WORKER_SHARDS: Dict[str, Tuple[int, NearestNeighborIndex[Any]]] = {}
+runtime.register_view_cache(_WORKER_SHARDS)
 
 
 def _attached_shard(
     blob_token: ArraysToken, store_token: StoreToken
 ) -> NearestNeighborIndex[Any]:
     """The shard index behind *blob_token*, rebuilt on first sight and
-    cached for this worker's lifetime (re-rebuilt when the publication
-    generation advances -- the old segments are gone)."""
+    cached until the master releases the shard (re-rebuilt when the
+    publication generation advances -- the old segments are gone)."""
+    runtime.drop_released(store_token.live)
     cached = _WORKER_SHARDS.get(blob_token.key)
     if cached is not None and cached[0] == blob_token.generation:
         return cached[1]

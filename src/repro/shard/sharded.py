@@ -46,7 +46,7 @@ import time
 import uuid
 import warnings
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -394,10 +394,11 @@ class ShardedIndex(NearestNeighborIndex[Any]):
             publications = self._publications()
             if publications is not None:
                 rt = runtime.get_runtime()
+                live = rt.live_keys()
                 tasks = [
                     (
                         publications[si].blob,
-                        publications[si].store,
+                        replace(publications[si].store, live=live),
                         mode,
                         arg,
                         queries,

@@ -98,7 +98,8 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
         default=True,
         description=(
             "Reuse the persistent supervised process pool across fan-outs; "
-            "`0` falls back to a fresh pool per call."
+            "`0` means no process pool: every engine call and shard "
+            "scatter runs in-process."
         ),
         module="repro.batch.runtime",
     ),

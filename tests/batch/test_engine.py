@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batch import distances_from, pairwise_matrix, pairwise_values
-from repro.batch.engine import _buckets, _canonical_finalize
+from repro.batch.engine import _canonical_finalize, _sizes_buckets
 from repro.core import get_distance, get_spec, list_distances
 from repro.core.contextual import canonical_cost
 from repro.core.harmonic import HarmonicTable
@@ -118,7 +118,7 @@ def test_distances_from_row():
 
 def test_buckets_partition_and_bound_length_spread():
     pairs = [("a" * n, "b" * n) for n in (1, 2, 3, 200, 201, 250)]
-    buckets = _buckets(pairs, bucket_size=4)
+    buckets = _sizes_buckets([len(x) + len(y) for x, y in pairs], 4)
     seen = sorted(p for bucket in buckets for p in bucket)
     assert seen == list(range(len(pairs)))  # exact partition
     for bucket in buckets:
@@ -188,3 +188,170 @@ def test_canonical_finalize_keeps_the_scalar_order():
     assert [float(v).hex() for v in got] == [
         canonical_cost(*row).hex() for row in rows
     ]
+
+
+# -- the pair-list adapter over the one id path ------------------------------
+
+#: Non-BMP symbols included: the corpus codes them like any other.
+_SYMBOLS = st.sampled_from(["a", "b", "\U0001d538", "\U0001f600"])
+
+_FORMS = ("str", "tuple", "list")
+
+
+@st.composite
+def _adapter_pairs(draw):
+    """Pairs over a few contents, each item drawn as a ``str``, a tuple
+    or a list of the same symbols, with empty items, equal pairs and
+    repeated pairs."""
+    contents = draw(st.lists(st.lists(_SYMBOLS, max_size=6), min_size=1, max_size=5))
+
+    def item():
+        content = draw(st.sampled_from(contents))
+        form = draw(st.sampled_from(_FORMS))
+        if form == "str":
+            return "".join(content)
+        return tuple(content) if form == "tuple" else list(content)
+
+    pairs = []
+    for _ in range(draw(st.integers(0, 10))):
+        x = item()
+        pairs.append((x, x) if draw(st.booleans()) and pairs else (x, item()))
+    if pairs:
+        pairs += draw(st.lists(st.sampled_from(pairs), max_size=4))
+    return pairs
+
+
+def _expected_calls(pairs):
+    """One ``(x, y)`` per distinct normalised pair, in first-seen order,
+    on the first-seen raw item of each normalised key."""
+    from repro.core.types import as_symbols
+
+    first = {}
+    for pair in pairs:
+        for item in pair:
+            first.setdefault(as_symbols(item), item)
+    calls, seen = [], set()
+    for x, y in pairs:
+        key = (as_symbols(x), as_symbols(y))
+        if key not in seen:
+            seen.add(key)
+            calls.append((first[key[0]], first[key[1]]))
+    return calls
+
+
+@settings(max_examples=40, deadline=None)
+@given(_adapter_pairs())
+def test_adapter_bit_identical_to_scalar_functions(pairs):
+    for name in ALL_NAMES:
+        function = get_distance(name)
+        values = pairwise_values(name, pairs)
+        assert values.dtype == np.float64
+        assert [float(v).hex() for v in values] == [
+            float(function(x, y)).hex() for x, y in pairs
+        ], name
+    raw = pairwise_values(levenshtein_distance, pairs)
+    assert raw.dtype == np.int64
+    assert raw.tolist() == [levenshtein_distance(x, y) for x, y in pairs]
+    assert pairwise_values(levenshtein_distance, []).dtype == np.int64
+
+    calls = []
+
+    def logged(x, y):
+        calls.append((x, y))
+        return float(len(x) * 7 + len(y))
+
+    values = pairwise_values(logged, pairs)
+    # equal pairs are called, not shortcut; the raw items are the
+    # first-seen objects of their normalised keys (a list stays a list)
+    want = _expected_calls(pairs)
+    assert [(id(x), id(y)) for x, y in calls] == [(id(x), id(y)) for x, y in want]
+    assert values.tolist() == [float(len(x) * 7 + len(y)) for x, y in pairs]
+
+    # a non-sequence item, or unhashable symbols, anywhere in the list
+    # sends every pair to the callable verbatim (repeats and equal pairs
+    # included)
+    for odd in ((object(), "a"), ([["x"]], [["x"]])):
+        verbatim = [odd, *pairs, odd]
+        calls.clear()
+        pairwise_values(lambda x, y: calls.append((x, y)) or 0.0, verbatim)
+        assert [(id(x), id(y)) for x, y in calls] == [
+            (id(x), id(y)) for x, y in verbatim
+        ]
+
+
+@pytest.mark.parametrize(
+    "distance, x_ids, y_ids",
+    [
+        ("levenshtein", [0, 1], [1, 2]),  # the scalar bit-parallel route
+        ("contextual_heuristic", [0, 1], [1, 2]),
+        (lambda x, y: 0.0, [0], [1]),  # an unregistered callable
+        ("levenshtein", [], []),
+    ],
+)
+def test_ids_reject_an_unknown_workers_string(distance, x_ids, y_ids):
+    from repro.batch import intern_corpus, pairwise_values_ids
+
+    store = intern_corpus(["ab", "ba", "abc"]).store()
+    with pytest.raises(ValueError, match="'auto'"):
+        pairwise_values_ids(distance, store, x_ids, y_ids, workers="max")
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_pooled_equals_serial_for_every_distance(name, monkeypatch):
+    """Every registered distance fans out through the one worker task
+    -- exact ``d_C`` and ``d_MV`` on numpy evaluate the published code
+    rows there -- and returns the serial values bit for bit."""
+    import repro.batch.engine as engine
+    import repro.batch.runtime as runtime
+
+    monkeypatch.setattr(engine, "_MIN_PAIRS_PER_WORKER", 4)
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
+    runs = []
+    supervised_map = runtime.EngineRuntime.supervised_map
+
+    def spy(self, fn, chunks, workers, sizes=None):
+        out = supervised_map(self, fn, chunks, workers, sizes=sizes)
+        runs.append(out)
+        return out
+
+    monkeypatch.setattr(runtime.EngineRuntime, "supervised_map", spy)
+    items = _random_strings(31, 16, 7, alphabet="ab\U0001d538\U0001f600")
+    items += [tuple(items[0]), list(items[1]), ("a", 1, 2.5), ()]
+    # 100 pairs: more than the d_E family's scalar route takes
+    pairs = [(x, y) for x in items[:10] for y in items[10:]]
+    pooled = pairwise_values(name, pairs)
+    assert len(runs) == 1, "the call never reached the pool"
+    if runs[0] is None:  # pragma: no cover - fork unavailable on this host
+        pytest.skip("process pool unavailable")
+    assert not runs[0][1], "the fan-out degraded"
+    serial = pairwise_values(name, pairs, workers=None)
+    assert [float(v).hex() for v in pooled] == [float(v).hex() for v in serial]
+
+
+@st.composite
+def _mixed_items(draw):
+    symbol = st.sampled_from(["a", "b", "\U0001f600", 1, 2.5, ("t",), None])
+    return draw(st.lists(st.lists(symbol, max_size=7).map(tuple), min_size=2, max_size=6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(_mixed_items(), st.data())
+def test_worker_store_scores_code_rows_like_symbols(items, data):
+    """A pool worker sees a store of code rows (``runtime._ShmStore``);
+    every registered distance scores them bit for bit like the master's
+    symbols, because it compares symbols only for equality."""
+    import repro.batch.engine as engine
+    from repro.batch import intern_corpus
+    from repro.batch.runtime import _ShmStore
+
+    corpus = intern_corpus(items)
+    store = corpus.store()
+    block = corpus.block
+    worker = _ShmStore((block.rows_x, block.rows_y, block.lengths), None)
+    n = len(items)
+    x_ids = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
+    y_ids = (x_ids + data.draw(st.integers(1, n - 1))) % n  # x != y
+    for name in ALL_NAMES:
+        master = engine._evaluate_ids(name, store, x_ids, y_ids)
+        pooled = engine._evaluate_ids(name, worker, x_ids, y_ids)
+        assert [float(v).hex() for v in pooled] == [float(v).hex() for v in master]

@@ -10,7 +10,12 @@ import pytest
 
 import repro.batch.engine as engine
 import repro.batch.runtime as runtime
-from repro.batch import intern_corpus, pairwise_values_ids, persistent_pool_enabled
+from repro.batch import (
+    intern_corpus,
+    pairwise_matrix,
+    pairwise_values_ids,
+    persistent_pool_enabled,
+)
 
 
 def _double(x):
@@ -103,31 +108,54 @@ def test_fan_out_ids_uses_one_pool_across_calls(corpus, monkeypatch):
 
 
 def test_opt_out_bypasses_the_persistent_pool(corpus, monkeypatch):
+    """``REPRO_PERSISTENT_POOL=0`` keeps every engine call in-process:
+    neither the persistent pool nor a per-call pool runs, for id calls
+    and for the matrix adapter alike, and the values do not change."""
     monkeypatch.setenv("REPRO_MIN_PAIRS_PER_WORKER", "50")
-    monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
-    store = corpus.store()
-    x_ids = np.repeat(np.arange(120), 20)
-    y_ids = np.tile(np.arange(20), 120)
     calls = []
     monkeypatch.setattr(
         runtime.EngineRuntime,
-        "map",
-        lambda self, fn, chunks, workers: calls.append(fn) or None,
+        "supervised_map",
+        lambda self, fn, chunks, workers, sizes=None: calls.append("pool"),
     )
-    values = pairwise_values_ids("levenshtein", store, x_ids, y_ids, workers=2)
-    assert not calls, "persistent pool used despite REPRO_PERSISTENT_POOL=0"
-    serial = pairwise_values_ids("levenshtein", store, x_ids, y_ids, workers=None)
-    assert values.tolist() == serial.tolist()
+    monkeypatch.setattr(
+        engine,
+        "_percall_map",
+        lambda worker, chunks, sizes: calls.append("per-call pool"),
+    )
+    store = corpus.store()
+    x_ids = np.repeat(np.arange(120), 20)
+    y_ids = np.tile(np.arange(20), 120)
+
+    def run():
+        return (
+            pairwise_values_ids("levenshtein", store, x_ids, y_ids, workers=2),
+            pairwise_matrix("levenshtein", corpus.items, workers=2),
+        )
+
+    pooled = run()
+    # control: with the knob unset both calls reach the (spied) pool
+    assert calls == ["pool", "pool"]
+    calls.clear()
+    monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
+    in_process = run()
+    assert not calls, f"REPRO_PERSISTENT_POOL=0 still ran {calls}"
+    for got, want in zip(in_process, pooled):
+        assert got.tolist() == want.tolist()
 
 
 def test_map_survives_a_broken_pool(fresh_runtime):
+    """A pool terminated behind the runtime's back is discarded, and the
+    next supervised map spawns a new one."""
     pool = fresh_runtime.pool(2)
     if pool is None:  # pragma: no cover - fork unavailable on this host
         pytest.skip("process pool unavailable")
     pool.terminate()  # kill it behind the runtime's back
-    result = fresh_runtime.map(os.getpid.__class__, [1, 2], 2)  # bad fn too
-    assert result is None
-    assert fresh_runtime._pool is None  # discarded, next call respawns
+    before = runtime.DEGRADATION.snapshot()["dead_pools"]
+    out = fresh_runtime.supervised_map(_double, [1, 2], 2, sizes=[1, 1])
+    assert out == ([2, 4], [])
+    assert fresh_runtime._pool is not None and fresh_runtime._pool is not pool
+    assert runtime.DEGRADATION.snapshot()["dead_pools"] == before + 1
 
 
 def test_shutdown_invalidates_cached_corpus_tokens(fresh_runtime, corpus):
@@ -314,3 +342,51 @@ def test_stale_arrays_attachment_is_refreshed(fresh_runtime):
     assert runtime._ATTACHED_ARRAYS["t-stale"][0] == second.generation
     assert (attached["a"] == arrays["a"]).all()
     runtime._ATTACHED_ARRAYS.pop("t-stale", None)
+
+
+_EARLY_POOL = """
+import os, sys, time
+import numpy as np
+import repro.batch.engine as engine
+import repro.batch.runtime as runtime
+from repro.batch import intern_corpus, pairwise_values_ids
+
+engine._cpu_count = lambda: 2
+engine._MIN_PAIRS_PER_WORKER = 8
+rt = runtime.get_runtime()
+if rt.pool(2) is None:  # before this process published anything
+    sys.exit(3)
+corpus = intern_corpus(["abcd%d" % i for i in range(60)])
+x, y = np.repeat(np.arange(60), 10), np.tile(np.arange(10), 60)
+pairwise_values_ids("levenshtein", corpus.store(), x, y, workers=2)
+token = corpus.shm_token[1]
+rt._discard_pool()  # the workers exit
+time.sleep(1.0)
+names = (token.rows_x.shm_name, token.rows_y.shm_name, token.lengths.shm_name)
+print(sum(os.path.exists("/dev/shm/" + name) for name in names))
+"""
+
+
+def test_a_pool_spawned_before_any_publication_keeps_the_segments():
+    """Workers forked before the master's first shared-memory publication
+    used to start resource trackers of their own, which unlinked the
+    master's still-published corpus when the workers exited (every later
+    fan-out over it then failed to attach).  Run in a fresh process: this
+    one's tracker is long running."""
+    import subprocess
+    import sys
+
+    if not os.path.isdir("/dev/shm"):  # pragma: no cover - not Linux
+        pytest.skip("no /dev/shm on this platform")
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    child = subprocess.run(
+        [sys.executable, "-c", _EARLY_POOL],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+        text=True,
+        timeout=120,
+    )
+    if child.returncode == 3:  # pragma: no cover - fork unavailable
+        pytest.skip("process pool unavailable")
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "3", "the workers' exit unlinked the corpus"

@@ -44,6 +44,17 @@ class TestValues:
         assert min_normalized_distance("", "") == 0.0
         assert min_normalized_distance("", "a") == float("inf")
 
+    def test_dmin_empty_sides_compare_content(self):
+        # "" and () are both the empty sequence, as "ab" and ("a", "b")
+        # are one sequence: 0.0, like the batch engine, not inf
+        from repro.core.bounded import bounded_dmin
+
+        for x, y in (("", ()), ((), ""), ("", []), ((), [])):
+            assert min_normalized_distance(x, y) == 0.0
+            assert bounded_dmin(x, y, 0.5) == 0.0
+        assert min_normalized_distance((), "a") == float("inf")
+        assert bounded_dmin([], ("a",), 0.5) == float("inf")
+
     @given(small_strings, small_strings)
     def test_dmax_bounded(self, x, y):
         assert 0.0 <= max_normalized_distance(x, y) <= 1.0

@@ -415,17 +415,11 @@ def test_representation_sensitive_callable_over_list_items(words):
 def test_bulk_with_auto_sharding_engaged(words, queries, monkeypatch):
     """Force workers="auto" to attempt a pool and verify identical output.
 
-    The pivot sweep dispatches interned id grids when the index holds a
-    corpus (``_fan_out_ids``) and raw pairs otherwise (``_fan_out``);
-    either way the auto gate must attempt the pool.
+    The pivot sweep dispatches interned id grids against the index's
+    corpus (``_fan_out_ids``); the auto gate must attempt the pool.
     """
     attempts = []
-    real_fan_out = engine._fan_out
     real_fan_out_ids = engine._fan_out_ids
-
-    def spying_fan_out(name, pairs, workers):
-        attempts.append((name, len(pairs), workers))
-        return real_fan_out(name, pairs, workers)
 
     def spying_fan_out_ids(name, store, x_ids, y_ids, workers):
         attempts.append((name, len(x_ids), workers))
@@ -436,7 +430,6 @@ def test_bulk_with_auto_sharding_engaged(words, queries, monkeypatch):
 
     monkeypatch.setattr(engine, "_MIN_PAIRS_PER_WORKER", 2)
     monkeypatch.setattr(engine, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(engine, "_fan_out", spying_fan_out)
     monkeypatch.setattr(engine, "_fan_out_ids", spying_fan_out_ids)
     batch = index.bulk_knn(queries, 1)
 
