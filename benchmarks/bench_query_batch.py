@@ -54,9 +54,8 @@ Either way the batched paths must return bit-identical results and
 identical per-query ``distance_computations`` (asserted, not sampled);
 only the wall-clock may differ.  Results are appended as one JSON object
 per run to ``BENCH_query.json`` (each row tagged with the ambient
-``pool`` mode: ``persistent``, or ``per-call`` -- the historic name of
-the ``REPRO_PERSISTENT_POOL=0`` regime, which now runs in-process) so
-the perf trajectory survives across PRs.
+``pool`` mode of :func:`bench_tags.ambient_tags`) so the perf
+trajectory survives across PRs.
 
 Usage::
 
@@ -81,6 +80,7 @@ from pathlib import Path
 
 import numpy as np
 
+from bench_tags import ambient_tags
 from repro.batch import jit
 from repro.datasets import handwritten_digits
 from repro.core import get_distance
@@ -119,13 +119,6 @@ def _tight_radius(train, distance: str, quantile: float = 0.02) -> float:
     ]
     values = sorted(float(v) for v in pairwise_values(distance, sample_pairs))
     return values[int(quantile * (len(values) - 1))]
-
-
-def _pool_tag() -> str:
-    """The ambient engine pool mode recorded in every emitted row."""
-    from repro.batch import persistent_pool_enabled
-
-    return "persistent" if persistent_pool_enabled() else "per-call"
 
 
 def _check_identical(scalar, batch, label: str) -> None:
@@ -235,10 +228,6 @@ def run_benchmark(
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        # numpy vs numba: the CI kernel-backend matrix appends one record
-        # per leg (BENCH_kernel.json) so the trajectory shows both
-        "kernel_backend": jit.backend_name(),
-        "pool": _pool_tag(),
     }
 
 
@@ -327,8 +316,6 @@ def run_range_benchmark(
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "kernel_backend": jit.backend_name(),
-        "pool": _pool_tag(),
     }
 
 
@@ -411,8 +398,6 @@ def run_route_benchmark(smoke: bool, repeats: int = 3) -> dict:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "kernel_backend": jit.backend_name(),
-        "pool": _pool_tag(),
     }
 
 
@@ -596,8 +581,6 @@ def run_words_benchmark(smoke: bool, repeats: int = 3) -> dict:
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "kernel_backend": jit.backend_name(),
-        "pool": _pool_tag(),
     }
 
 
@@ -660,8 +643,6 @@ def run_repeat_benchmark(
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "kernel_backend": jit.backend_name(),
-        "pool": _pool_tag(),
     }
 
 
@@ -766,8 +747,9 @@ def main(argv=None) -> int:
             args.distance, per_class, n_train, n_queries, n_pivots, args.k
         )
         record["search"] = "knn"
-    record["mode"] = "smoke" if args.smoke else "full"
-    record["faults"] = args.faults or ""
+    # the mandatory row tags; kernel_backend splits the CI numpy and
+    # numba legs, which append one record each (BENCH_kernel.json)
+    record.update(ambient_tags("smoke" if args.smoke else "full", args.faults or ""))
     # per-run degradation-ladder events (all zero on a healthy run):
     # a chaos smoke proves the identity checks held *while* degrading
     after = DEGRADATION.snapshot()

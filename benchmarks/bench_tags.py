@@ -5,6 +5,12 @@ them silently falls out of every comparison, so emitters call
 :func:`ambient_tags` instead of hand-rolling a subset.  ``mode`` and
 ``faults`` describe the run shape (CLI flags); ``kernel_backend`` and
 ``pool`` capture the ambient engine configuration at emit time.
+
+``pool`` is ``persistent``, or ``per-call``: the historic name of the
+``REPRO_PERSISTENT_POOL=0`` regime, which runs no process pool at all
+(every engine call and shard scatter stays in-process; no per-call pool
+exists anywhere).  The name is kept because the ``BENCH_*.json``
+trajectories and the frozen ``perfbench/run.py`` emit it.
 """
 
 from __future__ import annotations

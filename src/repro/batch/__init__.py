@@ -32,10 +32,10 @@ Entry points:
 Every entry point defaults to ``workers="auto"``: unique-pair chunks fan
 out over a process pool when the machine and the batch size justify it.
 The fan-out is *supervised*: dead or wedged workers surface as failed
-chunks (per-chunk deadlines) and walk a degradation ladder -- fresh-pool
-retry, per-call pool, in-process serial -- that preserves bit-identical
-results (:data:`DEGRADATION` counts the events,
-:class:`DegradedExecutionWarning` announces them, and
+chunks (per-chunk deadlines) and walk one degradation ladder, shared
+with the sharded scatter -- fresh-pool retry, then in-process serial --
+that preserves bit-identical results (:data:`DEGRADATION` counts the
+events, :class:`DegradedExecutionWarning` announces them, and
 :mod:`repro.batch.faults` injects the failures on demand for the chaos
 suite).
 """

@@ -64,8 +64,6 @@ id pair on the stored raw items; the dedupe savings still apply.
 from __future__ import annotations
 
 import os
-import time
-import warnings
 from functools import partial
 from typing import (
     Any,
@@ -484,129 +482,6 @@ def _mp_evaluate_ids(
         _runtime.release_attachment(ephemeral)
 
 
-#: Sentinel for "this chunk failed on this rung" (``None`` is a valid
-#: worker return only for broken workers, but keep failure explicit).
-_CHUNK_FAILED = object()
-
-
-def _percall_map(
-    worker: Callable[[Any], Any],
-    chunks: List[Any],
-    sizes: List[Optional[int]],
-) -> Optional[List[Any]]:
-    """The per-call-pool rung: one disposable pool sized to *chunks*,
-    every chunk awaited under its :func:`~repro.batch.runtime.chunk_deadline`
-    (all chunks run concurrently, so deadlines are measured from one
-    shared submission instant -- a round of failures costs one deadline,
-    not one per chunk).  Per-chunk failures come back as
-    :data:`_CHUNK_FAILED`; ``None`` when no pool could be created."""
-    import multiprocessing
-
-    from . import runtime as _runtime
-
-    try:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # pragma: no cover - platforms without fork
-            ctx = multiprocessing.get_context()
-        pool = ctx.Pool(processes=len(chunks))
-    except Exception:  # pragma: no cover - sandboxed/forbidden fork
-        return None
-    results: List[Any] = []
-    try:
-        start = time.monotonic()
-        try:
-            handles = [pool.apply_async(worker, (chunk,)) for chunk in chunks]
-        except Exception:  # pool broke at submit time
-            return None
-        for handle, size in zip(handles, sizes):
-            deadline = _runtime.chunk_deadline(size)
-            try:
-                if deadline is None:
-                    results.append(handle.get())
-                else:
-                    remaining = start + deadline - time.monotonic()
-                    results.append(handle.get(max(0.001, remaining)))
-            except Exception:
-                results.append(_CHUNK_FAILED)
-    finally:
-        _runtime.dispose_pool(
-            pool, kill=any(r is _CHUNK_FAILED for r in results)
-        )
-    return results
-
-
-def _map_chunks(
-    worker: Callable[[Any], Any],
-    chunks: List[Any],
-    workers: int,
-    sizes: List[int],
-    serial: Callable[[Any], Any],
-) -> Optional[List[Any]]:
-    """Run *chunks* through the degradation ladder.
-
-    Rungs, healthiest first -- every rung computes the very same values
-    (same task function, same kernels), so degradation changes latency,
-    never results:
-
-    1. the persistent pool under supervision
-       (:meth:`~repro.batch.runtime.EngineRuntime.supervised_map`:
-       per-chunk deadlines, health-checked pool, fresh-pool retries);
-    2. a disposable per-call pool for whatever chunks still failed;
-    3. in-process evaluation of the stragglers via *serial* -- cannot
-       fail, so the ladder always terminates with complete results.
-
-    Returns the per-chunk results, or ``None`` when pooling was never
-    available at all (no fork, no subprocesses) -- the quiet contract
-    under which the caller evaluates serially itself.  *sizes* (pairs
-    per chunk) scales the supervision deadlines.
-    """
-    from . import runtime as _runtime
-
-    n = len(chunks)
-    supervised = _runtime.get_runtime().supervised_map(
-        worker, chunks, workers, sizes=sizes
-    )
-    if supervised is None:
-        return None  # no pool at all: quiet serial fallback upstream
-    results, failed = supervised
-    if not failed:
-        return results
-    _runtime.DEGRADATION.record("percall_fallbacks", len(failed))
-    warnings.warn(
-        f"engine fan-out: {len(failed)}/{n} chunk(s) still failing after "
-        "pool retries; degrading to a per-call pool",
-        _runtime.DegradedExecutionWarning,
-        stacklevel=2,
-    )
-    retried = _percall_map(
-        worker,
-        [chunks[i] for i in failed],
-        [sizes[i] for i in failed],
-    )
-    stragglers: List[int] = []
-    if retried is None:
-        stragglers = failed
-    else:
-        for part, i in zip(retried, failed):
-            if part is _CHUNK_FAILED:
-                stragglers.append(i)
-            else:
-                results[i] = part
-    if not stragglers:
-        return results
-    _runtime.DEGRADATION.record("serial_fallbacks", len(stragglers))
-    warnings.warn(
-        f"engine fan-out: {len(stragglers)}/{n} chunk(s) degraded to "
-        "in-process serial evaluation",
-        _runtime.DegradedExecutionWarning,
-        stacklevel=2,
-    )
-    for i in stragglers:
-        results[i] = serial(chunks[i])
-    return results
-
-
 def _fan_out_ids(
     name: str,
     store: "PairStore",
@@ -617,11 +492,12 @@ def _fan_out_ids(
     """Evaluate id pairs across the persistent pool via a shared-memory
     publication of *store*; None when anything is unavailable, and under
     ``REPRO_PERSISTENT_POOL=0`` (the caller then evaluates in-process --
-    identical values).
+    identical values).  Failed chunks walk the runtime's one degradation
+    ladder (:meth:`~repro.batch.runtime.EngineRuntime.fan_out`).
 
     The corpus block is published once per corpus and cached by every
     worker until the master releases it; the per-call query block is
-    published ephemerally and unlinked as soon as the call returns.
+    published ephemerally and released as soon as the call returns.
     Only the id arrays travel per task.
     """
     from . import runtime as _runtime
@@ -635,23 +511,21 @@ def _fan_out_ids(
     token = rt.publish_store(store)
     if token is None:
         return None
-    bounds = np.linspace(0, len(x_ids), chunk_count + 1).astype(int)
-    chunks = [
-        (name, token, x_ids[bounds[c] : bounds[c + 1]], y_ids[bounds[c] : bounds[c + 1]])
-        for c in range(chunk_count)
-    ]
-    sizes = [int(bounds[c + 1] - bounds[c]) for c in range(chunk_count)]
-
-    def _serial(chunk: Tuple[str, Any, np.ndarray, np.ndarray]) -> np.ndarray:
-        # the ladder's last rung must not depend on shared memory (the
-        # publication may be the very thing that failed): evaluate the
-        # chunk's ids against the master-side store instead
-        _name, _token, cx, cy = chunk
-        return _evaluate_ids(_name, store, cx, cy)
-
+    bounds = np.linspace(0, len(x_ids), chunk_count + 1).astype(int).tolist()
+    spans = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
     try:
-        parts = _map_chunks(
-            _mp_evaluate_ids, chunks, chunk_count, sizes=sizes, serial=_serial
+        parts = rt.fan_out(
+            _mp_evaluate_ids,
+            [(name, token, x_ids[span], y_ids[span]) for span in spans],
+            chunk_count,
+            sizes=[span.stop - span.start for span in spans],
+            # the in-process rung must not depend on shared memory (the
+            # publication may be the very thing that failed): evaluate
+            # the chunk's ids against the master-side store instead
+            serial=lambda c: _evaluate_ids(
+                name, store, x_ids[spans[c]], y_ids[spans[c]]
+            ),
+            counter="serial_fallbacks",
         )
     finally:
         rt.release_block(token.extra)

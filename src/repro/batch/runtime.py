@@ -21,8 +21,9 @@ them one-time:
   until the master releases the corpus (every token lists the keys the
   master still publishes, and a worker drops the rest), and gathers
   kernel inputs straight out of shared pages.  Per-call query batches
-  ride along as *ephemeral* blocks, unlinked as soon as the call
-  returns;
+  ride along as *ephemeral* blocks, released as soon as the call
+  returns into a segment ring that the next call's blocks rewrite in
+  place;
 * worker-side caches also memoise the distance-function resolution per
   registry name, so a worker resolves each kernel **once per lifetime**
   instead of once per task shard.
@@ -34,10 +35,11 @@ is *supervised*:
   per-chunk deadline (``REPRO_POOL_TIMEOUT`` seconds, scaled by chunk
   size) so a SIGKILLed or wedged worker surfaces as a failed chunk
   instead of hanging the call forever, and retries *only the failed
-  chunks* on a fresh pool (``REPRO_POOL_RETRIES`` rounds, exponential
-  backoff).  The engine's degradation ladder then walks any survivors
-  down to the per-call-pool and in-process serial rungs
-  (:mod:`repro.batch.engine`), each rung re-computing the same values;
+  chunks* on a fresh pool (``_POOL_RETRIES`` rounds, exponential
+  backoff).  :meth:`EngineRuntime.fan_out` is the one degradation
+  ladder on top, walked by the engine's chunk fan-out and the sharded
+  scatter alike: whatever still failed after the retries runs
+  in-process, re-computing the same values;
 * cached pools are health-checked before reuse (a dead worker means the
   pool is discarded and respawned, with ``terminate`` + time-bounded
   ``join`` so repeated respawns never accumulate zombie children);
@@ -55,8 +57,8 @@ is *supervised*:
 
 Everything still degrades gracefully: platforms without ``fork`` or
 shared memory, sandboxes that forbid subprocesses, and broken pools all
-return ``None`` from the runtime's entry points, and the engine falls
-back to its serial (or per-call-pool) paths -- same values, no sharing.
+return ``None`` from the runtime's entry points, and the callers run
+in-process -- same values, no sharing.
 :mod:`repro.batch.faults` can inject every failure mode on demand
 (``REPRO_FAULTS``), which is how the chaos suite proves the ladder.
 """
@@ -100,7 +102,6 @@ __all__ = [
     "persistent_pool_enabled",
     "DegradationSnapshot",
     "pool_timeout",
-    "pool_retries",
     "chunk_deadline",
     "reaper_enabled",
     "reap_orphaned_segments",
@@ -119,7 +120,6 @@ __all__ = [
     "publish_generation",
     "register_view_cache",
     "release_attachment",
-    "shm_ring_enabled",
 ]
 
 
@@ -129,13 +129,6 @@ def persistent_pool_enabled() -> bool:
     pool; ``REPRO_PERSISTENT_POOL=0`` keeps them in-process (read per
     call)."""
     return knobs.get_flag("REPRO_PERSISTENT_POOL")
-
-
-def shm_ring_enabled() -> bool:
-    """Whether ephemeral shared-memory segments are recycled through the
-    runtime's segment ring instead of being unlinked per call;
-    ``REPRO_SHM_RING=0`` opts out (read per publish/release)."""
-    return knobs.get_flag("REPRO_SHM_RING")
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +145,8 @@ _POOL_TIMEOUT = 300.0
 #: scale the deadline up proportionally.
 _DEADLINE_PAIRS = 50_000.0
 
-#: Fresh-pool retry rounds after a failed fan-out (``REPRO_POOL_RETRIES``).
+#: Fresh-pool retry rounds after a failed fan-out (read per call, so
+#: tests monkeypatch it).
 _POOL_RETRIES = 1
 
 #: First retry backoff in seconds (doubles per round, capped at 2s).
@@ -166,14 +160,6 @@ def pool_timeout() -> float:
     if value is not None:
         return value
     return _POOL_TIMEOUT
-
-
-def pool_retries() -> int:
-    """Fresh-pool retry rounds, honouring ``REPRO_POOL_RETRIES``."""
-    value = knobs.get_int("REPRO_POOL_RETRIES", minimum=0)
-    if value is not None:
-        return value
-    return _POOL_RETRIES
 
 
 def chunk_deadline(size: Optional[int]) -> Optional[float]:
@@ -196,10 +182,9 @@ def reaper_enabled() -> bool:
 
 
 class DegradedExecutionWarning(UserWarning):
-    """A bulk fan-out degraded down the reliability ladder (retry, fresh
-    pool, per-call pool, or in-process serial) -- results are identical,
-    but the run is slower than the healthy path and the operator should
-    know."""
+    """A bulk fan-out degraded down the reliability ladder (a fresh-pool
+    retry, or in-process serial) -- results are identical, but the run
+    is slower than the healthy path and the operator should know."""
 
 
 class DegradationStats:
@@ -221,9 +206,8 @@ class DegradationStats:
         "pool_errors",  # a chunk raised / died inside the pool
         "pool_retries",  # fresh-pool retry rounds taken
         "dead_pools",  # cached pools discarded by the health check
-        "percall_fallbacks",  # chunks degraded to a per-call pool
-        "serial_fallbacks",  # chunks degraded to in-process serial
-        "shard_fallbacks",  # sharded-index scatters re-run in the master
+        "serial_fallbacks",  # engine chunks re-run in-process
+        "shard_fallbacks",  # shard tasks re-run in the master
         "publish_failures",  # shared-memory publications that failed
         "stale_attachments",  # worker re-attaches forced by generation
         "reaped_segments",  # orphaned /dev/shm segments unlinked
@@ -274,7 +258,6 @@ class DegradationSnapshot(TypedDict):
     pool_errors: int
     pool_retries: int
     dead_pools: int
-    percall_fallbacks: int
     serial_fallbacks: int
     shard_fallbacks: int
     publish_failures: int
@@ -756,7 +739,7 @@ class EngineRuntime:
             "creates": 0,  # ephemeral publishes that had to create
             "reuses": 0,  # ephemeral publishes served from the ring
             "returns": 0,  # releases parked back into the ring
-            "evictions": 0,  # releases unlinked (ring full / knob off)
+            "evictions": 0,  # releases unlinked (ring full)
         }
         atexit.register(self.shutdown)
 
@@ -826,12 +809,12 @@ class EngineRuntime:
         round the pool is discarded (deadline misses escalate to
         SIGKILL, since a wedged worker may ignore SIGTERM) and **only
         the failed chunks** are retried on a fresh pool, up to
-        :func:`pool_retries` rounds with exponential backoff.
+        ``_POOL_RETRIES`` rounds with exponential backoff.
 
         Returns ``(results, failed_indices)`` -- entries of *results* at
-        failed indices are ``None`` and the engine's ladder re-runs them
-        on lower rungs -- or ``None`` when no pool could be spawned at
-        all (quiet serial fallback, not a degradation)."""
+        failed indices are ``None`` and :meth:`fan_out` re-runs them
+        in-process -- or ``None`` when no pool could be spawned at all
+        (quiet serial fallback, not a degradation)."""
         import multiprocessing
 
         pool = self.pool(workers)
@@ -840,7 +823,7 @@ class EngineRuntime:
         n = len(chunks)
         results: List[Any] = [None] * n
         pending = list(range(n))
-        retries = pool_retries()
+        retries = _POOL_RETRIES
         attempt = 0
         while True:
             start = time.monotonic()
@@ -890,7 +873,7 @@ class EngineRuntime:
             attempt += 1
             DEGRADATION.record("pool_retries")
             warnings.warn(
-                f"engine fan-out: {len(failed)}/{n} chunk(s) failed "
+                f"fan-out: {len(failed)}/{n} chunk(s) failed "
                 f"(retry {attempt}/{retries}); respawning the worker pool",
                 DegradedExecutionWarning,
                 stacklevel=2,
@@ -900,6 +883,47 @@ class EngineRuntime:
             pool = self.pool(workers)
             if pool is None:
                 return results, pending
+
+    def fan_out(
+        self,
+        fn: Callable[[Any], Any],
+        chunks: Sequence[Any],
+        workers: int,
+        sizes: Sequence[int],
+        serial: Callable[[int], Any],
+        counter: str,
+    ) -> Optional[List[Any]]:
+        """Run *chunks* down the degradation ladder -- the one every
+        fan-out walks, the engine's chunk fan-out and the sharded
+        scatter alike:
+
+        1. the persistent pool under :meth:`supervised_map` (per-chunk
+           deadlines, health-checked pool, fresh-pool retries);
+        2. ``serial(i)`` in this process for every chunk *i* still
+           failing, counted under the *counter* degradation field --
+           cannot fail, so the ladder always ends with complete results.
+
+        *serial* runs the same code as the worker task *fn*, so
+        degradation changes latency, never results.  Returns the
+        per-chunk results, or ``None`` when no pool could be spawned at
+        all -- the quiet contract under which the caller runs everything
+        in-process itself."""
+        supervised = self.supervised_map(fn, chunks, workers, sizes=sizes)
+        if supervised is None:
+            return None
+        results, failed = supervised
+        if failed:
+            DEGRADATION.record(counter, len(failed))
+            warnings.warn(
+                f"fan-out: {len(failed)}/{len(chunks)} chunk(s) still "
+                "failing after pool retries; re-running them in-process "
+                "(results unchanged)",
+                DegradedExecutionWarning,
+                stacklevel=3,
+            )
+            for i in failed:
+                results[i] = serial(i)
+        return results
 
     def _discard_pool(
         self, kill: bool = False, join_timeout: float = 5.0
@@ -922,7 +946,7 @@ class EngineRuntime:
             DEGRADATION.record("publish_failures")
             return None
         arr = np.ascontiguousarray(arr)
-        if reusable and shm_ring_enabled():
+        if reusable:
             # first-fit from the ring: any parked segment big enough
             # carries the payload (the spec's shape/dtype bound what
             # attachers read, so an oversized buffer is harmless)
@@ -959,7 +983,7 @@ class EngineRuntime:
             view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
             view[...] = arr
         self._published.append(shm)
-        if reusable and shm_ring_enabled():
+        if reusable:
             self._ring_stats["creates"] += 1
             if arr.nbytes <= _RING_SEGMENT_MAX:
                 self._ring_names.add(shm.name)
@@ -1095,16 +1119,14 @@ class EngineRuntime:
         already removed by a racing unlink, see :func:`_unlink_segment`)
         and drop them from the ownership list.  Segments tagged
         ring-eligible park in the free ring instead -- still owned, still
-        unlinked at :meth:`shutdown` -- unless the ring is full or
-        ``REPRO_SHM_RING`` turned off since they were published."""
+        unlinked at :meth:`shutdown` -- unless the ring is full."""
         if not names:
             return
         kept = []
-        ring_on = shm_ring_enabled()
         for shm in self._published:
             if shm.name in names:
                 if shm.name in self._ring_names:
-                    if ring_on and len(self._ring) < _RING_CAPACITY:
+                    if len(self._ring) < _RING_CAPACITY:
                         self._ring.append(shm)
                         self._ring_stats["returns"] += 1
                         continue

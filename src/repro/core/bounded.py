@@ -449,7 +449,9 @@ def bounded_marzal_vidal(x: StringLike, y: StringLike, limit: float) -> float:
     shared with the batched bounded path.
     """
     x, y = require_strings(x, y)
-    if x == y:
+    # equal symbols, whatever the representation (``x == y`` would tell
+    # a str from the tuple of its characters, and prune it below 0)
+    if len(x) == len(y) and all(a == b for a, b in zip(x, y)):
         return 0.0
     from .marzal_vidal import mv_normalized_distance
 

@@ -201,8 +201,11 @@ def levenshtein_bounded(x: StringLike, y: StringLike, limit: float) -> int:
         return levenshtein_distance(x, y)
     bound = int(limit) if limit >= 0 else -1
     if bound < 0:
-        # nothing to compute: every distance is >= 0 > limit except x == y
-        return 0 if x == y else max(abs(m - n), 1)
+        # nothing to compute: every distance is >= 0 > limit except
+        # between equal symbols, compared as symbols (a str and the
+        # tuple of its characters hold the same content)
+        same = m == n and all(a == b for a, b in zip(x, y))
+        return 0 if same else max(abs(m - n), 1)
     exact = _within(x, y, bound)
     if exact is not None:
         return exact

@@ -83,7 +83,7 @@ def remaining_seconds(deadline: Optional[float], now: Optional[float] = None) ->
 class CircuitBreaker:
     """Trip after *threshold* consecutive degraded batches.
 
-    The engine already degrades gracefully (retry -> per-call pool ->
+    The engine already degrades gracefully (pool retry -> in-process
     serial) and keeps answers bit-identical, so a degraded batch is not
     an error -- but a *run* of them means the runtime is sick and every
     oversized batch queues more latency behind it.  While tripped, the

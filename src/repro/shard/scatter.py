@@ -23,8 +23,11 @@ the shard's global id map and k-merges (:mod:`repro.shard.merge`).
 
 The ``shard_worker_fail`` fault site raises inside the worker task
 (daemon-gated, like ``worker_crash``), which the sharded index answers
-by re-running that shard serially in the master -- recorded under the
-``shard_fallbacks`` degradation counter, results unchanged.
+down the runtime's one degradation ladder
+(:meth:`~repro.batch.runtime.EngineRuntime.fan_out`): a fresh-pool
+retry, then that shard re-run serially in the master -- recorded under
+the ``shard_fallbacks`` degradation counter, results unchanged.
+``REPRO_PERSISTENT_POOL=0`` keeps every shard in the master.
 """
 
 from __future__ import annotations
@@ -47,11 +50,9 @@ import numpy as np
 from ..batch import runtime
 from ..batch.runtime import ArraysToken, StoreToken
 from ..index.base import NearestNeighborIndex
-from ..tools import knobs
 
 __all__ = [
     "ShardPublication",
-    "parallel_enabled",
     "publish_shard",
     "run_shard_local",
     "shard_task",
@@ -89,13 +90,6 @@ def _structure_class(name: str) -> Type[NearestNeighborIndex[Any]]:
         ):
             _STRUCTURES[cls.__name__] = cls
     return _STRUCTURES[name]
-
-
-def parallel_enabled() -> bool:
-    """Whether sharded scatters fan out over the persistent worker pool;
-    ``REPRO_SHARD_PARALLEL=0`` runs every shard serially in the master
-    (read per call; results are bit-identical either way)."""
-    return knobs.get_flag("REPRO_SHARD_PARALLEL")
 
 
 @dataclass(frozen=True)

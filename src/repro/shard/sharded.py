@@ -25,8 +25,10 @@ unsharded count: every item is evaluated exactly once either way).
 Bulk scatters fan out over the persistent engine pool
 (:mod:`repro.shard.scatter`): each worker attaches its shard's interned
 twin matrices and structure arrays from shared memory and runs the
-ordinary lockstep drivers serially in-process.  A failed shard task
-falls back to the master re-running that one shard
+ordinary lockstep drivers serially in-process.  The scatter walks the
+same degradation ladder as the engine's fan-out
+(:meth:`~repro.batch.runtime.EngineRuntime.fan_out`): a shard task that
+still fails after the pool retries is re-run by the master
 (``shard_fallbacks`` degradation counter, ``DegradedExecutionWarning``)
 -- the answer never changes, only where it was computed.
 
@@ -44,7 +46,6 @@ from __future__ import annotations
 import functools
 import time
 import uuid
-import warnings
 import weakref
 from dataclasses import dataclass, replace
 from typing import (
@@ -65,7 +66,6 @@ import numpy as np
 
 from ..batch import runtime
 from ..batch.corpus import InternedCorpus
-from ..batch.runtime import DEGRADATION, DegradedExecutionWarning
 from ..index.base import (
     CountingDistance,
     NearestNeighborIndex,
@@ -383,65 +383,52 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         self, queries: List[Any], mode: str, arg: float
     ) -> List[TaskResult]:
         """Run every shard's bulk search over *queries*: in parallel on
-        the persistent pool when possible, serially in the master for
-        whatever could not run there.  Entry ``[si][qi]`` is shard
+        the persistent pool when possible, down the runtime's one
+        degradation ladder (:meth:`~repro.batch.runtime.EngineRuntime.fan_out`:
+        pool retries, then the master) for whatever failed there, and
+        wholly in the master otherwise.  Entry ``[si][qi]`` is shard
         *si*'s ``(local hits, demanded count)`` for query *qi* --
         bit-identical regardless of where the shard ran."""
+
+        def run_local(si: int) -> TaskResult:
+            return scatter.run_shard_local(
+                self._shards[si].index, queries, mode, arg
+            )
+
         n_shards = len(self._shards)
-        gathered: List[Optional[TaskResult]] = [None] * n_shards
-        pending = list(range(n_shards))
+        gathered: Optional[List[TaskResult]] = None
         if n_shards > 1 and self._parallel_allowed():
             publications = self._publications()
             if publications is not None:
                 rt = runtime.get_runtime()
                 live = rt.live_keys()
-                tasks = [
-                    (
-                        publications[si].blob,
-                        replace(publications[si].store, live=live),
-                        mode,
-                        arg,
-                        queries,
-                    )
-                    for si in pending
-                ]
-                sizes = [
-                    len(queries) * len(self._shards[si].index.items)
-                    for si in pending
-                ]
-                out = rt.supervised_map(
-                    scatter.shard_task, tasks, workers=n_shards, sizes=sizes
+                gathered = rt.fan_out(
+                    scatter.shard_task,
+                    [
+                        (pub.blob, replace(pub.store, live=live), mode, arg, queries)
+                        for pub in publications
+                    ],
+                    n_shards,
+                    sizes=[
+                        len(queries) * len(shard.index.items)
+                        for shard in self._shards
+                    ],
+                    serial=run_local,
+                    counter="shard_fallbacks",
                 )
-                if out is not None:
-                    results, _failed = out
-                    for pos, si in enumerate(list(pending)):
-                        if results[pos] is not None:
-                            gathered[si] = results[pos]
-                    pending = [si for si in pending if gathered[si] is None]
-                    if pending:
-                        DEGRADATION.record("shard_fallbacks", len(pending))
-                        warnings.warn(
-                            f"sharded scatter: {len(pending)}/{n_shards} "
-                            "shard task(s) failed on the worker pool; "
-                            "re-running them serially in the master "
-                            "(results unchanged)",
-                            DegradedExecutionWarning,
-                            stacklevel=3,
-                        )
-        for si in pending:
-            gathered[si] = scatter.run_shard_local(
-                self._shards[si].index, queries, mode, arg
-            )
-        return [task for task in gathered if task is not None]
+        if gathered is None:
+            gathered = [run_local(si) for si in range(n_shards)]
+        return gathered
 
     def _parallel_allowed(self) -> bool:
-        if not scatter.parallel_enabled():
-            return False
-        if not runtime.persistent_pool_enabled():
-            return False
+        """Whether the scatter may use the pool: not under
+        ``REPRO_PERSISTENT_POOL=0``, and not inside a pool worker."""
         import multiprocessing
 
-        return not multiprocessing.current_process().daemon
+        return (
+            runtime.persistent_pool_enabled()
+            and not multiprocessing.current_process().daemon
+        )
 
     def _publications(self) -> Optional[List[ShardPublication]]:
         """The per-shard shared-memory publications for the current

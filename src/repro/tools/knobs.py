@@ -114,16 +114,6 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
         module="repro.batch.runtime",
     ),
     KnobSpec(
-        name="REPRO_POOL_RETRIES",
-        type="int",
-        default=1,
-        description=(
-            "Fresh-pool retry rounds after a failed fan-out before degrading "
-            "to the per-call pool (clamped to >= 0)."
-        ),
-        module="repro.batch.runtime",
-    ),
-    KnobSpec(
         name="REPRO_SHM_REAPER",
         type="flag",
         default=True,
@@ -281,29 +271,6 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
             "least this many items (tiny corpora collapse to one shard)."
         ),
         module="repro.shard.sharded",
-    ),
-    KnobSpec(
-        name="REPRO_SHARD_PARALLEL",
-        type="flag",
-        default=True,
-        description=(
-            "Scatter per-shard bulk searches across the persistent worker "
-            "pool; `0` runs every shard serially in the master process "
-            "(bit-identical, used as the comparison baseline)."
-        ),
-        module="repro.shard.scatter",
-    ),
-    KnobSpec(
-        name="REPRO_SHM_RING",
-        type="flag",
-        default=True,
-        description=(
-            "Recycle released ephemeral shared-memory segments through "
-            "the runtime's segment ring so high-frequency small query "
-            "batches skip per-call create/unlink churn; `0` restores "
-            "unlink-per-call."
-        ),
-        module="repro.batch.runtime",
     ),
 )
 

@@ -14,9 +14,13 @@ import pytest
 import repro.batch.engine as engine
 from repro.batch import intern_corpus, pairwise_values_bounded
 from repro.batch.engine import pairwise_values_bounded_ids
-from repro.core import get_spec
+from repro.core import get_distance, get_spec, list_distances
 from repro.core._kernels import jit_backend
-from repro.core.bounded import contextual_edit_budget, contextual_pruned_value
+from repro.core.bounded import (
+    bounded_for,
+    contextual_edit_budget,
+    contextual_pruned_value,
+)
 from repro.core.levenshtein import levenshtein_distance
 from repro.index.base import CountingDistance
 
@@ -86,6 +90,26 @@ def test_mixed_representations_normalise():
     assert got.tolist() == [
         counter.within(x, y, l) for (x, y), l in zip(pairs, limits)
     ]
+
+
+#: Registry names whose function has an early-exit twin.
+TWINNED = [spec.name for spec in list_distances() if spec.bounded is not None]
+
+
+@pytest.mark.parametrize("name", TWINNED)
+def test_twins_match_the_engine_on_equal_content_below_zero(name):
+    """Equal content in two representations is one item to the engine
+    (interned by its symbols); each bounded twin must agree with it at
+    every limit, the negative ones included, where nothing is within
+    the limit and only equal content escapes the pruned value."""
+    twin = bounded_for(get_distance(name))
+    forms = ["abc", ("a", "b", "c"), ["a", "b", "c"]]
+    for x in forms:
+        for y in forms:
+            for limit in (-1.0, -0.25, 0.0):
+                got = float(twin(x, y, limit))
+                want = pairwise_values_bounded(name, [(x, y)], [limit])[0]
+                assert got.hex() == float(want).hex(), (name, x, y, limit)
 
 
 def test_unhashable_symbols_fall_back_to_scalar_twins():

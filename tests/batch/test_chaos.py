@@ -10,9 +10,9 @@ degradation ladder may change latency, never answers.
 Seed choice: with ``seed=12`` the first ``worker_crash`` draw of the
 per-site stream is 0.037 < 0.2, and forked pool workers inherit the
 master's *unfired* stream -- so every fresh worker crashes on its first
-task, which drives the ladder through pool retries and the per-call pool
-all the way to the in-process serial rung (the hardest path).  The kill
-test below covers the one-crash-among-healthy-workers shape instead.
+task, which drives the ladder through the fresh-pool retries down to its
+in-process serial rung (the hardest path).  The kill test below covers
+the one-crash-among-healthy-workers shape instead.
 """
 
 import os
@@ -78,12 +78,12 @@ def _serial_reference(monkeypatch, build, drive):
     return out
 
 
-def _arm(monkeypatch, spec, timeout="2", retries="1", min_pairs="20"):
+def _arm(monkeypatch, spec, timeout="2", retries=1, min_pairs="20"):
     import repro.batch.faults as faults
 
     monkeypatch.setenv("REPRO_FAULTS", spec)
     monkeypatch.setenv("REPRO_POOL_TIMEOUT", timeout)
-    monkeypatch.setenv("REPRO_POOL_RETRIES", retries)
+    monkeypatch.setattr(runtime, "_POOL_RETRIES", retries)
     monkeypatch.setenv("REPRO_MIN_PAIRS_PER_WORKER", min_pairs)
     # "auto" only shards on multi-core hosts; chaos must fan out anywhere
     monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
@@ -137,7 +137,7 @@ def test_laesa_bulk_knn_survives_worker_hangs(monkeypatch):
 
     build = lambda: LaesaIndex(items, "levenshtein", n_pivots=4)
     want = _serial_reference(monkeypatch, build, drive)
-    _arm(monkeypatch, "worker_hang:p=1:s=60,seed=3", timeout="1", retries="0")
+    _arm(monkeypatch, "worker_hang:p=1:s=60,seed=3", timeout="1", retries=0)
     before = DEGRADATION.snapshot()
     assert drive(build()) == want
     delta = DEGRADATION.snapshot()
@@ -191,6 +191,87 @@ def test_degradation_is_announced(monkeypatch):
         issubclass(w.category, DegradedExecutionWarning) for w in caught
     )
     assert index.last_degradation
+
+
+def test_engine_and_shard_fan_outs_walk_one_ladder(monkeypatch):
+    """An engine call's chunks and a sharded scatter's shard tasks walk
+    the runtime's one ladder.  With every fresh worker crashing on its
+    first task, each fan-out takes exactly ``_POOL_RETRIES`` fresh-pool
+    retries, then runs every chunk in-process, counted under its own
+    caller's counter; answers equal the no-pool reference, and no
+    process pool is created anywhere but ``EngineRuntime.pool``."""
+    from multiprocessing import pool as mp_pool
+
+    import numpy as np
+
+    from repro.batch import intern_corpus, pairwise_values_ids
+    from repro.core.levenshtein import levenshtein_distance
+    from repro.shard import ShardedIndex
+
+    items = _word_corpus(n=160)
+    queries = _word_corpus(n=40, seed=91)
+    store = intern_corpus(items).store()
+    x_ids = np.repeat(np.arange(len(items)), 8)
+    y_ids = np.tile(np.arange(8), len(items))
+    sharded = ShardedIndex(
+        items,
+        levenshtein_distance,
+        shards=2,
+        structure="laesa",
+        structure_params={"n_pivots": 4},
+    )
+
+    def engine_fan_out():
+        # two chunks, whatever the host's core count
+        monkeypatch.setattr(engine, "_MIN_PAIRS_PER_WORKER", 20)
+        got = pairwise_values_ids("levenshtein", store, x_ids, y_ids, workers=2)
+        # the shard searches re-run in the master must not fan out
+        monkeypatch.setattr(engine, "_MIN_PAIRS_PER_WORKER", 10**9)
+        return [float(v).hex() for v in got]
+
+    def shard_scatter():
+        return _results_key(sharded.bulk_knn(queries, 3))
+
+    monkeypatch.delenv("REPRO_MIN_PAIRS_PER_WORKER", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
+    want = [engine_fan_out(), shard_scatter()]
+    monkeypatch.delenv("REPRO_PERSISTENT_POOL")
+
+    created = []  # per Pool constructed: was it inside EngineRuntime.pool?
+    depth = []
+    runtime_pool = runtime.EngineRuntime.pool
+    pool_init = mp_pool.Pool.__init__
+
+    def spy_runtime_pool(self, workers):
+        depth.append(1)
+        try:
+            return runtime_pool(self, workers)
+        finally:
+            depth.pop()
+
+    def spy_pool_init(self, *args, **kwargs):
+        created.append(bool(depth))
+        pool_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(runtime.EngineRuntime, "pool", spy_runtime_pool)
+    monkeypatch.setattr(mp_pool.Pool, "__init__", spy_pool_init)
+    _arm(monkeypatch, "worker_crash:p=0.2,seed=12", timeout="1")
+    # each phase sets the module threshold itself; the env would win
+    monkeypatch.delenv("REPRO_MIN_PAIRS_PER_WORKER")
+    runtime.get_runtime().shutdown()  # fork the armed spec into the pool
+
+    ladder = ("pool_retries", "serial_fallbacks", "shard_fallbacks")
+    for run, want_run, counts in (
+        (engine_fan_out, want[0], (runtime._POOL_RETRIES, 2, 0)),
+        (shard_scatter, want[1], (runtime._POOL_RETRIES, 0, 2)),
+    ):
+        before = DEGRADATION.snapshot()
+        assert run() == want_run
+        after = DEGRADATION.snapshot()
+        assert tuple(after[f] - before[f] for f in ladder) == counts, run
+    assert created, "neither fan-out reached a process pool"
+    assert all(created), "a process pool was created outside EngineRuntime.pool"
 
 
 def test_sigkill_one_worker_mid_bulk_knn(monkeypatch):

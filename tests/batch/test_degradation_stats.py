@@ -96,13 +96,13 @@ class TestThreadSafety:
 
         def reader():
             while not stop.is_set():
-                seen.append(stats.snapshot()["percall_fallbacks"])
+                seen.append(stats.snapshot()["serial_fallbacks"])
 
         thread = threading.Thread(target=reader)
         thread.start()
         for _ in range(5_000):
-            stats.record("percall_fallbacks")
+            stats.record("serial_fallbacks")
         stop.set()
         thread.join()
         assert seen == sorted(seen)
-        assert stats.snapshot()["percall_fallbacks"] == 5_000
+        assert stats.snapshot()["serial_fallbacks"] == 5_000

@@ -1,6 +1,6 @@
 """The persistent engine runtime: pool reuse, shared-memory publication,
-supervision, teardown hygiene, and the opt-out that restores the
-per-call behaviour."""
+supervision, teardown hygiene, and the opt-out that keeps every call
+in-process."""
 
 import os
 import time
@@ -109,19 +109,14 @@ def test_fan_out_ids_uses_one_pool_across_calls(corpus, monkeypatch):
 
 def test_opt_out_bypasses_the_persistent_pool(corpus, monkeypatch):
     """``REPRO_PERSISTENT_POOL=0`` keeps every engine call in-process:
-    neither the persistent pool nor a per-call pool runs, for id calls
-    and for the matrix adapter alike, and the values do not change."""
+    no process pool runs, for id calls and for the matrix adapter
+    alike, and the values do not change."""
     monkeypatch.setenv("REPRO_MIN_PAIRS_PER_WORKER", "50")
     calls = []
     monkeypatch.setattr(
         runtime.EngineRuntime,
         "supervised_map",
         lambda self, fn, chunks, workers, sizes=None: calls.append("pool"),
-    )
-    monkeypatch.setattr(
-        engine,
-        "_percall_map",
-        lambda worker, chunks, sizes: calls.append("per-call pool"),
     )
     store = corpus.store()
     x_ids = np.repeat(np.arange(120), 20)
@@ -185,7 +180,7 @@ def test_supervised_map_happy_path(fresh_runtime):
 
 
 def test_supervised_map_reports_failed_chunks(fresh_runtime, monkeypatch):
-    monkeypatch.setenv("REPRO_POOL_RETRIES", "1")
+    monkeypatch.setattr(runtime, "_POOL_RETRIES", 1)
     before = runtime.DEGRADATION.snapshot()["pool_errors"]
     out = fresh_runtime.supervised_map(_boom, [1, 2], 2)
     if out is None:  # pragma: no cover - fork unavailable on this host
@@ -203,7 +198,7 @@ def test_supervised_map_deadline_catches_wedged_workers(
     """A worker that never returns must surface as a timed-out chunk,
     not a hung call."""
     monkeypatch.setenv("REPRO_POOL_TIMEOUT", "0.5")
-    monkeypatch.setenv("REPRO_POOL_RETRIES", "0")
+    monkeypatch.setattr(runtime, "_POOL_RETRIES", 0)
     before = runtime.DEGRADATION.snapshot()["pool_timeouts"]
     started = time.monotonic()
     out = fresh_runtime.supervised_map(_sleep_forever, [1], 1)

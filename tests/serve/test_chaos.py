@@ -51,10 +51,10 @@ def _key(per_query):
     ]
 
 
-def _arm(monkeypatch, spec, timeout="2", retries="1", min_pairs="20"):
+def _arm(monkeypatch, spec, timeout="2", retries=1, min_pairs="20"):
     monkeypatch.setenv("REPRO_FAULTS", spec)
     monkeypatch.setenv("REPRO_POOL_TIMEOUT", timeout)
-    monkeypatch.setenv("REPRO_POOL_RETRIES", retries)
+    monkeypatch.setattr(runtime, "_POOL_RETRIES", retries)
     monkeypatch.setenv("REPRO_MIN_PAIRS_PER_WORKER", min_pairs)
     # "auto" only shards on multi-core hosts; chaos must fan out anywhere
     monkeypatch.setattr(engine, "_cpu_count", lambda: 4)

@@ -1,8 +1,8 @@
 """Sharded chaos suite: scatters under injected faults stay
 bit-identical.
 
-Each test computes a serial-scatter reference (faults unset, parallel
-scatter disabled), then re-runs the same workload with a fault armed --
+Each test computes a serial-scatter reference (faults unset, no process
+pool), then re-runs the same workload with a fault armed --
 shard worker tasks raising, engine workers crashing or hanging, a live
 pool worker SIGKILLed mid-scatter, the gather order skewed -- and
 asserts the merged answers (neighbours, distances AND per-query
@@ -70,16 +70,16 @@ def _drive(index, queries):
 
 def _serial_reference(monkeypatch, items, queries):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.setenv("REPRO_SHARD_PARALLEL", "0")
+    monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
     out = _drive(_build(items), queries)
-    monkeypatch.delenv("REPRO_SHARD_PARALLEL", raising=False)
+    monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
     return out
 
 
-def _arm(monkeypatch, spec, timeout="2", retries="1", min_pairs="20"):
+def _arm(monkeypatch, spec, timeout="2", retries=1, min_pairs="20"):
     monkeypatch.setenv("REPRO_FAULTS", spec)
     monkeypatch.setenv("REPRO_POOL_TIMEOUT", timeout)
-    monkeypatch.setenv("REPRO_POOL_RETRIES", retries)
+    monkeypatch.setattr(runtime, "_POOL_RETRIES", retries)
     monkeypatch.setenv("REPRO_MIN_PAIRS_PER_WORKER", min_pairs)
     monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
     faults._PLAN_CACHE = None
@@ -156,7 +156,7 @@ def test_scatter_survives_worker_hangs(monkeypatch):
     items = _word_corpus(n=160)
     queries = _word_corpus(n=30, seed=81)
     want = _serial_reference(monkeypatch, items, queries)
-    _arm(monkeypatch, "worker_hang:p=1:s=60,seed=3", timeout="1", retries="0")
+    _arm(monkeypatch, "worker_hang:p=1:s=60,seed=3", timeout="1", retries=0)
     before = DEGRADATION.snapshot()["pool_timeouts"]
     assert _drive(_build(items), queries) == want
     assert DEGRADATION.snapshot()["pool_timeouts"] > before
@@ -212,10 +212,10 @@ def test_served_sharded_queries_under_faults(monkeypatch):
 
     items = _word_corpus()
     queries = _word_corpus(n=12, seed=66)
-    monkeypatch.setenv("REPRO_SHARD_PARALLEL", "0")
+    monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     reference = _results_key(_build(items).bulk_knn(queries, 3))
-    monkeypatch.delenv("REPRO_SHARD_PARALLEL", raising=False)
+    monkeypatch.delenv("REPRO_PERSISTENT_POOL", raising=False)
 
     _arm(monkeypatch, "shard_worker_fail:p=1.0,seed=3")
     index = _build(items)

@@ -113,7 +113,7 @@ def test_parallel_scatter_equals_serial(monkeypatch, structure):
     parallel_knn = sharded.bulk_knn(queries, 4)
     parallel_range = sharded.bulk_range_search(queries, 3.0)
 
-    monkeypatch.setenv("REPRO_SHARD_PARALLEL", "0")
+    monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
     serial_knn = sharded.bulk_knn(queries, 4)
     serial_range = sharded.bulk_range_search(queries, 3.0)
 

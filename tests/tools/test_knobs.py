@@ -60,36 +60,36 @@ class TestRegistry:
 class TestFlagAccessor:
     @pytest.mark.parametrize("value", ["0", "off", "OFF", "false", "No", " 0 "])
     def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SHARD_PARALLEL", value)
-        assert knobs.get_flag("REPRO_SHARD_PARALLEL") is False
+        monkeypatch.setenv("REPRO_STORE_VERIFY", value)
+        assert knobs.get_flag("REPRO_STORE_VERIFY") is False
 
     @pytest.mark.parametrize("value", ["1", "on", "yes", "banana", ""])
     def test_everything_else_is_on(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_SHARD_PARALLEL", value)
-        assert knobs.get_flag("REPRO_SHARD_PARALLEL") is True
+        monkeypatch.setenv("REPRO_STORE_VERIFY", value)
+        assert knobs.get_flag("REPRO_STORE_VERIFY") is True
 
     def test_unset_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_PARALLEL", raising=False)
-        assert knobs.get_flag("REPRO_SHARD_PARALLEL") is True
+        monkeypatch.delenv("REPRO_STORE_VERIFY", raising=False)
+        assert knobs.get_flag("REPRO_STORE_VERIFY") is True
 
 
 class TestNumericAccessors:
     def test_int_falls_back_to_caller_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_RETRIES", raising=False)
-        assert knobs.get_int("REPRO_POOL_RETRIES", default=7) == 7
-        monkeypatch.setenv("REPRO_POOL_RETRIES", "  ")
-        assert knobs.get_int("REPRO_POOL_RETRIES", default=7) == 7
+        monkeypatch.delenv("REPRO_STORE_KEEP", raising=False)
+        assert knobs.get_int("REPRO_STORE_KEEP", default=7) == 7
+        monkeypatch.setenv("REPRO_STORE_KEEP", "  ")
+        assert knobs.get_int("REPRO_STORE_KEEP", default=7) == 7
 
     def test_int_parses_and_clamps_env_values_only(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POOL_RETRIES", "-3")
-        assert knobs.get_int("REPRO_POOL_RETRIES", minimum=0) == 0
+        monkeypatch.setenv("REPRO_STORE_KEEP", "-3")
+        assert knobs.get_int("REPRO_STORE_KEEP", minimum=0) == 0
         # the caller's default is trusted as-is, below the clamp or not
-        monkeypatch.delenv("REPRO_POOL_RETRIES")
-        assert knobs.get_int("REPRO_POOL_RETRIES", default=-5, minimum=0) == -5
+        monkeypatch.delenv("REPRO_STORE_KEEP")
+        assert knobs.get_int("REPRO_STORE_KEEP", default=-5, minimum=0) == -5
 
     def test_int_unset_without_default_is_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_POOL_RETRIES", raising=False)
-        assert knobs.get_int("REPRO_POOL_RETRIES") is None
+        monkeypatch.delenv("REPRO_STORE_KEEP", raising=False)
+        assert knobs.get_int("REPRO_STORE_KEEP") is None
 
     def test_float_accessor(self, monkeypatch):
         monkeypatch.setenv("REPRO_POOL_TIMEOUT", "2.5")
