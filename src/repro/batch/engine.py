@@ -51,9 +51,11 @@ Which distances are batched
 ``dmin``, ``yujian_bo``) reduce to one batched ``d_E`` sweep plus a
 closed-form per-pair normalisation; ``contextual_heuristic`` reduces to
 the batched twin-table sweep plus ``canonical_cost`` replayed over the
-bucket's arrays.  The final per-pair arithmetic deliberately replays the
-*scalar* implementations' expressions so batch results are bit-identical
-to the scalar ones (asserted by the tests).  Exact ``d_C`` and ``d_MV``
+bucket's arrays.  The final per-pair arithmetic replays the *scalar*
+implementations' expressions so batch results are bit-identical to the
+scalar ones (asserted by the tests); bounded requests call the scalar
+twins' own edit budgets and decisions (:data:`~repro.core.bounded.
+EDIT_RULES`), so the two cannot drift apart.  Exact ``d_C`` and ``d_MV``
 fall back to one scalar call per *unique* id pair -- on the normalised
 symbols in-process, on the published code rows in a pool worker (every
 registered distance compares symbols only for equality, so the two give
@@ -64,7 +66,7 @@ id pair on the stored raw items; the dedupe savings still apply.
 from __future__ import annotations
 
 import os
-from functools import partial
+from operator import add
 from typing import (
     Any,
     Callable,
@@ -85,14 +87,13 @@ from ..core import registry
 from ..core._kernels import jit_backend
 from ..tools import knobs
 from ..core.bounded import (
-    _MV_EPS,
+    EDIT_RULES,
     _banded_heuristic_tables,
-    _edit_budget,
     bounded_for,
     contextual_edit_budget,
     contextual_edit_decision,
     mv_bound_plan,
-    mv_pruned_value,
+    mv_probe_decision,
 )
 from ..core.contextual import canonical_cost
 from ..core.harmonic import harmonic_prefix
@@ -144,9 +145,6 @@ _LEV_INT = "__levenshtein_int__"
 
 #: Registered names whose value is a closed form of ``d_E`` and lengths.
 _LEV_FAMILY = ("levenshtein", "dmax", "dsum", "dmin", "yujian_bo", _LEV_INT)
-
-#: Registered names whose bounded twins the batched kernels replay.
-_BOUNDED_KERNELS = _LEV_FAMILY + ("contextual_heuristic", "marzal_vidal")
 
 #: Default number of pairs per kernel bucket: large enough to amortise the
 #: per-diagonal numpy dispatch over many pairs, small enough that padding
@@ -232,41 +230,12 @@ def _resolve(distance: DistanceLike) -> Tuple[Optional[str], Callable]:
     return None, distance
 
 
-def _lev_value(name: str, m: int, n: int, d: int) -> float:
-    """One normalised value from an exact ``d_E``, replaying the scalar
-    expressions of :mod:`repro.core.ratios` / :mod:`repro.core.yujian_bo`
-    exactly so the floats are bit-identical to the scalar functions.
-
-    Lengths suffice: the only branch that used to inspect the symbols
-    (``d_min`` with an empty side) is decided by ``d == 0``, which holds
-    iff ``x == y`` for an exact ``d_E``.
-    """
-    if name == _LEV_INT:
-        return d
-    if name == "levenshtein":
-        return float(d)
-    if name == "dmax":
-        longest = max(m, n)
-        return d / longest if longest else 0.0
-    if name == "dsum":
-        total = m + n
-        return d / total if total else 0.0
-    if name == "dmin":
-        shortest = min(m, n)
-        if shortest == 0:
-            return 0.0 if d == 0 else float("inf")
-        return d / shortest
-    if name == "yujian_bo":
-        return 2.0 * d / (m + n + d) if (m or n) else 0.0
-    raise AssertionError(  # pragma: no cover - guarded by _LEV_FAMILY
-        f"not a levenshtein-family name: {name}"
-    )
-
-
 def _lev_finalize(
     name: str, mx: np.ndarray, my: np.ndarray, d_e: np.ndarray
 ) -> np.ndarray:
-    """:func:`_lev_value` over arrays of lengths and exact ``d_E``.
+    """The ``d_E`` family's exact values over arrays of lengths and
+    exact ``d_E``: each twin's decision of :mod:`repro.core.bounded` at
+    limit ``inf`` (the full distance), as numpy arrays.
 
     Each branch evaluates the scalar expression elementwise in the same
     operation order (int64 operands convert to float64 exactly, and one
@@ -718,83 +687,6 @@ def pairwise_values_ids(
     return out
 
 
-def _lev_bounded_int(
-    m: int, n: int, limit: float, d: int, exact: bool
-) -> int:
-    """Replay :func:`~repro.core.levenshtein.levenshtein_bounded` from a
-    banded-kernel result: same exact-below / above-limit values, no DP.
-
-    ``exact`` records whether the kernel proved ``d`` is the true
-    distance (its budget always covers this request's, so ``not exact``
-    implies the true distance exceeds every bound tested here).
-    """
-    if limit >= m + n:
-        return d  # budget == m + n: the kernel was exact
-    bound = int(limit) if limit >= 0 else -1
-    if bound < 0:
-        return 0 if exact and d == 0 else max(abs(m - n), 1)
-    if exact and d <= bound:
-        return d
-    return max(bound + 1, abs(m - n))
-
-
-def _replay_bounded_lev(
-    name: str, m: int, n: int, limit: float, d: int, exact: bool
-) -> float:
-    """Replay the Levenshtein-family bounded twin at *limit* from a banded
-    batch-kernel result.
-
-    Each branch mirrors the matching function in :mod:`repro.core.bounded`
-    expression by expression; the scalar twins decide "exact vs pruned" by
-    comparing their banded DP result against the edit budget ``k``, and
-    that comparison is equivalent to ``true d_E <= k``.  The batch kernel
-    ran with the *maximum* budget over this pair's requests, so ``exact
-    and d <= k`` is exactly that test (``not exact`` means the true
-    distance exceeds the kernel budget, hence every request's ``k``), and
-    replaying reproduces the scalar values bit for bit (asserted by the
-    tests against :meth:`CountingDistance.within`).  Lengths suffice:
-    the one branch that used to compare symbols (``d_min`` with an empty
-    side) holds iff both sides are empty.
-    """
-    if limit == _INF:  # within() skips the twin entirely at +inf
-        return _lev_value(name, m, n, d)  # budget == total: exact
-    if name in ("levenshtein", _LEV_INT):
-        value = _lev_bounded_int(m, n, limit, d, exact)
-        return value if name == _LEV_INT else float(value)
-    if name == "dmax":
-        longest = max(m, n)
-        if longest == 0:
-            return 0.0
-        k = _edit_budget(limit * longest)
-        return d / longest if exact and d <= k else (k + 1) / longest
-    if name == "dsum":
-        total = m + n
-        if total == 0:
-            return 0.0
-        k = _edit_budget(limit * total)
-        return d / total if exact and d <= k else (k + 1) / total
-    if name == "dmin":
-        shortest = min(m, n)
-        if shortest == 0:
-            # x == y iff both empty: equal content implies equal lengths
-            return 0.0 if m == n else float("inf")
-        k = _edit_budget(limit * shortest)
-        return d / shortest if exact and d <= k else (k + 1) / shortest
-    if name == "yujian_bo":
-        total = m + n
-        if total == 0:
-            return 0.0
-        if limit >= 1.0:
-            return 2.0 * d / (total + d)  # budget == total: exact
-        k = 0 if limit < 0.0 else _edit_budget(limit * total / (2.0 - limit))
-        if exact and d <= k:
-            return 2.0 * d / (total + d)
-        return 2.0 * (k + 1) / (total + k + 1)
-    raise AssertionError(  # pragma: no cover - guarded by _LEV_FAMILY
-        f"not a levenshtein-family name: {name}"
-    )
-
-
 def _replay_bounded_contextual(
     m: int, n: int, limit: float, d_e: int, ni: int, exact: bool
 ) -> float:
@@ -814,49 +706,6 @@ def _replay_bounded_contextual(
     if cost is None:  # pragma: no cover - DP guarantees feasibility
         raise AssertionError(f"infeasible heuristic ({m}, {n}) slot")
     return cost
-
-
-def _kernel_budget(name: str, m: int, n: int, limit: float) -> int:
-    """The edit budget the banded kernel must honour for one request.
-
-    Derived by inverting each twin's normalisation exactly as the scalar
-    functions in :mod:`repro.core.bounded` do; the replay needs the true
-    ``d_E`` (and ``Ni``) precisely when it is at most this bound, and
-    only closed forms of the lengths and the limit otherwise.  Requests
-    whose replay always needs the exact value (``inf`` limits, budgets
-    past the table) return the pair's combined length, which makes the
-    band cover the whole table.
-    """
-    total = m + n
-    if limit == _INF:
-        return total
-    if name == "contextual_heuristic":
-        k = contextual_edit_budget(limit, total)
-    elif name in ("levenshtein", _LEV_INT):
-        if limit >= total:
-            return total
-        k = int(limit) if limit >= 0 else -1
-    elif name == "dmax":
-        longest = max(m, n)
-        if longest == 0:
-            return 0
-        k = _edit_budget(limit * longest)
-    elif name == "dsum":
-        if total == 0:
-            return 0
-        k = _edit_budget(limit * total)
-    elif name == "dmin":
-        shortest = min(m, n)
-        if shortest == 0:
-            return 0
-        k = _edit_budget(limit * shortest)
-    elif name == "yujian_bo":
-        if limit >= 1.0:
-            return total
-        k = 0 if limit < 0.0 else _edit_budget(limit * total / (2.0 - limit))
-    else:  # pragma: no cover - guarded by the caller
-        return total
-    return min(max(k, 0), total)
 
 
 #: Route costs of one lockstep round, in nanoseconds, on the numpy
@@ -956,7 +805,8 @@ def scalar_round_cheaper(
     of the shorter side whatever its budget (the budget only lets it
     stop sooner), so its cost is bounded from the round's longest
     sides; the ``d_C,h`` twin fills the Ukkonen band of its edit budget
-    (:func:`_kernel_budget`), the whole table when the band covers it,
+    (:func:`~repro.core.bounded.contextual_edit_budget`), the whole
+    table when the band covers it,
     nothing when ``|m - n|`` already busts it -- or, when the round
     holds the pairs' exact ``d_E`` (*edits*, read from check rows), the
     band of that ``d_E`` for the pairs within budget and nothing for the
@@ -987,9 +837,7 @@ def scalar_round_cheaper(
         scalar = pairs * (_ROUTE_PAIR_NS + _ROUTE_COLUMN_NS * shorter)
         return scalar <= _batched_ns(pairs, longest_x + longest_y)
     sides = ([lengths[x] for x in x_ids], [lengths[y] for y in y_ids])
-    budgets: Iterable[int] = map(
-        partial(_kernel_budget, "contextual_heuristic"), *sides, limits
-    )
+    budgets: Iterable[int] = map(contextual_edit_budget, limits, map(add, *sides))
     if edits is not None:
         budgets = (e if e <= k else -1 for e, k in zip(edits, budgets))
     cells = map(_band_cells, *sides, budgets)
@@ -1106,8 +954,6 @@ def pairwise_values_bounded(
     distance: DistanceLike,
     pairs: Sequence[Tuple[Any, Any]],
     limits: Sequence[float],
-    *,
-    workers: Workers = None,
 ) -> np.ndarray:
     """Early-exit twin of :func:`pairwise_values` with per-pair limits.
 
@@ -1119,9 +965,7 @@ def pairwise_values_bounded(
     pairs' distinct items exactly like :func:`pairwise_values` (items
     that cannot be interned get one id per position in a corpus without
     an encoding, which the id path answers through the scalar twins).
-    ``workers`` is
-    accepted for signature parity; the bounded path always runs
-    serially.
+    The bounded path always runs in-process.
     """
     if len(limits) != len(pairs):
         raise ValueError(
@@ -1150,8 +994,10 @@ def _bounded_mv_ids(
     join length-bucketed
     :func:`~repro.batch.kernels.mv_banded_probe_batch_encoded` sweeps
     over inputs gathered from the store, whose scores are bit-identical
-    to the scalar probe; only probes that fail to prune pay a full
-    Dinkelbach evaluation, exactly like the twin.
+    to the scalar probe; each score is settled by the twin's own tail,
+    :func:`~repro.core.bounded.mv_probe_decision`, so only probes that
+    fail to prune pay a full Dinkelbach evaluation, exactly like the
+    twin.
     """
     slot_of: Dict[Tuple[int, int, float], int] = {}
     unique: List[Tuple[int, int, float]] = []
@@ -1200,13 +1046,9 @@ def _bounded_mv_ids(
         scores = mv_banded_probe_batch_encoded(X, Y, mx, my, lams, bands)
         for k, b in enumerate(bucket):
             x, y = syms[b]
-            score = float(scores[k])
-            if score <= _MV_EPS:
-                out[sel[k]] = mv_normalized_distance(x, y)
-            else:
-                out[sel[k]] = mv_pruned_value(
-                    unique[sel[k]][2], len(x) + len(y), int(bands[k]), score
-                )
+            out[sel[k]] = mv_probe_decision(
+                x, y, unique[sel[k]][2], float(scores[k]), int(bands[k])
+            )
     return out[take]
 
 
@@ -1320,9 +1162,12 @@ def pairwise_values_bounded_ids(
     diagonal minima bust their budget -- tight limits touch a thin
     stripe of the padded tables instead of all of them.  Kernel inputs
     are *gathered* from the store's interned matrices, never re-encoded.
-    Each request's bounded arithmetic is then replayed at its own limit
-    from the ``(value, exact)`` kernel result; buckets with nothing to
-    prune take the full-table kernels, bit-identically.
+    Each request is then answered at its own limit from the ``(value,
+    exact)`` kernel result by its scalar twin's own budget and decision
+    (:data:`~repro.core.bounded.EDIT_RULES`, or the ``d_C,h`` pair
+    :func:`~repro.core.bounded.contextual_edit_budget` /
+    :func:`~repro.core.bounded.contextual_edit_decision`); buckets with
+    nothing to prune take the full-table kernels, bit-identically.
     ``contextual_heuristic`` first checks ``d_E`` against each unique
     pair's budget on the numpy backend (:func:`_checked_tables`): pairs
     over budget settle without a table, and the survivors' tables, in
@@ -1355,7 +1200,10 @@ def pairwise_values_bounded_ids(
     if bounded_fn is None:
         # no early-exit twin: within() computes full distances
         return pairwise_values_ids(distance, store, x_ids, y_ids, workers=None)
-    if not store.encoded or name not in _BOUNDED_KERNELS:
+    rules = EDIT_RULES.get(bounded_fn)
+    if not store.encoded or (
+        rules is None and name not in ("contextual_heuristic", "marzal_vidal")
+    ):
         # scalar twin: dedupe on (id pair, limit), call the twin on the
         # stored raw items exactly as within() would
         out = np.empty(n, dtype=float)
@@ -1375,24 +1223,26 @@ def pairwise_values_bounded_ids(
         return out
     if name == "marzal_vidal":
         return _bounded_mv_ids(bounded_fn, store, x_ids, y_ids, limits)
-    contextual = name == "contextual_heuristic"
+    contextual = rules is None  # the d_C,h twin: d_MV returned above
     lens = store.lengths
     limits_f = [float(limit) for limit in limits]
+    ms, ns = lens[x_ids].tolist(), lens[y_ids].tolist()
+    # each request's edit budget, by the function its scalar twin calls
+    if rules is None:
+        budgets = list(map(contextual_edit_budget, limits_f, map(add, ms, ns)))
+    else:
+        budget, decide = rules
+        budgets = list(map(budget, ms, ns, limits_f))
     n_store = len(store)
     composite = x_ids * n_store + y_ids
     uniq, take = np.unique(composite, return_inverse=True)
     ux = uniq // n_store
     uy = uniq % n_store
     # Per-unique-pair kernel budget: the widest budget over that pair's
-    # requests (exactness at the maximum budget decides every smaller one).
+    # requests (exactness at the widest budget decides every narrower
+    # one), and 0 where no edit count fits a negative limit.
     bounds = np.zeros(len(uniq), dtype=np.int64)
-    for p in range(n):
-        slot = take[p]
-        budget = _kernel_budget(
-            name, int(lens[x_ids[p]]), int(lens[y_ids[p]]), limits_f[p]
-        )
-        if budget > bounds[slot]:
-            bounds[slot] = budget
+    np.maximum.at(bounds, take, np.asarray(budgets, dtype=np.int64))
     d_unique = np.zeros(len(uniq), dtype=np.int64)
     ni_unique = np.zeros(len(uniq), dtype=np.int64)
     exact_unique = np.ones(len(uniq), dtype=bool)
@@ -1439,21 +1289,28 @@ def pairwise_values_bounded_ids(
             else:
                 d_chunk = levenshtein_batch_encoded(X, Y, mx, my)
             d_unique[idx] = d_chunk
-    out = np.empty(n, dtype=np.int64 if name == _LEV_INT else float)
-    for p in range(n):
-        slot = int(take[p])
-        limit = limits_f[p]
-        exact = bool(exact_unique[slot])
-        m, n_len = int(lens[x_ids[p]]), int(lens[y_ids[p]])
-        if contextual:
-            out[p] = _replay_bounded_contextual(
-                m, n_len, limit, int(d_unique[slot]), int(ni_unique[slot]), exact
+    d_list, exact_list = d_unique.tolist(), exact_unique.tolist()
+    requests = zip(ms, ns, limits_f, take.tolist(), budgets)
+    if contextual:
+        ni_list = ni_unique.tolist()
+        values = [
+            _replay_bounded_contextual(
+                m, n_len, limit, d_list[u], ni_list[u], exact_list[u]
             )
-        else:
-            out[p] = _replay_bounded_lev(
-                name, m, n_len, limit, int(d_unique[slot]), exact
+            for m, n_len, limit, u, _ in requests
+        ]
+    else:
+        # each request's own decision, on the pair's d_E when the kernel
+        # proved it and it is within the request's budget (the kernel's
+        # budget covers every request's)
+        values = [
+            decide(
+                m, n_len, limit,
+                d_list[u] if exact_list[u] and d_list[u] <= k else None,
             )
-    return out
+            for m, n_len, limit, u, k in requests
+        ]
+    return np.asarray(values, dtype=np.int64 if name == _LEV_INT else float)
 
 
 def _upper_triangle(start: int, stop: int, n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -31,12 +31,14 @@ them one-time:
 A stateful runtime also has stateful failure modes, so everything here
 is *supervised*:
 
-* :meth:`EngineRuntime.supervised_map` runs every chunk under a
-  per-chunk deadline (``REPRO_POOL_TIMEOUT`` seconds, scaled by chunk
-  size) so a SIGKILLed or wedged worker surfaces as a failed chunk
-  instead of hanging the call forever, and retries *only the failed
-  chunks* on a fresh pool (``_POOL_RETRIES`` rounds, exponential
-  backoff).  :meth:`EngineRuntime.fan_out` is the one degradation
+* :meth:`EngineRuntime.supervised_map` checks the round's workers for
+  life while it waits, so a worker that dies mid-task (SIGKILL, OOM
+  kill) ends its round at once, and runs every chunk under a per-chunk
+  deadline (``REPRO_POOL_TIMEOUT`` seconds, scaled by chunk size) that
+  catches wedged workers -- either surfaces as failed chunks instead of
+  a hung call -- then retries *only the failed chunks* on a fresh pool
+  (``_POOL_RETRIES`` rounds, exponential backoff).
+  :meth:`EngineRuntime.fan_out` is the one degradation
   ladder on top, walked by the engine's chunk fan-out and the sharded
   scatter alike: whatever still failed after the retries runs
   in-process, re-computing the same values;
@@ -136,9 +138,9 @@ def persistent_pool_enabled() -> bool:
 # ---------------------------------------------------------------------------
 
 #: Baseline per-chunk deadline in seconds (``REPRO_POOL_TIMEOUT``);
-#: generous, because it exists to catch dead/wedged workers, not to race
-#: healthy ones.  ``<= 0`` disables deadlines entirely (the pre-PR-6
-#: wait-forever behaviour).
+#: generous, because it exists to catch wedged workers (a dead one ends
+#: its round at once), not to race healthy ones.  ``<= 0`` disables
+#: deadlines entirely (a wedged worker then blocks its call forever).
 _POOL_TIMEOUT = 300.0
 
 #: Chunk size (pairs) covered by the baseline deadline; bigger chunks
@@ -657,6 +659,29 @@ def _unlink_segment(shm: Any) -> None:
             pass
 
 
+#: Seconds between the liveness checks of a round's workers while its
+#: chunks are awaited: a worker's death ends the round within this.
+_LIVENESS_POLL = 0.05
+
+
+def _await_chunk(handle: Any, due: Optional[float], procs: Sequence[Any]) -> bool:
+    """Wait for *handle* until it is ready, the monotonic instant *due*
+    passes (``None``: never), or one of the round's workers *procs* has
+    exited -- checked between waits of ``_LIVENESS_POLL`` seconds, which
+    a ready result ends at once; returns whether a worker exited."""
+    while True:
+        wait = _LIVENESS_POLL
+        if due is not None:
+            wait = min(wait, due - time.monotonic())
+        handle.wait(max(0.001, wait))
+        if handle.ready():
+            return False
+        if not all(proc.is_alive() for proc in procs):
+            return True
+        if due is not None and time.monotonic() >= due:
+            return False
+
+
 def dispose_pool(pool: Any, kill: bool = False, join_timeout: float = 5.0) -> None:
     """Tear a ``multiprocessing.Pool`` down *completely* without ever
     blocking forever, even when its workers are dead or wedged.
@@ -798,25 +823,27 @@ class EngineRuntime:
         workers: int,
         sizes: Optional[Sequence[int]] = None,
     ) -> Optional[Tuple[List[Any], List[int]]]:
-        """Fault-tolerant fan-out: run every chunk under a per-chunk
-        deadline and retry failures on a fresh pool.
+        """Fault-tolerant fan-out: end a round as soon as one of its
+        workers dies, or a chunk misses its deadline, and retry failures
+        on a fresh pool.
 
         Each chunk is submitted individually (``apply_async``) and
-        awaited under :func:`chunk_deadline` of its *sizes* entry, so a
-        worker that died mid-task (its task is silently lost -- ``Pool``
-        only replaces the process) or wedged surfaces as that chunk
-        failing instead of the call hanging forever.  After a failed
-        round the pool is discarded (deadline misses escalate to
-        SIGKILL, since a wedged worker may ignore SIGTERM) and **only
-        the failed chunks** are retried on a fresh pool, up to
-        ``_POOL_RETRIES`` rounds with exponential backoff.
+        awaited by :func:`_await_chunk`.  A worker that died mid-task
+        (``os._exit``, SIGKILL, OOM kill) loses its task silently --
+        ``Pool`` replaces the process, and the handle never resolves --
+        so once a worker of the round has exited, every chunk still
+        unresolved fails at once (``pool_errors``); results that arrived
+        are kept.  :func:`chunk_deadline` of each *sizes* entry catches
+        wedged workers (``pool_timeouts``).  After a failed round the
+        pool is discarded (SIGKILL after a death or a deadline miss:
+        ``terminate`` can stall on such a pool) and **only the failed
+        chunks** are retried on a fresh pool, up to ``_POOL_RETRIES``
+        rounds with exponential backoff.
 
         Returns ``(results, failed_indices)`` -- entries of *results* at
         failed indices are ``None`` and :meth:`fan_out` re-runs them
         in-process -- or ``None`` when no pool could be spawned at all
         (quiet serial fallback, not a degradation)."""
-        import multiprocessing
-
         pool = self.pool(workers)
         if pool is None:
             return None
@@ -827,6 +854,7 @@ class EngineRuntime:
         attempt = 0
         while True:
             start = time.monotonic()
+            procs = list(getattr(pool, "_pool", None) or [])
             handles: List[Tuple[int, Any]] = []
             try:
                 for i in pending:
@@ -835,7 +863,7 @@ class EngineRuntime:
                 pass
             submitted = {i for i, _ in handles}
             failed: List[int] = [i for i in pending if i not in submitted]
-            hit_deadline = False
+            hit_deadline = died = False
             # Deadlines are measured from the round's shared submission
             # instant, so a round of dead chunks costs one deadline, not
             # one per chunk.  Engine callers always submit at most
@@ -845,29 +873,32 @@ class EngineRuntime:
                 1, -(-len(pending) // max(1, self._pool_size or len(pending)))
             )
             for i, handle in handles:
-                deadline = chunk_deadline(
-                    sizes[i] if sizes is not None else None
-                )
-                try:
-                    if deadline is None:
+                if not died:
+                    deadline = chunk_deadline(
+                        sizes[i] if sizes is not None else None
+                    )
+                    due = None if deadline is None else start + deadline * waves
+                    died = _await_chunk(handle, due, procs)
+                if handle.ready():
+                    try:
                         results[i] = handle.get()
-                    else:
-                        remaining = start + deadline * waves - time.monotonic()
-                        results[i] = handle.get(max(0.001, remaining))
-                except multiprocessing.TimeoutError:
+                    except Exception:  # the task raised
+                        DEGRADATION.record("pool_errors")
+                        failed.append(i)
+                elif died:  # lost with a dead worker
+                    DEGRADATION.record("pool_errors")
+                    failed.append(i)
+                else:  # past its deadline: a wedged worker
                     hit_deadline = True
                     DEGRADATION.record("pool_timeouts")
-                    failed.append(i)
-                except Exception:
-                    DEGRADATION.record("pool_errors")
                     failed.append(i)
             if not failed:
                 return results, []
             failed.sort()
             # A failed round leaves the pool suspect: lost tasks, dead
-            # or wedged workers.  Discard before any retry; a deadline
-            # miss escalates to SIGKILL.
-            self._discard_pool(kill=hit_deadline)
+            # or wedged workers.  Discard before any retry; a dead
+            # worker or a deadline miss escalates to SIGKILL.
+            self._discard_pool(kill=hit_deadline or died)
             if attempt >= retries:
                 return results, failed
             attempt += 1

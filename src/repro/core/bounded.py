@@ -9,12 +9,19 @@ honours the contract of :func:`~repro.core.levenshtein.levenshtein_bounded`:
 * otherwise the returned value is guaranteed to exceed ``limit`` (and may
   be an underestimate of the true distance, but never of ``limit``).
 
-The normalised family reduces to a bounded edit distance by inverting the
+The ``d_E`` family reduces to a bounded edit distance by inverting the
 normalisation: ``d_E / f(|x|, |y|) <= r`` iff ``d_E <= r * f(|x|, |y|)``
 (with the Yujian--Bo form solved for ``d_E``), so Ukkonen's band prunes
-exactly the right candidates.  The pruned return values replay each
-distance's formula at ``k + 1`` (one more edit than the largest feasible
-count), which is strictly above ``limit`` by construction.
+exactly the right candidates.  Each twin is two functions of the
+lengths (:data:`EDIT_RULES`): an edit **budget** ``(m, n, limit) -> k``,
+the whole table ``m + n`` once the scaled limit reaches it (huge and
+infinite limits too), and a **decision** ``(m, n, limit, d) -> value``
+on the exact ``d_E`` when within the budget (else ``None``): the
+distance's formula at ``d``, or at ``k + 1`` (one more edit than the
+largest feasible count, strictly above ``limit`` by construction).  The
+scalar twins and the batched replay of :mod:`repro.batch.engine` call
+the same functions, as do the ``d_C,h`` and ``d_MV`` twins with theirs,
+so the two paths cannot drift apart.
 
 :func:`bounded_for` maps a registered distance *function* to its bounded
 twin, which is how :class:`~repro.index.base.CountingDistance` discovers
@@ -24,13 +31,22 @@ early-exit support without the index layer knowing distance names.
 from __future__ import annotations
 
 import math
+from functools import partial
+from operator import add
 from typing import Callable, Dict, Optional, Tuple, cast
 
-from .levenshtein import _within, levenshtein_bounded, levenshtein_distance
+from .levenshtein import (
+    _within,
+    levenshtein_bounded,
+    levenshtein_budget,
+    levenshtein_decision,
+    levenshtein_distance,
+)
 from .types import DistanceFunction, StringLike, require_strings
 
 __all__ = [
     "BoundedDistanceFunction",
+    "EDIT_RULES",
     "bounded_levenshtein",
     "bounded_dmax",
     "bounded_dsum",
@@ -41,7 +57,7 @@ __all__ = [
     "contextual_heuristic_from_edits",
     "bounded_marzal_vidal",
     "mv_bound_plan",
-    "mv_pruned_value",
+    "mv_probe_decision",
     "contextual_edit_budget",
     "contextual_pruned_value",
     "register_bounded",
@@ -51,6 +67,14 @@ __all__ = [
 #: ``(x, y, limit) -> float`` with the exact-or-above-limit contract.
 BoundedDistanceFunction = Callable[[StringLike, StringLike, float], float]
 
+#: A ``d_E``-family twin's edit budget ``(m, n, limit) -> k`` and its
+#: decision ``(m, n, limit, d) -> value``.
+EditBudget = Callable[[int, int, float], int]
+EditDecision = Callable[[int, int, float, Optional[int]], float]
+
+#: The denominator of a ratio twin, from the two lengths.
+_Scale = Callable[[int, int], int]
+
 #: A tiny slack so ``r * f`` landing exactly on an integer keeps that
 #: integer feasible despite float rounding (overshooting only means the
 #: exact distance is computed slightly more often -- never a wrong prune).
@@ -59,7 +83,78 @@ _EPS = 1e-9
 
 def _edit_budget(scaled: float) -> int:
     """Largest edit count consistent with a normalised limit ``scaled``."""
-    return int(math.floor(scaled + _EPS))
+    return math.floor(scaled + _EPS)
+
+
+def _ratio_budget(scale_of: _Scale, m: int, n: int, limit: float) -> int:
+    """The edit budget of the ratio ``d_E / scale_of(m, n)``: the largest
+    count ``k`` with ``k / scale <= limit`` (negative below a limit of
+    0), or the whole table ``m + n`` once the scaled limit reaches it,
+    so an infinite product never reaches the floor; 0 for a zero scale
+    (an empty side)."""
+    scale, total = scale_of(m, n), m + n
+    if scale == 0:
+        return 0
+    scaled = limit * scale
+    return total if scaled >= total else _edit_budget(scaled)
+
+
+def _ratio_decision(
+    scale_of: _Scale, m: int, n: int, limit: float, d: Optional[int]
+) -> float:
+    """The bounded ratio ``d_E / scale_of(m, n)``: at *d*, or at one edit
+    past :func:`_ratio_budget`.  A zero scale is 0.0 between two empty
+    sides (``d_E = 0``) and infinite otherwise -- the ``d_min``
+    convention; ``d_max`` and ``d_sum`` reach it only with both empty."""
+    scale = scale_of(m, n)
+    if scale == 0:
+        return 0.0 if d == 0 else float("inf")
+    if d is None:
+        d = _ratio_budget(scale_of, m, n, limit) + 1
+    return d / scale
+
+
+#: The budgets and decisions of ``d_max``, ``d_sum`` and ``d_min``.
+dmax_budget, dmax_decision = partial(_ratio_budget, max), partial(_ratio_decision, max)
+dsum_budget, dsum_decision = partial(_ratio_budget, add), partial(_ratio_decision, add)
+dmin_budget, dmin_decision = partial(_ratio_budget, min), partial(_ratio_decision, min)
+
+
+def yujian_bo_budget(m: int, n: int, limit: float) -> int:
+    """The edit budget of ``d_YB = 2 d_E / (|x| + |y| + d_E)``:
+    ``d_YB <= r``  iff  ``d_E <= r (|x| + |y|) / (2 - r)`` for ``r < 2``;
+    since ``d_YB <= 1``, limits ``>= 1`` cannot prune (the whole table),
+    and below 0 only equal sides (``d_E = 0``) escape the pruned value."""
+    total = m + n
+    if limit >= 1.0:
+        return total
+    if limit < 0.0:
+        return 0
+    return _edit_budget(limit * total / (2.0 - limit))
+
+
+def yujian_bo_decision(m: int, n: int, limit: float, d: Optional[int]) -> float:
+    """The bounded ``d_YB`` answer (see :data:`EditDecision`)."""
+    total = m + n
+    if total == 0:
+        return 0.0
+    if d is None:
+        d = yujian_bo_budget(m, n, limit) + 1
+    return 2.0 * d / (total + d)
+
+
+def _bounded_edits(
+    budget: EditBudget,
+    decision: EditDecision,
+    x: StringLike,
+    y: StringLike,
+    limit: float,
+) -> float:
+    """The one body of every normalised ``d_E``-family twin: the
+    bit-parallel ``d_E`` check at the twin's budget, then its decision."""
+    x, y = require_strings(x, y)
+    m, n = len(x), len(y)
+    return decision(m, n, limit, _within(x, y, budget(m, n, limit)))
 
 
 def bounded_levenshtein(x: StringLike, y: StringLike, limit: float) -> float:
@@ -69,66 +164,36 @@ def bounded_levenshtein(x: StringLike, y: StringLike, limit: float) -> float:
 
 def bounded_dmax(x: StringLike, y: StringLike, limit: float) -> float:
     """Early-exit ``d_max = d_E / max(|x|, |y|)``."""
-    x, y = require_strings(x, y)
-    longest = max(len(x), len(y))
-    if longest == 0:
-        return 0.0
-    k = _edit_budget(limit * longest)
-    d = levenshtein_bounded(x, y, k)
-    if d <= k:
-        return d / longest
-    return (k + 1) / longest
+    return _bounded_edits(dmax_budget, dmax_decision, x, y, limit)
 
 
 def bounded_dsum(x: StringLike, y: StringLike, limit: float) -> float:
     """Early-exit ``d_sum = d_E / (|x| + |y|)``."""
-    x, y = require_strings(x, y)
-    total = len(x) + len(y)
-    if total == 0:
-        return 0.0
-    k = _edit_budget(limit * total)
-    d = levenshtein_bounded(x, y, k)
-    if d <= k:
-        return d / total
-    return (k + 1) / total
+    return _bounded_edits(dsum_budget, dsum_decision, x, y, limit)
 
 
 def bounded_dmin(x: StringLike, y: StringLike, limit: float) -> float:
     """Early-exit ``d_min = d_E / min(|x|, |y|)``."""
-    x, y = require_strings(x, y)
-    shortest = min(len(x), len(y))
-    if shortest == 0:
-        return 0.0 if len(x) == len(y) else float("inf")
-    k = _edit_budget(limit * shortest)
-    d = levenshtein_bounded(x, y, k)
-    if d <= k:
-        return d / shortest
-    return (k + 1) / shortest
+    return _bounded_edits(dmin_budget, dmin_decision, x, y, limit)
 
 
 def bounded_yujian_bo(x: StringLike, y: StringLike, limit: float) -> float:
-    """Early-exit ``d_YB = 2 d_E / (|x| + |y| + d_E)``.
+    """Early-exit ``d_YB = 2 d_E / (|x| + |y| + d_E)``."""
+    return _bounded_edits(yujian_bo_budget, yujian_bo_decision, x, y, limit)
 
-    ``d_YB <= r``  iff  ``d_E <= r (|x| + |y|) / (2 - r)`` for ``r < 2``;
-    since ``d_YB <= 1`` always, limits ``>= 1`` cannot prune.
-    """
-    x, y = require_strings(x, y)
-    if not x and not y:
-        return 0.0
-    total = len(x) + len(y)
-    if limit >= 1.0:
-        d = levenshtein_distance(x, y)
-        return 2.0 * d / (total + d)
-    if limit < 0.0:
-        # every pair has d_YB >= 0 > limit is impossible to satisfy exactly;
-        # x == y was not shortcut by callers, so compute the cheap band-0.
-        k = 0
-    else:
-        k = _edit_budget(limit * total / (2.0 - limit))
-    d = levenshtein_bounded(x, y, k)
-    if d <= k:
-        return 2.0 * d / (total + d)
-    return 2.0 * (k + 1) / (total + k + 1)
+
+#: Each ``d_E``-family twin's edit budget and decision, keyed by the twin
+#: (the raw integer :func:`~repro.core.levenshtein.levenshtein_bounded`
+#: included): the batched replay answers each request with the pair of
+#: the twin ``within`` would call.
+EDIT_RULES: Dict[BoundedDistanceFunction, Tuple[EditBudget, EditDecision]] = {
+    levenshtein_bounded: (levenshtein_budget, levenshtein_decision),
+    bounded_levenshtein: (levenshtein_budget, levenshtein_decision),
+    bounded_dmax: (dmax_budget, dmax_decision),
+    bounded_dsum: (dsum_budget, dsum_decision),
+    bounded_dmin: (dmin_budget, dmin_decision),
+    bounded_yujian_bo: (yujian_bo_budget, yujian_bo_decision),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +382,9 @@ def bounded_contextual_heuristic(
         from .contextual import contextual_distance_heuristic
 
         return contextual_distance_heuristic(x, y)
-    return contextual_heuristic_from_edits(x, y, limit, _within(x, y, k))
+    # check d_E = 0 below a limit of 0 too: equal content in two forms
+    # (a str and its tuple) escapes ``x == y`` and answers 0.0 all the same
+    return contextual_heuristic_from_edits(x, y, limit, _within(x, y, max(k, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +486,32 @@ def mv_bound_plan(m: int, n: int, limit: float) -> Tuple[str, float]:
     return "banded", band
 
 
-def mv_pruned_value(limit: float, total: int, band: int, score: float) -> float:
-    """The above-limit value a *banded* probe with a positive *score*
-    proves: out-of-band paths pay more than *band* indels, so their
-    score is at least ``band + 1 - limit * total > 0`` and the global
-    parametric minimum is bounded below by the smaller of the two."""
-    slack = min(score, band + 1 - limit * total)
+def mv_probe_decision(
+    x: StringLike,
+    y: StringLike,
+    limit: float,
+    score: float,
+    band: Optional[int] = None,
+) -> float:
+    """The bounded ``d_MV`` answer that a parametric probe at ``lam =
+    limit`` settles, from its minimal *score* -- the tail of
+    :func:`bounded_marzal_vidal` and of the batched banded probes of
+    :mod:`repro.batch.engine` alike.
+
+    A score at or below ``_MV_EPS`` (zero up to float noise) leaves the
+    exact distance :func:`~repro.core.marzal_vidal.mv_normalized_distance`
+    to compute; a positive one proves ``limit + slack / (|x| + |y|)``,
+    a lower bound above *limit*.  The slack is the score of a full-table
+    probe, or, for a probe inside *band*, the smaller of its score and
+    ``band + 1 - limit * (|x| + |y|) > 0``, the least score of any path
+    outside the band (it pays more than *band* indels).
+    """
+    if score <= _MV_EPS:
+        from .marzal_vidal import mv_normalized_distance
+
+        return mv_normalized_distance(x, y)
+    total = len(x) + len(y)
+    slack = score if band is None else min(score, band + 1 - limit * total)
     return limit + slack / total
 
 
@@ -453,12 +540,10 @@ def bounded_marzal_vidal(x: StringLike, y: StringLike, limit: float) -> float:
     # a str from the tuple of its characters, and prune it below 0)
     if len(x) == len(y) and all(a == b for a, b in zip(x, y)):
         return 0.0
-    from .marzal_vidal import mv_normalized_distance
-
-    m, n = len(x), len(y)
-    total = m + n
-    tag, aux = mv_bound_plan(m, n, limit)
+    tag, aux = mv_bound_plan(len(x), len(y), limit)
     if tag == "exact":
+        from .marzal_vidal import mv_normalized_distance
+
         return mv_normalized_distance(x, y)
     if tag == "pruned":
         return aux
@@ -479,17 +564,12 @@ def bounded_marzal_vidal(x: StringLike, y: StringLike, limit: float) -> float:
             from ._kernels import parametric_alignment_numpy
 
             weight, length = parametric_alignment_numpy(x, y, limit)
-        score = weight - limit * length
-        if score <= _MV_EPS:
-            return mv_normalized_distance(x, y)
-        return limit + score / total
+        return mv_probe_decision(x, y, limit, weight - limit * length)
     if jit is not None:
         score = jit.banded_parametric(x, y, limit, band)
     else:
         score = _banded_parametric(x, y, limit, band)
-    if score <= _MV_EPS:
-        return mv_normalized_distance(x, y)
-    return mv_pruned_value(limit, total, band, score)
+    return mv_probe_decision(x, y, limit, score, band)
 
 
 _BOUNDED: Dict[DistanceFunction, BoundedDistanceFunction] = {}

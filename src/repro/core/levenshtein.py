@@ -26,6 +26,8 @@ __all__ = [
     "levenshtein_distance",
     "levenshtein_within",
     "levenshtein_bounded",
+    "levenshtein_budget",
+    "levenshtein_decision",
     "levenshtein_matrix",
     "edit_script",
     "alignment",
@@ -179,6 +181,28 @@ def levenshtein_within(
     return _within(x, y, bound)
 
 
+def levenshtein_budget(m: int, n: int, limit: float) -> int:
+    """The edit budget of :func:`levenshtein_bounded`: ``int(limit)``,
+    the whole table ``m + n`` once the limit reaches it, and 0 below a
+    limit of 0, where only equal symbols (``d_E = 0``) are exact."""
+    total = m + n
+    if limit >= total:
+        return total
+    return int(limit) if limit >= 0 else 0
+
+
+def levenshtein_decision(m: int, n: int, limit: float, d: Optional[int]) -> int:
+    """The :func:`levenshtein_bounded` answer from *d*, the exact
+    ``d_E`` when within :func:`levenshtein_budget` (else ``None``): *d*,
+    or one edit past the budget -- or the length gap, a lower bound of
+    every ``d_E``, when that proves more."""
+    if d is not None:
+        return d
+    over = levenshtein_budget(m, n, limit) + 1
+    gap = m - n if m > n else n - m
+    return over if over > gap else gap
+
+
 def levenshtein_bounded(x: StringLike, y: StringLike, limit: float) -> int:
     """Early-exit ``d_E``: exact when ``d_E(x, y) <= limit``, else a lower
     bound that is guaranteed to exceed *limit*.
@@ -188,7 +212,9 @@ def levenshtein_bounded(x: StringLike, y: StringLike, limit: float) -> int:
     result against ``r`` exactly as if it were the true distance -- any
     candidate it discards would also have been discarded by the full
     ``d_E``, at a fraction of the cost (:func:`levenshtein_within`'s
-    band and diagonal exit stop the sweep once the limit is passed).
+    band and diagonal exit stop the sweep once the budget is passed):
+    :func:`levenshtein_budget` and :func:`levenshtein_decision`, which
+    the batched replay calls too.
 
     >>> levenshtein_bounded("abaa", "aab", 2)
     2
@@ -197,20 +223,8 @@ def levenshtein_bounded(x: StringLike, y: StringLike, limit: float) -> int:
     """
     x, y = require_strings(x, y)
     m, n = len(x), len(y)
-    if limit >= m + n:  # nothing to prune: the full distance
-        return levenshtein_distance(x, y)
-    bound = int(limit) if limit >= 0 else -1
-    if bound < 0:
-        # nothing to compute: every distance is >= 0 > limit except
-        # between equal symbols, compared as symbols (a str and the
-        # tuple of its characters hold the same content)
-        same = m == n and all(a == b for a, b in zip(x, y))
-        return 0 if same else max(abs(m - n), 1)
-    exact = _within(x, y, bound)
-    if exact is not None:
-        return exact
-    # pruned: |m - n| is a valid lower bound and may beat bound + 1
-    return max(bound + 1, abs(m - n))
+    d = _within(x, y, levenshtein_budget(m, n, limit))
+    return levenshtein_decision(m, n, limit, d)
 
 
 def levenshtein_matrix(x: StringLike, y: StringLike) -> List[List[int]]:

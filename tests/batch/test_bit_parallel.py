@@ -17,8 +17,11 @@ from repro.batch.kernels import (
     levenshtein_lanes_encoded,
 )
 from repro.core import get_distance
+from repro.core.bounded import EDIT_RULES, bounded_for
 from repro.core.levenshtein import levenshtein_distance
 from repro.index import ExhaustiveIndex, LaesaIndex
+
+INF = float("inf")
 
 #: word boundaries of the uint64 lanes, and the lengths around them
 _EDGES = [0, 1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 200]
@@ -134,7 +137,9 @@ def test_vectorised_finalize_is_bit_identical(name, pairs):
     got = engine._lev_finalize(name, mx, my, d_e)
     want = [float(fn(x, y)).hex() for x, y in pairs]
     assert [float(v).hex() for v in got] == want
-    scalar = [engine._lev_value(name, int(m), int(n), int(d)) for m, n, d in zip(mx, my, d_e)]
+    # the twin's own decision at limit inf is the full distance
+    _, decide = EDIT_RULES[bounded_for(fn)]
+    scalar = [decide(int(m), int(n), INF, int(d)) for m, n, d in zip(mx, my, d_e)]
     assert [float(v).hex() for v in scalar] == want
 
 

@@ -6,10 +6,13 @@ drift would silently change search results, so every distance with a
 twin is cross-checked slot by slot against the scalar path.
 """
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import repro.batch.engine as engine
 from repro.batch import intern_corpus, pairwise_values_bounded
@@ -297,3 +300,123 @@ def test_inf_limits_mixed_in(within_spy, tables_route):
     }
     assert checked <= finite | {(y, x) for x, y in finite}
     assert ("0" * 24, "0" * 24) not in checked
+
+
+# ---------------------------------------------------------------------------
+# twin fuzz: every bounded twin against the engine's batched replay
+# ---------------------------------------------------------------------------
+
+#: Every registered twin's distance, plus the raw integer Levenshtein.
+FUZZED = {name: get_distance(name) for name in TWINNED}
+FUZZED["levenshtein_distance"] = levenshtein_distance
+
+#: The twins defined by an edit budget and a decision; the others are
+#: slow enough at 1000 symbols to skip the long examples.
+EDIT_FAMILY = (
+    "levenshtein", "dmax", "dsum", "dmin", "yujian_bo", "levenshtein_distance"
+)
+
+#: Lengths around the 64- and 128-symbol words of the bit-parallel core.
+FUZZ_EDGES = [0, 1, 2, 63, 64, 65, 127, 128, 129, 140]
+
+#: Limits every request can draw, beside the pair's own distance, its
+#: two neighbouring floats and its combined length.
+FIXED_LIMITS = (-1.0, -0.25, 0.0, 0.1, 0.3, 0.5, 0.9, 1.0, 1.5, 2.5, 7.0, 1e308, INF)
+
+
+def _limit_menu(distance, m, n):
+    d = float(distance)
+    near = (d, math.nextafter(d, -INF), math.nextafter(d, INF), float(m + n))
+    return FIXED_LIMITS + near
+
+
+def _edited(word, rng, alphabet, edits):
+    symbols = list(word)
+    for _ in range(edits):
+        spot = rng.randint(0, len(symbols))
+        kind = rng.randrange(3)
+        if kind == 0 or not symbols[spot:]:
+            symbols.insert(spot, rng.choice(alphabet))
+        elif kind == 1:
+            del symbols[spot]
+        else:
+            symbols[spot] = rng.choice(alphabet)
+    return "".join(symbols)
+
+
+@st.composite
+def _fuzz_calls(draw):
+    """``(items, requests)``: a few items in str, tuple or list form --
+    near copies of one word or independent words, one symbol alphabets
+    included -- and requests ``(i, j, pick)`` over them, a pair often
+    repeated, *pick* choosing from :func:`_limit_menu`."""
+    alphabet = draw(st.sampled_from(["a", "ab", "acgt", "abcdefghijklmnop"]))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+    def word():
+        length = draw(st.one_of(st.sampled_from(FUZZ_EDGES), st.integers(0, 140)))
+        return "".join(rng.choice(alphabet) for _ in range(length))
+
+    base = word()
+    words = [base]
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            words.append(_edited(base, rng, alphabet, draw(st.integers(0, 6))))
+        else:
+            words.append(word())
+    items = [draw(st.sampled_from([str, tuple, list]))(w) for w in words]
+    index = st.integers(0, len(items) - 1)
+    pick = st.integers(0, len(FIXED_LIMITS) + 3)
+    pairs = draw(st.lists(st.tuples(index, index), min_size=1, max_size=3))
+    requests = [
+        (i, j, p)
+        for i, j in pairs
+        for p in draw(st.lists(pick, min_size=1, max_size=3, unique=True))
+    ]
+    return items, requests
+
+
+def _long_call(seed, edits):
+    rng = random.Random(seed)
+    base = "".join(rng.choice("acgt") for _ in range(1000))
+    near = _edited(base, rng, "acgt", edits)
+    picks = range(len(FIXED_LIMITS) + 4)
+    return [base, near], [(0, 1, p) for p in picks] + [(1, 1, 2), (1, 0, 14)]
+
+
+@pytest.mark.parametrize("name", sorted(FUZZED))
+@given(call=_fuzz_calls())
+@example(call=_long_call(1, 3))
+@example(call=_long_call(2, 40))
+@example(call=(["a" * 1000, "a" * 990 + "b" * 10], [(0, 1, 2), (0, 1, 5), (1, 0, 16)]))
+@example(call=(["", ()], [(0, 1, 0), (0, 1, 1), (1, 0, 2)]))
+@settings(max_examples=60, deadline=None)
+def test_every_twin_matches_the_engine_replay(name, call):
+    """The batched replay answers each request like ``within``, float
+    for float, and each twin keeps its contract: the full distance when
+    that is within the limit, a value above the limit otherwise."""
+    items, requests = call
+    if name not in EDIT_FAMILY and max(map(len, items)) > 140:
+        return  # the long examples are for the d_E family
+    fn = FUZZED[name]
+    twin = bounded_for(fn)
+    full = {}
+    limits = []
+    for i, j, pick in requests:
+        if (i, j) not in full:
+            full[i, j] = fn(items[i], items[j])
+        limits.append(_limit_menu(full[i, j], len(items[i]), len(items[j]))[pick])
+    store = intern_corpus(items).store()
+    x_ids = [i for i, _, _ in requests]
+    y_ids = [j for _, j, _ in requests]
+    got = pairwise_values_bounded_ids(fn, store, x_ids, y_ids, limits)
+    counter = CountingDistance(fn)
+    for p, (i, j, _) in enumerate(requests):
+        x, y, limit = items[i], items[j], limits[p]
+        want = counter.within(x, y, limit)
+        assert float(got[p]).hex() == float(want).hex(), (name, x, y, limit)
+        value = twin(x, y, limit)
+        if full[i, j] <= limit:
+            assert float(value).hex() == float(full[i, j]).hex(), (name, x, y, limit)
+        else:
+            assert value > limit, (name, x, y, limit)

@@ -274,6 +274,42 @@ def test_engine_and_shard_fan_outs_walk_one_ladder(monkeypatch):
     assert all(created), "a process pool was created outside EngineRuntime.pool"
 
 
+def test_dead_workers_end_their_round_without_a_deadline(monkeypatch):
+    """A worker that dies mid-task ends its fan-out round at once: with
+    every fresh worker crashing on its first task and a 60 s deadline, a
+    ``workers=2`` engine fan-out walks the fresh-pool retry and the
+    in-process rung in seconds.  No deadline expires, every lost chunk
+    counts under ``pool_errors``, and the answer equals the no-pool
+    one."""
+    import numpy as np
+
+    from repro.batch import intern_corpus, pairwise_values_ids
+
+    items = _word_corpus(n=160)
+    store = intern_corpus(items).store()
+    x_ids = np.repeat(np.arange(len(items)), 8)
+    y_ids = np.tile(np.arange(8), len(items))
+
+    def fan_out():
+        got = pairwise_values_ids("levenshtein", store, x_ids, y_ids, workers=2)
+        return [float(v).hex() for v in got]
+
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    monkeypatch.setenv("REPRO_PERSISTENT_POOL", "0")
+    want = fan_out()
+    monkeypatch.delenv("REPRO_PERSISTENT_POOL")
+    _arm(monkeypatch, "worker_crash:p=0.2,seed=12", timeout="60")
+    runtime.get_runtime().shutdown()  # fork the armed spec into the pool
+    before = DEGRADATION.snapshot()
+    started = time.monotonic()
+    assert fan_out() == want
+    assert time.monotonic() - started < 15
+    after = DEGRADATION.snapshot()
+    assert after["pool_timeouts"] == before["pool_timeouts"]
+    assert after["pool_errors"] > before["pool_errors"]
+    assert after["serial_fallbacks"] > before["serial_fallbacks"]
+
+
 def test_sigkill_one_worker_mid_bulk_knn(monkeypatch):
     """Satellite: SIGKILL a live pool worker while a bulk_knn is in
     flight; the call must complete bit-identically and the *next* call

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from repro.core import get_distance, get_spec
+from repro.core import get_distance, get_spec, list_distances
 from repro.index import (
     BKTreeIndex,
     ExhaustiveIndex,
@@ -125,6 +125,38 @@ def test_pruning_indexes_match_exhaustive_range(words, name):
         for index in indexes:
             got, _ = index.range_search(query, radius)
             assert {(r.index, r.distance) for r in got} == truth_set
+
+
+#: Registry names whose function has an early-exit twin.
+TWINNED = [spec.name for spec in list_distances() if spec.bounded is not None]
+
+
+def _hits(results):
+    return sorted((r.index, float(r.distance).hex()) for r in results)
+
+
+@pytest.mark.parametrize("name", TWINNED)
+def test_huge_limits_answer_the_full_distance(words, name):
+    """A limit whose product with a length overflows (``1e308``), or an
+    infinite one, prunes nothing: every twin answers the full distance,
+    and LAESA's range searches at such radii answer what a scan does."""
+    distance = get_distance(name)
+    twin = get_spec(name).bounded
+    sample = ["", "a", "ab", "ba", "abcd", "dcbad", "a" * 70, words[9]]
+    for x in sample:
+        for y in sample:
+            want = float(distance(x, y)).hex()
+            for limit in (1e308, float("inf")):
+                assert float(twin(x, y, limit)).hex() == want, (x, y, limit)
+    items = words[:40]
+    queries = ["abc", "dddd", words[60]]
+    exhaustive = ExhaustiveIndex(items, distance)
+    laesa = LaesaIndex(items, distance, n_pivots=2)
+    for radius in (1e308, float("inf")):
+        want = [_hits(exhaustive.range_search(q, radius)[0]) for q in queries]
+        assert [_hits(laesa.range_search(q, radius)[0]) for q in queries] == want
+        bulk = laesa.bulk_range_search(queries, radius)
+        assert [_hits(hits) for hits, _ in bulk] == want
 
 
 def test_bounded_never_inflates_computation_counts(words):
