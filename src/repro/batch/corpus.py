@@ -18,6 +18,8 @@ a throwaway corpus per call:
   alphabet.  ``gather`` slices ready-to-sweep ``(X, Y, mx, my)`` kernel
   inputs straight out of the stored matrices -- no per-call
   normalisation, hashing or symbol-by-symbol encoding;
+* :class:`AttachedStore` -- the same id space in a pool worker, over
+  the block bundles it attached from shared memory;
 * :func:`intern_corpus` -- the tolerant constructor the indexes call:
   items that cannot be normalised or hashed (arbitrary user objects)
   get a corpus *without an encoding*.  Its stores hold the raw items
@@ -44,6 +46,7 @@ from typing import (
     Dict,
     Hashable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -56,9 +59,10 @@ from ..core.types import Symbols, as_symbols
 from .kernels import _PAD_X, _PAD_Y
 
 if TYPE_CHECKING:
-    from .runtime import BlockToken
+    from .runtime import ArraysToken
 
 __all__ = [
+    "AttachedStore",
     "InternedCorpus",
     "PairStore",
     "gather_rows",
@@ -72,7 +76,12 @@ class _Block:
     ``rows_x`` is padded with the kernels' ``x`` sentinel, ``rows_y``
     with the ``y`` sentinel, so row ``i`` can serve as either side of a
     pair without re-padding (the sentinels must differ between the two
-    sides of a sweep so padding never compares equal)."""
+    sides of a sweep so padding never compares equal).
+
+    A block travels as a bundle of three named arrays (:meth:`arrays`,
+    :meth:`from_arrays`): the engine runtime publishes it to shared
+    memory that way, and an index snapshot saves it that way.  The
+    names are the slot names, spelled here only."""
 
     __slots__ = ("rows_x", "rows_y", "lengths")
 
@@ -82,6 +91,15 @@ class _Block:
         self.rows_x = rows_x
         self.rows_y = rows_y
         self.lengths = lengths
+
+    def arrays(self) -> Dict[str, np.ndarray]:
+        """This block as a bundle of named arrays."""
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "_Block":
+        """The block an :meth:`arrays` bundle holds."""
+        return cls(*(arrays[name] for name in cls.__slots__))
 
     @property
     def width(self) -> int:
@@ -141,7 +159,7 @@ class InternedCorpus:
         #: to shared memory: a ``(publication generation, token)`` pair,
         #: revalidated per publish so tokens never outlive a runtime
         #: shutdown (one live publication per corpus per process).
-        self.shm_token: Optional[Tuple[int, "BlockToken"]] = None
+        self.shm_token: Optional[Tuple[int, "ArraysToken"]] = None
 
     @classmethod
     def unencoded(cls, items: Sequence[Any]) -> "InternedCorpus":
@@ -159,16 +177,14 @@ class InternedCorpus:
 
     @classmethod
     def from_arrays(
-        cls,
-        items: Sequence[Any],
-        rows_x: np.ndarray,
-        rows_y: np.ndarray,
-        lengths: np.ndarray,
+        cls, items: Sequence[Any], arrays: Mapping[str, np.ndarray]
     ) -> "InternedCorpus":
-        """Reconstruct a corpus around persisted encoded matrices.
+        """Reconstruct a corpus around the encoded block *arrays* of a
+        saved or published index snapshot (:meth:`_Block.arrays`).
 
         The artifact store (:mod:`repro.store`) maps a saved corpus'
-        matrices back read-only; this constructor wraps them without
+        matrices back read-only, and a shard scatter worker attaches
+        them from shared memory; this constructor wraps them without
         re-encoding.  The alphabet table is *replayed* -- codes are
         assigned in first-occurrence order over the normalised symbol
         stream, exactly as :func:`_encode_block` assigned them at save
@@ -187,9 +203,10 @@ class InternedCorpus:
                 if symbol not in codes:
                     codes[symbol] = len(codes)
         corpus.codes = codes
-        rows_x = np.asarray(rows_x)
-        rows_y = np.asarray(rows_y)
-        lengths = np.asarray(lengths)
+        block = _Block.from_arrays(arrays)
+        rows_x = np.asarray(block.rows_x)
+        rows_y = np.asarray(block.rows_y)
+        lengths = np.asarray(block.lengths)
         if rows_x.dtype != np.int32 or rows_y.dtype != np.int32:
             raise ValueError(
                 f"corpus rows must be int32, got {rows_x.dtype}/{rows_y.dtype}"
@@ -355,6 +372,51 @@ class PairStore:
         )
 
 
+class AttachedStore:
+    """A pool worker's stand-in for a :class:`PairStore`: the corpus
+    bundle and an optional extra (query) bundle it attached from shared
+    memory (:func:`repro.batch.runtime.attach_store`), with just the
+    ``lengths`` vector and the ``gather`` and ``sym`` methods the
+    engine's evaluation needs -- the gather is :func:`gather_rows`,
+    shared with :class:`PairStore` so the two paths cannot drift."""
+
+    def __init__(
+        self,
+        corpus: Mapping[str, np.ndarray],
+        extra: Optional[Mapping[str, np.ndarray]],
+    ) -> None:
+        self._corpus = _Block.from_arrays(corpus)
+        self.n_corpus = len(self._corpus)
+        self._extra = None if extra is None else _Block.from_arrays(extra)
+        self.lengths = (
+            self._corpus.lengths
+            if self._extra is None
+            else np.concatenate([self._corpus.lengths, self._extra.lengths])
+        )
+
+    def sym(self, i: int) -> Tuple[int, ...]:
+        """Id *i*'s symbols as codes of the shared alphabet: equal iff
+        the symbols are, which is all a registered distance compares."""
+        if i < self.n_corpus:
+            row = self._corpus.rows_x[i]
+        else:
+            assert self._extra is not None
+            row = self._extra.rows_x[i - self.n_corpus]
+        return tuple(row[: self.lengths[i]].tolist())
+
+    def gather(
+        self, x_ids: np.ndarray, y_ids: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        return gather_rows(
+            (self._corpus.rows_x, self._corpus.rows_y),
+            None if self._extra is None else (self._extra.rows_x, self._extra.rows_y),
+            self.lengths,
+            self.n_corpus,
+            x_ids,
+            y_ids,
+        )
+
+
 def _take_rows(
     ids: np.ndarray,
     lengths: np.ndarray,
@@ -394,10 +456,10 @@ def gather_rows(
     x_ids: np.ndarray,
     y_ids: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shared gather behind :meth:`PairStore.gather` and the
-    worker-side shared-memory store (:mod:`repro.batch.runtime`): one
-    implementation, so the master and worker paths cannot drift apart
-    on sentinel, width or id-split rules."""
+    """The shared gather behind :meth:`PairStore.gather` and
+    :meth:`AttachedStore.gather`: one implementation, so the master and
+    worker paths cannot drift apart on sentinel, width or id-split
+    rules."""
     x_ids = np.asarray(x_ids, dtype=np.int64)
     y_ids = np.asarray(y_ids, dtype=np.int64)
     extra_x = extra_xy[0] if extra_xy is not None else None

@@ -497,7 +497,7 @@ def _fan_out_ids(
             counter="serial_fallbacks",
         )
     finally:
-        rt.release_block(token.extra)
+        rt.release_arrays(token.extra)
     if parts is None:
         return None
     return np.concatenate(parts)

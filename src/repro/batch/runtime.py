@@ -13,17 +13,20 @@ them one-time:
   workers.  ``REPRO_PERSISTENT_POOL=0`` opts out (read per call): every
   engine call and shard scatter then stays in-process -- the pool only
   moves *where* chunks run, never what they compute;
-* interned corpora (:mod:`repro.batch.corpus`) are published to
-  ``multiprocessing.shared_memory`` **once**: the padded code matrices
-  and length vector are copied into named segments, and the sharded
-  fan-out then sends workers only ``(name, token, id-array)`` tuples --
-  each worker attaches the segments on first sight, caches the mapping
-  until the master releases the corpus (every token lists the keys the
-  master still publishes, and a worker drops the rest), and gathers
-  kernel inputs straight out of shared pages.  Per-call query batches
-  ride along as *ephemeral* blocks, released as soon as the call
-  returns into a segment ring that the next call's blocks rewrite in
-  place;
+* everything crosses to the workers as one kind of publication, a
+  bundle of named arrays in ``multiprocessing.shared_memory``
+  (:class:`ArraysToken`; one segment per array).  An interned corpus
+  (:mod:`repro.batch.corpus`) is published **once**, as the
+  three-array bundle of its encoded block, and the sharded fan-out
+  then sends workers only ``(name, token, id-array)`` tuples; the
+  shard scatter publishes each shard's index snapshot the same way.
+  A worker attaches a persistent bundle on first sight, keeps it in
+  its one attachment cache until the master releases it (every token
+  lists the keys the master still publishes, and a worker drops the
+  rest), and gathers kernel inputs straight out of shared pages.
+  Per-call query batches ride along as *ephemeral* bundles, released
+  as soon as the call returns into a segment ring that the next
+  call's bundles rewrite in place;
 * worker-side caches also memoise the distance-function resolution per
   registry name, so a worker resolves each kernel **once per lifetime**
   instead of once per task shard.
@@ -49,13 +52,14 @@ is *supervised*:
   (``repro-<pid>-<token>-...``), and the first :func:`get_runtime` of a
   process reaps orphaned segments left by dead PIDs (a SIGKILLed master
   whose resource tracker died with it); ``REPRO_SHM_REAPER=0`` opts out;
-* worker attachments verify a publication *generation*: a cached block
+* worker attachments verify a publication *generation*: a cached bundle
   whose generation lags the token's was unlinked by a runtime shutdown,
   so the worker drops the stale mapping and re-attaches instead of
   silently reading dead pages;
 * every degradation event is counted in :data:`DEGRADATION` and
   announced via :class:`DegradedExecutionWarning`, so a degraded run is
-  visible, not silent.
+  visible, not silent.  :class:`Counters` is the one counter
+  implementation behind it and the serving tier's metrics.
 
 Everything still degrades gracefully: platforms without ``fork`` or
 shared memory, sandboxes that forbid subprocesses, and broken pools all
@@ -83,12 +87,11 @@ from typing import (
     Dict,
     FrozenSet,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
     Tuple,
-    TypedDict,
-    cast,
 )
 
 import numpy as np
@@ -98,11 +101,11 @@ from ..tools import knobs
 if TYPE_CHECKING:
     from multiprocessing.pool import Pool
 
-    from .corpus import PairStore
+    from .corpus import AttachedStore, PairStore, _Block
 
 __all__ = [
     "persistent_pool_enabled",
-    "DegradationSnapshot",
+    "Counters",
     "pool_timeout",
     "chunk_deadline",
     "reaper_enabled",
@@ -114,7 +117,6 @@ __all__ = [
     "EngineRuntime",
     "get_runtime",
     "ArraysToken",
-    "BlockToken",
     "StoreToken",
     "attach_arrays",
     "attach_store",
@@ -189,18 +191,66 @@ class DegradedExecutionWarning(UserWarning):
     is slower than the healthy path and the operator should know."""
 
 
-class DegradationStats:
+class Counters:
+    """A fixed set of named event counters behind one lock.
+
+    All methods hold the lock, so a metrics thread (the serving tier's
+    health surface) can :meth:`snapshot`/:meth:`delta_since` while bulk
+    calls on worker threads :meth:`record` concurrently -- every
+    snapshot is a consistent point-in-time copy, and no increment is
+    ever lost to a racing read-modify-write.  Subclasses name their
+    counters in ``_FIELDS``: :class:`DegradationStats` and the serving
+    tier's :class:`~repro.serve.metrics.ServeMetrics`.
+    """
+
+    _FIELDS: Tuple[str, ...] = ()
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._counts: Dict[str, int] = {f: 0 for f in self._FIELDS}
+
+    def record(self, event: str, n: int = 1) -> None:
+        with self._lock:
+            self._counts[event] = self._counts.get(event, 0) + n
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._counts)
+
+    def reset(self) -> None:
+        with self._lock:
+            for key in list(self._counts):
+                self._counts[key] = 0
+
+    @staticmethod
+    def increases(
+        before: Mapping[str, int], after: Mapping[str, int]
+    ) -> Dict[str, int]:
+        """The counters that grew from snapshot *before* to snapshot
+        *after*, as a ``{field: increase}`` dict holding only non-zero
+        entries -- the per-interval shape the serving tier's health
+        surface exports.  Counters only ever grow between resets, so a
+        negative delta (a reset slipped between the snapshots) is
+        clamped out rather than reported as garbage."""
+        out: Dict[str, int] = {}
+        for key, value in after.items():
+            diff = value - before.get(key, 0)
+            if diff > 0:
+                out[key] = diff
+        return out
+
+    def delta_since(self, before: Mapping[str, int]) -> Dict[str, int]:
+        """:meth:`increases` from *before* (an earlier :meth:`snapshot`)
+        to now."""
+        return self.increases(before, self.snapshot())
+
+
+class DegradationStats(Counters):
     """Process-wide counters of every degradation event.
 
-    Bulk drivers snapshot these around each call
+    Bulk drivers take the delta of these around each call
     (:attr:`repro.index.base.NearestNeighborIndex.last_degradation`) so
     serving layers can export them; tests assert on deltas.
-
-    All methods hold one internal lock, so a metrics thread (the serving
-    tier's health surface) can :meth:`snapshot`/:meth:`delta_since`
-    while bulk calls on worker threads :meth:`record` concurrently --
-    every snapshot is a consistent point-in-time copy, and no increment
-    is ever lost to a racing read-modify-write.
     """
 
     _FIELDS = (
@@ -216,57 +266,6 @@ class DegradationStats:
         "store_load_failures",  # artifact snapshots that failed verification
         "store_lock_takeovers",  # store locks taken over from dead holders
     )
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {f: 0 for f in self._FIELDS}
-
-    def record(self, event: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[event] = self._counts.get(event, 0) + n
-
-    def snapshot(self) -> "DegradationSnapshot":
-        with self._lock:
-            return cast("DegradationSnapshot", dict(self._counts))
-
-    def delta_since(self, before: "DegradationSnapshot") -> Dict[str, int]:
-        """Counters that advanced since *before* (an earlier
-        :meth:`snapshot`), as a ``{field: increase}`` dict holding only
-        non-zero entries -- the per-interval shape the serving tier's
-        health surface exports.  Counters only ever grow between resets,
-        so a negative delta (a reset slipped between the snapshots) is
-        clamped out rather than reported as garbage."""
-        after = self.snapshot()
-        out: Dict[str, int] = {}
-        for key, value in after.items():
-            diff = value - before.get(key, 0)
-            if diff > 0:
-                out[key] = diff
-        return out
-
-    def reset(self) -> None:
-        with self._lock:
-            for key in list(self._counts):
-                self._counts[key] = 0
-
-
-class DegradationSnapshot(TypedDict):
-    """A point-in-time copy of the process-wide degradation counters --
-    one field per :data:`DegradationStats._FIELDS` entry, so consumers
-    (tests, the chaos harness, operators diffing before/after a bulk
-    call) get typed access instead of a stringly dict."""
-
-    pool_timeouts: int
-    pool_errors: int
-    pool_retries: int
-    dead_pools: int
-    serial_fallbacks: int
-    shard_fallbacks: int
-    publish_failures: int
-    stale_attachments: int
-    reaped_segments: int
-    store_load_failures: int
-    store_lock_takeovers: int
 
 
 #: The process-wide degradation counters.
@@ -360,23 +359,23 @@ class _ArraySpec:
 
 
 @dataclass(frozen=True)
-class BlockToken:
-    """One encoded block (padded x/y matrices + lengths) in shared memory.
+class ArraysToken:
+    """A named bundle of arrays in shared memory, one segment each: an
+    encoded corpus or query block (:meth:`EngineRuntime.publish_block`)
+    or a shard's index snapshot (:mod:`repro.shard.scatter`).
 
-    ``persistent`` blocks (interned corpora) may be cached by workers
-    until the master releases them; ephemeral blocks (per-call query
-    batches) are attached per task and closed immediately after.
-    ``generation`` stamps the publication: persistent blocks keep a
-    *stable* key per corpus, so a worker holding a cached attachment
-    can tell a republication (generation advanced -- the old segments
-    were unlinked) from the publication it already mapped.
+    ``persistent`` bundles (interned corpora, shards) may be cached by
+    workers until the master releases them; ephemeral bundles (per-call
+    query batches) are attached per task and closed immediately after.
+    ``generation`` stamps the publication: persistent bundles keep a
+    *stable* key (per corpus, per shard), so a worker holding a cached
+    attachment can tell a republication (generation advanced -- the old
+    segments were unlinked) from the publication it already mapped.
     """
 
     key: str
     persistent: bool
-    rows_x: _ArraySpec
-    rows_y: _ArraySpec
-    lengths: _ArraySpec
+    specs: Tuple[Tuple[str, _ArraySpec], ...]
     generation: int = 0
 
 
@@ -389,83 +388,24 @@ class StoreToken:
     so a worker can drop the cached attachments of released ones
     (:func:`drop_released`)."""
 
-    corpus: BlockToken
-    extra: Optional[BlockToken]
+    corpus: ArraysToken
+    extra: Optional[ArraysToken]
     live: FrozenSet[str] = frozenset()
-
-
-@dataclass(frozen=True)
-class ArraysToken:
-    """A named bundle of arbitrary arrays in shared memory.
-
-    The generic sibling of :class:`BlockToken` for payloads that are not
-    twin code matrices -- the sharded query tier ships each shard's
-    structure (pivot tables, pickled item blobs) this way.  Persistent
-    bundles follow the same worker-cache + generation-verification
-    discipline as persistent blocks.
-    """
-
-    key: str
-    persistent: bool
-    specs: Tuple[Tuple[str, _ArraySpec], ...]
-    generation: int = 0
-
-
-class _ShmStore:
-    """Worker-side :class:`~repro.batch.corpus.PairStore` stand-in backed
-    by attached shared-memory blocks -- just the ``lengths`` vector and
-    the ``gather`` and ``sym`` methods the engine's evaluation needs
-    (the gather itself is :func:`repro.batch.corpus.gather_rows`, shared
-    with the master-side store so the two paths cannot drift)."""
-
-    def __init__(
-        self,
-        corpus: Tuple[np.ndarray, np.ndarray, np.ndarray],
-        extra: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]],
-    ) -> None:
-        self._corpus_xy = (corpus[0], corpus[1])
-        c_len = corpus[2]
-        self.n_corpus = len(c_len)
-        if extra is not None:
-            self._extra_xy = (extra[0], extra[1])
-            self.lengths = np.concatenate([c_len, extra[2]])
-        else:
-            self._extra_xy = None
-            self.lengths = c_len
-
-    def sym(self, i: int) -> Tuple[int, ...]:
-        """Id *i*'s symbols as codes of the shared alphabet: equal iff
-        the symbols are, which is all a registered distance compares."""
-        if i < self.n_corpus:
-            row = self._corpus_xy[0][i]
-        else:
-            assert self._extra_xy is not None
-            row = self._extra_xy[0][i - self.n_corpus]
-        return tuple(row[: self.lengths[i]].tolist())
-
-    def gather(
-        self, x_ids: np.ndarray, y_ids: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        from .corpus import gather_rows
-
-        return gather_rows(
-            self._corpus_xy,
-            self._extra_xy,
-            self.lengths,
-            self.n_corpus,
-            x_ids,
-            y_ids,
-        )
 
 
 # ---------------------------------------------------------------------------
 # worker-side attachment (runs inside pool processes)
 # ---------------------------------------------------------------------------
 
-#: Worker cache of attached *persistent* blocks, kept until the master
-#: releases them (:func:`drop_released`):
-#: key -> (generation, (rows_x, rows_y, lengths), [SharedMemory handles]).
-_ATTACHED_BLOCKS: Dict[str, Tuple[int, Tuple[np.ndarray, ...], List[Any]]] = {}
+#: The worker's one cache of attached *persistent* bundles, kept until
+#: the master releases them (:func:`drop_released`):
+#: key -> (generation, {name: array}, [SharedMemory handles]).
+_ATTACHED_ARRAYS: Dict[str, Tuple[int, Dict[str, np.ndarray], List[Any]]] = {}
+
+#: Other worker caches keyed by persistent publication keys whose
+#: entries view attached pages (the sharded tier's rebuilt shard
+#: indexes), see :func:`register_view_cache`.
+_VIEW_CACHES: List[Dict[str, Any]] = []
 
 
 def _attach_array(spec: _ArraySpec) -> Tuple[np.ndarray, Any]:
@@ -484,55 +424,51 @@ def _attach_array(spec: _ArraySpec) -> Tuple[np.ndarray, Any]:
     return arr, shm
 
 
-def _attach_block(token: BlockToken) -> Tuple[Tuple[np.ndarray, ...], List[Any]]:
+def attach_arrays(token: ArraysToken) -> Tuple[Dict[str, np.ndarray], List[Any]]:
+    """Attach a published bundle inside a worker.
+
+    Returns ``({name: array}, ephemeral_handles)``; the caller must
+    close the handles after use when the bundle is not persistent.
+    Persistent bundles stay cached until the master releases them, with
+    generation verification: a cached bundle whose generation lags the
+    token's maps segments a runtime shutdown unlinked, so it is dropped
+    and re-attached instead of read as dead pages.
+    """
     if token.persistent:
-        cached = _ATTACHED_BLOCKS.get(token.key)
+        cached = _ATTACHED_ARRAYS.get(token.key)
         if cached is not None and cached[0] == token.generation:
-            return cached[1], cached[2]
+            return cached[1], []
         if cached is not None:
-            # A runtime shutdown unlinked the segments this cache maps
-            # (publication generation advanced): reading them would
-            # silently return dead pages, so drop (no view of them may
-            # outlive the entry, or the close fails) and re-attach.
+            # no view of the stale pages may outlive the entry, or the
+            # close fails
             del cached
-            release_attachment(_ATTACHED_BLOCKS.pop(token.key)[2])
+            release_attachment(_ATTACHED_ARRAYS.pop(token.key)[2])
             DEGRADATION.record("stale_attachments")
-    arrays: List[np.ndarray] = []
+    arrays: Dict[str, np.ndarray] = {}
     handles: List[Any] = []
-    for spec in (token.rows_x, token.rows_y, token.lengths):
+    for name, spec in token.specs:
         arr, shm = _attach_array(spec)
-        arrays.append(arr)
+        arrays[name] = arr
         handles.append(shm)
-    attachment = (tuple(arrays), handles)
     if token.persistent:
-        _ATTACHED_BLOCKS[token.key] = (token.generation, *attachment)
-    return attachment
+        _ATTACHED_ARRAYS[token.key] = (token.generation, arrays, handles)
+        return arrays, []
+    return arrays, handles
 
 
-def attach_store(token: StoreToken) -> Tuple[_ShmStore, List[Any]]:
+def attach_store(token: StoreToken) -> Tuple["AttachedStore", List[Any]]:
     """Attach a published store inside a worker.  Returns the store and
     the list of *ephemeral* handles the caller must close after use
-    (persistent blocks stay cached until the master releases them)."""
+    (the persistent corpus bundle stays cached until the master
+    releases it)."""
+    from .corpus import AttachedStore
+
     drop_released(token.live)
-    corpus_arrays, _ = _attach_block(token.corpus)
-    ephemeral: List[Any] = []
-    extra_arrays = None
-    if token.extra is not None:
-        extra_arrays, handles = _attach_block(token.extra)
-        if not token.extra.persistent:
-            ephemeral.extend(handles)
-    return _ShmStore(corpus_arrays, extra_arrays), ephemeral
-
-
-#: Worker cache of attached *persistent* array bundles, kept until the
-#: master releases them (:func:`drop_released`):
-#: key -> (generation, {name: array}, [SharedMemory handles]).
-_ATTACHED_ARRAYS: Dict[str, Tuple[int, Dict[str, np.ndarray], List[Any]]] = {}
-
-#: Other worker caches keyed by persistent publication keys whose
-#: entries view attached pages (the sharded tier's rebuilt shard
-#: indexes), see :func:`register_view_cache`.
-_VIEW_CACHES: List[Dict[str, Any]] = []
+    corpus, _ = attach_arrays(token.corpus)
+    if token.extra is None:
+        return AttachedStore(corpus, None), []
+    extra, ephemeral = attach_arrays(token.extra)
+    return AttachedStore(corpus, extra), ephemeral
 
 
 def register_view_cache(cache: Dict[str, Any]) -> None:
@@ -552,47 +488,10 @@ def drop_released(live: FrozenSet[str]) -> None:
     for cache in _VIEW_CACHES:
         for key in [key for key in cache if key not in live]:
             del cache[key]
-    _close_released(_ATTACHED_BLOCKS, live)
-    _close_released(_ATTACHED_ARRAYS, live)
-
-
-def _close_released(
-    attached: Dict[str, Tuple[Any, Any, List[Any]]], live: FrozenSet[str]
-) -> None:
-    for key in [key for key in attached if key not in live]:
+    for key in [key for key in _ATTACHED_ARRAYS if key not in live]:
         # pop first: the entry's arrays view the pages, and a segment
         # with a live view cannot be closed
-        release_attachment(attached.pop(key)[2])
-
-
-def attach_arrays(token: ArraysToken) -> Tuple[Dict[str, np.ndarray], List[Any]]:
-    """Attach a published array bundle inside a worker.
-
-    Returns ``({name: array}, ephemeral_handles)``; the caller must
-    close the handles after use when the bundle is not persistent
-    (persistent bundles stay cached until the master releases them, with
-    the same generation verification as :func:`_attach_block` -- a bundle
-    whose segments a runtime shutdown unlinked is dropped and
-    re-attached instead of read as dead pages).
-    """
-    if token.persistent:
-        cached = _ATTACHED_ARRAYS.get(token.key)
-        if cached is not None and cached[0] == token.generation:
-            return cached[1], []
-        if cached is not None:
-            del cached
-            release_attachment(_ATTACHED_ARRAYS.pop(token.key)[2])
-            DEGRADATION.record("stale_attachments")
-    arrays: Dict[str, np.ndarray] = {}
-    handles: List[Any] = []
-    for name, spec in token.specs:
-        arr, shm = _attach_array(spec)
-        arrays[name] = arr
-        handles.append(shm)
-    if token.persistent:
-        _ATTACHED_ARRAYS[token.key] = (token.generation, arrays, handles)
-        return arrays, []
-    return arrays, handles
+        release_attachment(_ATTACHED_ARRAYS.pop(key)[2])
 
 
 def release_attachment(handles: Sequence[Any]) -> None:
@@ -613,7 +512,7 @@ def release_attachment(handles: Sequence[Any]) -> None:
 #: already unlinked is never handed out again (it would make every
 #: worker attach fail and tear the pool down on each call), and workers
 #: holding a pre-shutdown attachment re-attach instead of reading dead
-#: pages (see :func:`_attach_block`).
+#: pages (see :func:`attach_arrays`).
 _PUBLISH_GENERATION = 0
 
 
@@ -1020,101 +919,20 @@ class EngineRuntime:
                 self._ring_names.add(shm.name)
         return _ArraySpec(shm.name, tuple(arr.shape), arr.dtype.str)
 
-    def publish_block(
-        self,
-        rows_x: np.ndarray,
-        rows_y: np.ndarray,
-        lengths: np.ndarray,
-        persistent: bool,
-        key: Optional[str] = None,
-    ) -> Optional[BlockToken]:
-        """Copy one encoded block into shared memory; ``None`` on failure
-        (callers evaluate in-process).  A partial failure
-        unlinks the segments already created, so a failed publication
-        never leaks.  *key* fixes the worker-cache key (persistent
-        corpus blocks use a stable per-corpus key so generation
-        verification can catch republications)."""
-        specs: List[_ArraySpec] = []
-        for arr in (rows_x, rows_y, lengths):
-            spec = self._publish_array(arr, reusable=not persistent)
-            if spec is None:
-                self._release_names({s.shm_name for s in specs})
-                return None
-            specs.append(spec)
-        if key is None:
-            key = f"{_session_prefix()}-block-{next(self._counter)}"
-        if persistent:
-            self._live.add(key)
-        return BlockToken(
-            key,
-            persistent,
-            specs[0],
-            specs[1],
-            specs[2],
-            generation=_PUBLISH_GENERATION,
-        )
-
-    def live_keys(self) -> FrozenSet[str]:
-        """The keys of every persistent publication not yet released --
-        the attachments a worker may keep cached; every other cached
-        one it drops on its next attach (:func:`drop_released`)."""
-        return frozenset(self._live)
-
-    def publish_store(self, store: "PairStore") -> Optional[StoreToken]:
-        """Publish a :class:`~repro.batch.corpus.PairStore`: the corpus
-        block once per corpus (cached on the corpus object, invalidated
-        by any :meth:`shutdown`, unlinked when the corpus is garbage
-        collected), the extra block ephemerally per call.  ``None`` for
-        a store without an encoding: workers would have nothing to
-        sweep."""
-        import weakref
-
-        if not store.encoded:
-            return None
-        corpus = store.corpus
-        cached = corpus.shm_token
-        token = None
-        if cached is not None and cached[0] == _PUBLISH_GENERATION:
-            token = cached[1]
-        if token is None:
-            token = self.publish_block(
-                corpus.block.rows_x,
-                corpus.block.rows_y,
-                corpus.block.lengths,
-                persistent=True,
-                key=f"corpus-{corpus.key}",
-            )
-            if token is None:
-                return None
-            corpus.shm_token = (_PUBLISH_GENERATION, token)
-            # segments live exactly as long as the corpus (its index):
-            # without this, a long-lived process building many indexes
-            # would accumulate dead corpora in /dev/shm until exit
-            weakref.finalize(corpus, self.release_block, token)
-        extra_token = None
-        if len(store.extra):
-            extra_token = self.publish_block(
-                store.extra.rows_x,
-                store.extra.rows_y,
-                store.extra.lengths,
-                persistent=False,
-            )
-            if extra_token is None:
-                return None
-        return StoreToken(token, extra_token, self.live_keys())
-
     def publish_arrays(
         self,
         arrays: Dict[str, np.ndarray],
         persistent: bool,
         key: Optional[str] = None,
     ) -> Optional[ArraysToken]:
-        """Copy a named bundle of arrays into shared memory; ``None`` on
-        failure (callers fall back to in-process execution).  A partial
-        failure unlinks the segments already created, so a failed
-        publication never leaks.  *key* fixes the worker-cache key for
-        persistent bundles (the sharded tier uses a stable per-shard key
-        so generation verification can catch republications)."""
+        """Copy a named bundle of arrays into shared memory, one segment
+        each; ``None`` on failure (callers fall back to in-process
+        execution).  A partial failure unlinks the segments already
+        created, so a failed publication never leaks.  Ephemeral
+        bundles go through the segment ring.  *key* fixes the
+        worker-cache key of a persistent bundle (a stable key per corpus
+        or shard, so generation verification can catch
+        republications)."""
         specs: List[Tuple[str, _ArraySpec]] = []
         for name, arr in arrays.items():
             spec = self._publish_array(arr, reusable=not persistent)
@@ -1130,9 +948,59 @@ class EngineRuntime:
             key, persistent, tuple(specs), generation=_PUBLISH_GENERATION
         )
 
+    def publish_block(
+        self, block: "_Block", persistent: bool, key: Optional[str] = None
+    ) -> Optional[ArraysToken]:
+        """Publish one encoded block as its three-array bundle (see
+        :meth:`publish_arrays`)."""
+        return self.publish_arrays(block.arrays(), persistent, key)
+
+    def live_keys(self) -> FrozenSet[str]:
+        """The keys of every persistent publication not yet released --
+        the attachments a worker may keep cached; every other cached
+        one it drops on its next attach (:func:`drop_released`)."""
+        return frozenset(self._live)
+
+    def publish_store(self, store: "PairStore") -> Optional[StoreToken]:
+        """Publish a :class:`~repro.batch.corpus.PairStore`: the corpus
+        block once per corpus (cached on the corpus object, invalidated
+        by any :meth:`shutdown`, released when the corpus is garbage
+        collected), the extra block ephemerally per call.  ``None`` for
+        a store without an encoding: workers would have nothing to
+        sweep."""
+        import weakref
+
+        if not store.encoded:
+            return None
+        corpus = store.corpus
+        cached = corpus.shm_token
+        token = None
+        if cached is not None and cached[0] == _PUBLISH_GENERATION:
+            token = cached[1]
+        if token is None:
+            token = self.publish_block(
+                corpus.block, persistent=True, key=f"corpus-{corpus.key}"
+            )
+            if token is None:
+                return None
+            corpus.shm_token = (_PUBLISH_GENERATION, token)
+            # segments live exactly as long as the corpus (its index):
+            # without this, a long-lived process building many indexes
+            # would accumulate dead corpora in /dev/shm until exit
+            weakref.finalize(corpus, self.release_arrays, token)
+        extra_token = None
+        if len(store.extra):
+            extra_token = self.publish_block(store.extra, persistent=False)
+            if extra_token is None:
+                return None
+        return StoreToken(token, extra_token, self.live_keys())
+
     def release_arrays(self, token: Optional[ArraysToken]) -> None:
         """Unlink (or return to the ring) a bundle's segments once its
-        consumers are done.  Idempotent, like :meth:`release_block`."""
+        consumers are done (the master copy; workers closed their
+        ephemeral attachments per task).  Idempotent: releasing an
+        already-released or externally-unlinked bundle is a no-op, so a
+        finalizer and an explicit shutdown can race freely."""
         if token is None:
             return
         self._live.discard(token.key)
@@ -1167,23 +1035,6 @@ class EngineRuntime:
             else:
                 kept.append(shm)
         self._published = kept
-
-    def release_block(self, token: Optional[BlockToken]) -> None:
-        """Unlink a block's segments once a call is done (the master
-        copy; workers closed their attachments per task).  Idempotent:
-        releasing an already-released or externally-unlinked block is a
-        no-op, so the corpus finalizer and an explicit shutdown can
-        race freely."""
-        if token is None:
-            return
-        self._live.discard(token.key)
-        self._release_names(
-            {
-                token.rows_x.shm_name,
-                token.rows_y.shm_name,
-                token.lengths.shm_name,
-            }
-        )
 
     def shutdown(self) -> None:
         """Terminate the pool and unlink every published segment (atexit;

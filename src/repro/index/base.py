@@ -72,6 +72,11 @@ Distance = Callable[[Any, Any], float]
 #: ``LaesaIndex.load(...)`` types as a ``LaesaIndex``.
 IndexSelf = TypeVar("IndexSelf", bound="NearestNeighborIndex[Any]")
 
+#: Name prefix of the corpus block's arrays in an index snapshot (the
+#: store's ``corpus_*.npy`` payload files); structure arrays may not
+#: use it.
+_CORPUS_PREFIX = "corpus_"
+
 #: One comparison request yielded by a request generator:
 #: ``(item_index, limit, cache_pos)`` -- see ``_search_requests``.
 Request = Tuple[int, Optional[float], Optional[int]]
@@ -399,9 +404,9 @@ class NearestNeighborIndex(Generic[Item]):
         """The shared constructor body.
 
         ``__init__`` calls it with ``corpus=None`` (interning from
-        scratch); the artifact loader's :meth:`_artifact_skeleton` calls
-        it with a corpus reconstructed around persisted matrices, so a
-        warm start never re-encodes the database.
+        scratch); :meth:`_from_snapshot` calls it with a corpus
+        reconstructed around saved or published matrices, so a warm
+        start never re-encodes the database.
         """
         if not items:
             raise ValueError("cannot index an empty collection")
@@ -422,21 +427,17 @@ class NearestNeighborIndex(Generic[Item]):
     @contextmanager
     def _track_degradation(self) -> Generator[None, None, None]:
         """Record the engine degradation events that occur inside the
-        ``with`` body into :attr:`last_degradation` (delta of the
-        process-wide counters, non-zero entries only).  Nests safely:
-        the outermost capture wins, and its delta includes the inner's."""
+        ``with`` body into :attr:`last_degradation` (the process-wide
+        counters' :meth:`~repro.batch.runtime.Counters.delta_since`).
+        Nests safely: the outermost capture wins, and its delta includes
+        the inner's."""
         from ..batch import DEGRADATION
 
         before = DEGRADATION.snapshot()
         try:
             yield
         finally:
-            after = DEGRADATION.snapshot()
-            self.last_degradation = {
-                event: after[event] - before.get(event, 0)
-                for event in after
-                if after[event] - before.get(event, 0)
-            }
+            self.last_degradation = DEGRADATION.delta_since(before)
 
     # -- persistence (repro.store) -----------------------------------------
 
@@ -482,18 +483,59 @@ class NearestNeighborIndex(Generic[Item]):
             cls, items, distance, store, params, save_on_miss=save_on_miss
         )
 
+    def _snapshot(self) -> Tuple[Dict[str, np.ndarray], Dict[str, Any]]:
+        """This built index as named arrays plus JSON-serialisable meta:
+        the corpus block under ``corpus_*`` names (when encoded), the
+        structure's :meth:`_artifact_arrays` and :meth:`_artifact_meta`.
+        The artifact store saves it to disk and the shard scatter
+        publishes it to shared memory; :meth:`_from_snapshot` is its
+        inverse."""
+        arrays: Dict[str, np.ndarray] = {}
+        if self._corpus.encoded:
+            for name, array in self._corpus.block.arrays().items():
+                arrays[_CORPUS_PREFIX + name] = array
+        for name, array in self._artifact_arrays().items():
+            if name.startswith(_CORPUS_PREFIX):
+                raise ValueError(f"structure array name {name!r} is reserved")
+            arrays[name] = np.asarray(array)
+        meta = dict(self._artifact_meta())
+        meta["interned"] = self._corpus.encoded
+        return arrays, meta
+
     @classmethod
-    def _artifact_skeleton(
+    def _from_snapshot(
         cls: Type[IndexSelf],
         items: Sequence[Any],
         distance: Distance,
-        corpus: Optional["InternedCorpus"],
+        arrays: Mapping[str, np.ndarray],
+        meta: Mapping[str, Any],
+        preprocessing: int,
     ) -> IndexSelf:
-        """A bare instance around *items* that skips the subclass
-        constructor (zero distance evaluations); the artifact loader
-        attaches the persisted structure via :meth:`_restore_artifact`."""
+        """The index a :meth:`_snapshot` of a build over *items* holds,
+        with zero distance evaluations: the corpus wraps the saved block
+        (:meth:`~repro.batch.corpus.InternedCorpus.from_arrays`; a
+        snapshot without one interns *items* afresh), the subclass
+        constructor is skipped and :meth:`_restore_artifact` attaches
+        the structure; *preprocessing* is the build's count."""
+        from ..batch.corpus import InternedCorpus
+
+        block = {
+            name[len(_CORPUS_PREFIX) :]: array
+            for name, array in arrays.items()
+            if name.startswith(_CORPUS_PREFIX)
+        }
+        corpus = InternedCorpus.from_arrays(items, block) if block else None
         index = cls.__new__(cls)
         index._init_index(items, distance, corpus)
+        index._restore_artifact(
+            {
+                name: array
+                for name, array in arrays.items()
+                if not name.startswith(_CORPUS_PREFIX)
+            },
+            meta,
+        )
+        index.preprocessing_computations = int(preprocessing)
         return index
 
     def _artifact_params(self) -> Dict[str, Any]:
@@ -526,7 +568,7 @@ class NearestNeighborIndex(Generic[Item]):
     def _restore_artifact(
         self, arrays: Mapping[str, np.ndarray], meta: Mapping[str, Any]
     ) -> None:
-        """Reattach persisted structure onto a skeleton instance -- the
+        """Reattach persisted structure onto a bare instance -- the
         inverse of :meth:`_artifact_arrays` / :meth:`_artifact_meta`.
         Structures without build-time state (exhaustive scan) need
         nothing."""

@@ -1,13 +1,12 @@
 """The serving tier's health and metrics surface.
 
-:class:`ServeMetrics` mirrors the engine's
-:class:`~repro.batch.runtime.DegradationStats` discipline: a small fixed
-set of named counters behind one lock, cheap point-in-time snapshots,
-and *interval* reporting for the process-wide degradation counters --
-each :meth:`degradation_interval` call returns what degraded since the
-previous one without ever racing (or double/zero-counting against)
-in-flight bulk calls, because both the delta and the new baseline come
-from the same consistent snapshot.
+:class:`ServeMetrics` is one more set of the runtime's
+:class:`~repro.batch.runtime.Counters` -- named counters behind one
+lock, cheap point-in-time snapshots -- plus *interval* reporting for
+the process-wide degradation counters: each :meth:`degradation_interval`
+call returns what degraded since the previous one without ever racing
+(or double/zero-counting against) in-flight bulk calls, because both
+the delta and the new baseline come from the same consistent snapshot.
 
 Counting discipline: terminal per-request outcomes (``completed``,
 ``deadline_exceeded``, ``failed``, ``shed``) are recorded exactly once,
@@ -20,15 +19,14 @@ therefore holds whenever no request is in flight.
 
 from __future__ import annotations
 
-import threading
 from typing import Dict
 
-from ..batch.runtime import DEGRADATION, DegradationSnapshot
+from ..batch.runtime import DEGRADATION, Counters
 
 __all__ = ["ServeMetrics"]
 
 
-class ServeMetrics:
+class ServeMetrics(Counters):
     """Process-local counters of one server instance."""
 
     _FIELDS = (
@@ -44,22 +42,8 @@ class ServeMetrics:
     )
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._counts: Dict[str, int] = {f: 0 for f in self._FIELDS}
-        self._baseline: DegradationSnapshot = DEGRADATION.snapshot()
-
-    def record(self, event: str, n: int = 1) -> None:
-        with self._lock:
-            self._counts[event] = self._counts.get(event, 0) + n
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return dict(self._counts)
-
-    def reset(self) -> None:
-        with self._lock:
-            for key in list(self._counts):
-                self._counts[key] = 0
+        super().__init__()
+        self._baseline: Dict[str, int] = DEGRADATION.snapshot()
 
     def degradation_interval(self, *, rebase: bool = True) -> Dict[str, int]:
         """Non-zero process-wide degradation counter increases since the
@@ -73,9 +57,4 @@ class ServeMetrics:
             before = self._baseline
             if rebase:
                 self._baseline = after
-        delta: Dict[str, int] = {}
-        for key, value in after.items():
-            diff = value - before.get(key, 0)
-            if diff > 0:
-                delta[key] = diff
-        return delta
+        return self.increases(before, after)

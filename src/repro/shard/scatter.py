@@ -1,17 +1,18 @@
 """Parallel scatter of per-shard searches onto the engine worker pool.
 
-The master publishes each shard exactly once per publication generation:
-the shard's interned twin matrices go through the existing
-generation-verified shared-memory path
-(:meth:`~repro.batch.runtime.EngineRuntime.publish_store`), and the
-shard's *structure* -- pivot tables, AESA matrices, tree arrays, plus a
-pickled blob holding the items, the distance's registry name and the
-restore metadata -- rides a persistent
-:class:`~repro.batch.runtime.ArraysToken` bundle.  A pool worker
-receiving a shard task attaches both (cached for its lifetime, dropped
-and re-attached when the publication generation advances), reconstructs
-the shard index through the artifact-skeleton hooks (zero distance
-evaluations), and runs the ordinary ``bulk_knn`` /
+The master publishes each shard exactly once per publication generation,
+as one persistent :class:`~repro.batch.runtime.ArraysToken` bundle: the
+shard index's snapshot
+(:meth:`~repro.index.base.NearestNeighborIndex._snapshot`, the same
+arrays the artifact store saves -- the corpus block plus pivot tables,
+AESA matrices or tree arrays) plus a pickled blob holding the items,
+the distance's registry name, the snapshot meta and the build's
+computation count.  A pool worker receiving a shard task attaches the
+bundle (cached until the master releases the shard, dropped and
+re-attached when the publication generation advances), restores the
+shard index from it exactly as the store loads one
+(:meth:`~repro.index.base.NearestNeighborIndex._from_snapshot`, zero
+distance evaluations), and runs the ordinary ``bulk_knn`` /
 ``bulk_range_search`` lockstep drivers in-process -- the engine's
 ``workers="auto"`` resolution is daemon-gated, so everything inside the
 worker runs on the serial rung and returns values bit-identical to the
@@ -33,11 +34,11 @@ the ``shard_fallbacks`` degradation counter, results unchanged.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
+    FrozenSet,
     List,
     Optional,
     Sequence,
@@ -48,11 +49,10 @@ from typing import (
 import numpy as np
 
 from ..batch import runtime
-from ..batch.runtime import ArraysToken, StoreToken
+from ..batch.runtime import ArraysToken
 from ..index.base import NearestNeighborIndex
 
 __all__ = [
-    "ShardPublication",
     "publish_shard",
     "run_shard_local",
     "shard_task",
@@ -92,49 +92,31 @@ def _structure_class(name: str) -> Type[NearestNeighborIndex[Any]]:
     return _STRUCTURES[name]
 
 
-@dataclass(frozen=True)
-class ShardPublication:
-    """One shard's shared-memory presence: the interned corpus block
-    (:class:`StoreToken`) plus the structure bundle
-    (:class:`ArraysToken`, blob + structure arrays)."""
-
-    blob: ArraysToken
-    store: StoreToken
-
-
 def publish_shard(
     index: NearestNeighborIndex[Any], key: str, distance_name: str
-) -> Optional[ShardPublication]:
-    """Publish one built shard for worker-side reconstruction.
+) -> Optional[ArraysToken]:
+    """Publish one built shard for worker-side reconstruction: its
+    snapshot arrays plus the pickled ``blob``, as one persistent bundle
+    under the caller's *key*, so workers cache the rebuilt index until
+    the master releases the shard, with generation verification.
 
     Returns ``None`` when the shard's corpus has no encoding or any
     segment publication fails -- the caller then scatters serially.
-    The corpus block is cached per corpus (and finalizer-released) by
-    :meth:`publish_store`; the structure bundle is persistent under the
-    caller's *key* so workers cache the rebuilt index for their
-    lifetime, with generation verification.
     """
-    rt = runtime.get_runtime()
-    store_token = rt.publish_store(index._corpus.store())
-    if store_token is None:
+    if not index._corpus.encoded:
         return None
-    arrays: Dict[str, np.ndarray] = {
-        f"arr:{name}": arr for name, arr in index._artifact_arrays().items()
-    }
+    arrays, meta = index._snapshot()
     blob = pickle.dumps(
         {
             "cls": type(index).__name__,
             "distance": distance_name,
             "items": index.items,
-            "meta": index._artifact_meta(),
+            "meta": meta,
             "preprocessing": index.preprocessing_computations,
         }
     )
     arrays["blob"] = np.frombuffer(blob, dtype=np.uint8)
-    token = rt.publish_arrays(arrays, persistent=True, key=key)
-    if token is None:
-        return None
-    return ShardPublication(token, store_token)
+    return runtime.get_runtime().publish_arrays(arrays, persistent=True, key=key)
 
 
 def _distance_from_name(name: str) -> Callable[[Any, Any], float]:
@@ -158,35 +140,27 @@ runtime.register_view_cache(_WORKER_SHARDS)
 
 
 def _attached_shard(
-    blob_token: ArraysToken, store_token: StoreToken
+    token: ArraysToken, live: FrozenSet[str]
 ) -> NearestNeighborIndex[Any]:
-    """The shard index behind *blob_token*, rebuilt on first sight and
-    cached until the master releases the shard (re-rebuilt when the
-    publication generation advances -- the old segments are gone)."""
-    runtime.drop_released(store_token.live)
-    cached = _WORKER_SHARDS.get(blob_token.key)
-    if cached is not None and cached[0] == blob_token.generation:
+    """The shard index behind *token*, rebuilt on first sight and cached
+    until the master releases the shard (*live* lists the keys it still
+    publishes; rebuilt again when the publication generation advances
+    -- the old segments are gone)."""
+    runtime.drop_released(live)
+    cached = _WORKER_SHARDS.get(token.key)
+    if cached is not None and cached[0] == token.generation:
         return cached[1]
-    _WORKER_SHARDS.pop(blob_token.key, None)
-    arrays, handles = runtime.attach_arrays(blob_token)
-    try:
-        spec = pickle.loads(arrays["blob"].tobytes())
-    finally:
-        runtime.release_attachment(handles)
-    corpus_arrays, _ = runtime._attach_block(store_token.corpus)
-    from ..batch.corpus import InternedCorpus
-
-    corpus = InternedCorpus.from_arrays(spec["items"], *corpus_arrays)
-    cls = _structure_class(spec["cls"])
-    index = cls._artifact_skeleton(
-        spec["items"], _distance_from_name(spec["distance"]), corpus
+    _WORKER_SHARDS.pop(token.key, None)
+    arrays, _ = runtime.attach_arrays(token)
+    spec = pickle.loads(arrays["blob"].tobytes())
+    index = _structure_class(spec["cls"])._from_snapshot(
+        spec["items"],
+        _distance_from_name(spec["distance"]),
+        {name: array for name, array in arrays.items() if name != "blob"},
+        spec["meta"],
+        spec["preprocessing"],
     )
-    structure = {
-        name[4:]: arr for name, arr in arrays.items() if name.startswith("arr:")
-    }
-    index._restore_artifact(structure, spec["meta"])
-    index.preprocessing_computations = int(spec["preprocessing"])
-    _WORKER_SHARDS[blob_token.key] = (blob_token.generation, index)
+    _WORKER_SHARDS[token.key] = (token.generation, index)
     return index
 
 
@@ -217,20 +191,20 @@ def run_shard_local(
 
 
 def shard_task(
-    args: Tuple[ArraysToken, StoreToken, str, float, List[Any]],
+    args: Tuple[ArraysToken, FrozenSet[str], str, float, List[Any]],
 ) -> TaskResult:
     """Pool-worker task: reconstruct (or reuse) the shard behind the
-    tokens and answer the whole query batch on it, serially in-process
+    token and answer the whole query batch on it, serially in-process
     (the engine's daemon gate guarantees no nested pools)."""
     from ..batch import faults
 
     faults.worker_task()
-    blob_token, store_token, mode, arg, queries = args
+    token, live, mode, arg, queries = args
     import multiprocessing
 
     if multiprocessing.current_process().daemon and faults.fires(
         "shard_worker_fail"
     ):
         raise faults.FaultInjected("shard_worker_fail")
-    index = _attached_shard(blob_token, store_token)
+    index = _attached_shard(token, live)
     return run_shard_local(index, queries, mode, arg)

@@ -23,9 +23,10 @@ scatter paths (and for the exhaustive structure, identical to the
 unsharded count: every item is evaluated exactly once either way).
 
 Bulk scatters fan out over the persistent engine pool
-(:mod:`repro.shard.scatter`): each worker attaches its shard's interned
-twin matrices and structure arrays from shared memory and runs the
-ordinary lockstep drivers serially in-process.  The scatter walks the
+(:mod:`repro.shard.scatter`): each worker attaches its shard's
+snapshot -- one shared-memory bundle, the same arrays a store save
+writes -- restores the shard from it and runs the ordinary lockstep
+drivers serially in-process.  The scatter walks the
 same degradation ladder as the engine's fan-out
 (:meth:`~repro.batch.runtime.EngineRuntime.fan_out`): a shard task that
 still fails after the pool retries is re-run by the master
@@ -47,7 +48,7 @@ import functools
 import time
 import uuid
 import weakref
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -66,6 +67,7 @@ import numpy as np
 
 from ..batch import runtime
 from ..batch.corpus import InternedCorpus
+from ..batch.runtime import ArraysToken
 from ..index.base import (
     CountingDistance,
     NearestNeighborIndex,
@@ -74,10 +76,9 @@ from ..index.base import (
     _validate_k,
     _validate_radius,
 )
-from ..tools import knobs
 from . import scatter
 from .merge import k_merge
-from .scatter import ShardPublication, TaskResult
+from .scatter import TaskResult
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -111,28 +112,22 @@ def resolve_shard_count(
     """The effective shard count for a corpus of *n_items*.
 
     An explicit *shards* wins (validated, clamped to the corpus size);
-    otherwise ``REPRO_SHARD_COUNT`` applies, reduced until every shard
-    holds at least *min_shard_items* (``REPRO_SHARD_MIN_ITEMS``) --
-    tiny corpora collapse to one shard rather than paying scatter
+    otherwise ``_DEFAULT_SHARDS`` applies, reduced until every shard
+    holds at least *min_shard_items* (default ``_DEFAULT_MIN_ITEMS``)
+    -- tiny corpora collapse to one shard rather than paying scatter
     overhead for slivers.
     """
     if n_items < 1:
         raise ValueError("cannot shard an empty collection")
-    explicit = shards is not None
-    if shards is None:
-        shards = knobs.get_int("REPRO_SHARD_COUNT", _DEFAULT_SHARDS, minimum=1)
-        assert shards is not None
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    count = min(int(shards), n_items)
-    if not explicit:
-        if min_shard_items is None:
-            min_shard_items = knobs.get_int(
-                "REPRO_SHARD_MIN_ITEMS", _DEFAULT_MIN_ITEMS, minimum=1
-            )
-            assert min_shard_items is not None
-        if min_shard_items > 0:
-            count = min(count, max(1, n_items // min_shard_items))
+    if shards is not None:
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        return min(int(shards), n_items)
+    if min_shard_items is None:
+        min_shard_items = _DEFAULT_MIN_ITEMS
+    count = min(_DEFAULT_SHARDS, n_items)
+    if min_shard_items > 0:
+        count = min(count, max(1, n_items // min_shard_items))
     return count
 
 
@@ -233,8 +228,9 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         exactness of pruned per-shard searches requires the metric
         properties, exactly as for the unsharded structures.
     shards:
-        Shard count; ``None`` resolves ``REPRO_SHARD_COUNT`` clamped by
-        ``REPRO_SHARD_MIN_ITEMS`` (see :func:`resolve_shard_count`).
+        Shard count; ``None`` resolves the default of four shards,
+        clamped so every shard holds *min_shard_items* (see
+        :func:`resolve_shard_count`).
     seed:
         Partition seed (the layout is deterministic given ``(len(items),
         shards, seed)``).
@@ -246,8 +242,8 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         Constructor keywords for the per-shard structure (e.g.
         ``{"n_pivots": 12}``).
     min_shard_items:
-        Overrides ``REPRO_SHARD_MIN_ITEMS`` for the implicit count
-        resolution (ignored when *shards* is explicit).
+        Smallest shard of the implicit count resolution, default 32
+        (ignored when *shards* is explicit).
     """
 
     def __init__(
@@ -308,10 +304,10 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         self._seed = int(seed)
         self._structure = structure
         self._structure_params: Dict[str, Any] = dict(structure_params or {})
-        #: Stable identity for the per-shard structure publications --
-        #: workers cache rebuilt shards under it, generation-verified.
+        #: Stable identity for the per-shard bundles -- workers cache
+        #: rebuilt shards under it, generation-verified.
         self._key = uuid.uuid4().hex[:12]
-        self._publish_cache: Optional[Tuple[int, List[ShardPublication]]] = None
+        self._publish_cache: Optional[Tuple[int, List[ArraysToken]]] = None
 
     def _attach_shards(self, shard_list: List[_Shard]) -> None:
         self._shards = shard_list
@@ -404,10 +400,7 @@ class ShardedIndex(NearestNeighborIndex[Any]):
                 live = rt.live_keys()
                 gathered = rt.fan_out(
                     scatter.shard_task,
-                    [
-                        (pub.blob, replace(pub.store, live=live), mode, arg, queries)
-                        for pub in publications
-                    ],
+                    [(token, live, mode, arg, queries) for token in publications],
                     n_shards,
                     sizes=[
                         len(queries) * len(shard.index.items)
@@ -430,8 +423,8 @@ class ShardedIndex(NearestNeighborIndex[Any]):
             and not multiprocessing.current_process().daemon
         )
 
-    def _publications(self) -> Optional[List[ShardPublication]]:
-        """The per-shard shared-memory publications for the current
+    def _publications(self) -> Optional[List[ArraysToken]]:
+        """The per-shard shared-memory bundles for the current
         generation, publishing (and caching) on first use.  ``None``
         when the distance has no registry name, a shard's corpus has no
         encoding, or any segment publication failed -- the scatter then
@@ -446,19 +439,18 @@ class ShardedIndex(NearestNeighborIndex[Any]):
         if name is None:
             return None
         rt = runtime.get_runtime()
-        publications: List[ShardPublication] = []
+        publications: List[ArraysToken] = []
         for si, shard in enumerate(self._shards):
-            publication = scatter.publish_shard(
+            token = scatter.publish_shard(
                 shard.index, f"shard-{self._key}-{si}", name
             )
-            if publication is None:
+            if token is None:
                 for done in publications:
-                    rt.release_arrays(done.blob)
+                    rt.release_arrays(done)
                 return None
-            # structure bundles live exactly as long as this index (the
-            # corpus blocks already have their own per-corpus finalizer)
-            weakref.finalize(self, rt.release_arrays, publication.blob)
-            publications.append(publication)
+            # shard bundles live exactly as long as this index
+            weakref.finalize(self, rt.release_arrays, token)
+            publications.append(token)
         self._publish_cache = (generation, publications)
         return publications
 

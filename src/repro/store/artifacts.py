@@ -10,6 +10,14 @@ Layout (one *key directory* per distinct index identity)::
           corpus_rows_x.npy  ...             payload, all ``.npy``
         v000002-03ab7e/                      a later save of the same key
 
+The payload is the index's one snapshot
+(:meth:`~repro.index.base.NearestNeighborIndex._snapshot`: the corpus
+block under ``corpus_*`` names plus the structure's arrays), one
+``.npy`` file per array, and a load restores it through
+:meth:`~repro.index.base.NearestNeighborIndex._from_snapshot` -- the
+same pair the shard scatter (:mod:`repro.shard.scatter`) publishes to
+shared memory and rebuilds shards from in pool workers.
+
 The key digest covers ``(format version, class, distance identity,
 normalised structure params, corpus fingerprint)`` -- any drift lands on
 a *different* key, so a changed corpus is a clean miss, never a stale
@@ -57,7 +65,6 @@ from typing import (
 import numpy as np
 
 from ..batch import faults
-from ..batch.corpus import InternedCorpus
 from ..batch.runtime import DEGRADATION, DegradedExecutionWarning
 from ..core.types import as_symbols
 from ..tools import knobs
@@ -93,10 +100,6 @@ _SNAPSHOT_RE = re.compile(r"^v(\d{6})-[0-9a-f]{6}$")
 #: In-flight save directories: ``tmp-<pid>-<token>`` (reaped under the
 #: key lock once their writer pid is dead, like orphaned shm segments).
 _TMP_RE = re.compile(r"^tmp-(\d+)-[0-9a-f]{6}$")
-
-#: Reserved payload names for the interned-corpus block; structure
-#: arrays must not collide with them.
-_CORPUS_FILES = ("corpus_rows_x", "corpus_rows_y", "corpus_lengths")
 
 
 def distance_token(distance: Any) -> str:
@@ -210,18 +213,7 @@ class ArtifactStore:
         params = index._artifact_params()
         dist = distance_token(index._counter._distance)
         fingerprint = corpus_fingerprint(index.items)
-        arrays: Dict[str, np.ndarray] = {}
-        if index._corpus.encoded:
-            block = index._corpus.block
-            arrays["corpus_rows_x"] = block.rows_x
-            arrays["corpus_rows_y"] = block.rows_y
-            arrays["corpus_lengths"] = block.lengths
-        for name, array in index._artifact_arrays().items():
-            if name in _CORPUS_FILES:
-                raise ValueError(f"structure array name {name!r} is reserved")
-            arrays[name] = np.asarray(array)
-        meta = dict(index._artifact_meta())
-        meta["interned"] = index._corpus.encoded
+        arrays, meta = index._snapshot()
 
         key_dir = self.root / self.key_for(cls.__name__, dist, params, fingerprint)
         key_dir.mkdir(parents=True, exist_ok=True)
@@ -376,23 +368,13 @@ class ArtifactStore:
             arrays[filename[: -len(".npy")]] = np.load(
                 snapshot / filename, mmap_mode="r", allow_pickle=False
             )
-        corpus: Optional[InternedCorpus] = None
-        if all(name in arrays for name in _CORPUS_FILES):
-            corpus = InternedCorpus.from_arrays(
-                items,
-                arrays["corpus_rows_x"],
-                arrays["corpus_rows_y"],
-                arrays["corpus_lengths"],
-            )
-        structure = {
-            name: array
-            for name, array in arrays.items()
-            if name not in _CORPUS_FILES
-        }
-        index = cls._artifact_skeleton(items, distance, corpus)
-        index._restore_artifact(structure, manifest.meta)
-        index.preprocessing_computations = manifest.preprocessing_computations
-        return index
+        return cls._from_snapshot(
+            items,
+            distance,
+            arrays,
+            manifest.meta,
+            manifest.preprocessing_computations,
+        )
 
     @staticmethod
     def _verify_identity(

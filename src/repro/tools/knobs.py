@@ -250,28 +250,6 @@ REGISTRY: Dict[str, KnobSpec] = _spec(
         ),
         module="repro.store.artifacts",
     ),
-    KnobSpec(
-        name="REPRO_SHARD_COUNT",
-        type="int",
-        default=4,
-        description=(
-            "Default shard count for `ShardedIndex` when the constructor "
-            "is not given an explicit `shards=`; clamped by corpus size "
-            "and `REPRO_SHARD_MIN_ITEMS`."
-        ),
-        module="repro.shard.sharded",
-    ),
-    KnobSpec(
-        name="REPRO_SHARD_MIN_ITEMS",
-        type="int",
-        default=32,
-        description=(
-            "Smallest corpus slice worth an independent shard; the "
-            "effective shard count is reduced until every shard holds at "
-            "least this many items (tiny corpora collapse to one shard)."
-        ),
-        module="repro.shard.sharded",
-    ),
 )
 
 

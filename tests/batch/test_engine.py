@@ -337,17 +337,16 @@ def _mixed_items(draw):
 @settings(max_examples=30, deadline=None)
 @given(_mixed_items(), st.data())
 def test_worker_store_scores_code_rows_like_symbols(items, data):
-    """A pool worker sees a store of code rows (``runtime._ShmStore``);
+    """A pool worker sees a store of code rows (``AttachedStore``);
     every registered distance scores them bit for bit like the master's
     symbols, because it compares symbols only for equality."""
     import repro.batch.engine as engine
     from repro.batch import intern_corpus
-    from repro.batch.runtime import _ShmStore
+    from repro.batch.corpus import AttachedStore
 
     corpus = intern_corpus(items)
     store = corpus.store()
-    block = corpus.block
-    worker = _ShmStore((block.rows_x, block.rows_y, block.lengths), None)
+    worker = AttachedStore(corpus.block.arrays(), None)
     n = len(items)
     x_ids = np.asarray(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=8)))
     y_ids = (x_ids + data.draw(st.integers(1, n - 1))) % n  # x != y

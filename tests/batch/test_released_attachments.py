@@ -53,14 +53,12 @@ def _probe(args):
 
     cached = {
         handle.name
-        for attached in (runtime._ATTACHED_BLOCKS, runtime._ATTACHED_ARRAYS)
-        for _, _, handles in attached.values()
+        for _, _, handles in runtime._ATTACHED_ARRAYS.values()
         for handle in handles
     }
     mapped = _mapped_segments()
     return (
         os.getpid(),
-        sorted(runtime._ATTACHED_BLOCKS),
         sorted(runtime._ATTACHED_ARRAYS),
         sorted(scatter._WORKER_SHARDS),
         sorted((mapped or set()) - cached),
@@ -68,8 +66,8 @@ def _probe(args):
 
 
 def _worker_caches():
-    """``{pid: (block keys, bundle keys, shard keys)}`` of every worker;
-    no worker may map a segment outside its caches."""
+    """``{pid: (bundle keys, shard keys)}`` of every worker; no worker
+    may map a segment outside its one attachment cache."""
     rt = runtime.get_runtime()
     with tempfile.TemporaryDirectory() as directory:
         out = rt.supervised_map(
@@ -80,9 +78,9 @@ def _worker_caches():
     results, failed = out
     assert not failed
     caches = {}
-    for pid, blocks, bundles, shards, unowned in results:
+    for pid, bundles, shards, unowned in results:
         assert not unowned, f"worker {pid} still maps released {unowned}"
-        caches[pid] = (blocks, bundles, shards)
+        caches[pid] = (bundles, shards)
     assert len(caches) == POOL_SIZE, "a worker took two probes"
     return caches
 
@@ -124,8 +122,8 @@ def test_dropped_laesa_indexes_leave_one_corpus(fanned_out):
         gc.collect()
         assert not fanned_out.live_keys()
     assert all(pool is pools[0] for pool in pools), "pool respawned"
-    for blocks, bundles, shards in _worker_caches().values():
-        assert len(blocks) <= 1 and not bundles and not shards
+    for bundles, shards in _worker_caches().values():
+        assert len(bundles) <= 1 and not shards
 
 
 def test_fanned_out_matrices_leave_one_throwaway_corpus(fanned_out):
@@ -136,21 +134,22 @@ def test_fanned_out_matrices_leave_one_throwaway_corpus(fanned_out):
         gc.collect()
         assert not fanned_out.live_keys()
     caches = _worker_caches()
-    assert any(blocks for blocks, _, _ in caches.values()), "never fanned out"
-    for blocks, bundles, shards in caches.values():
-        assert len(blocks) <= 1 and not bundles and not shards
+    assert any(bundles for bundles, _ in caches.values()), "never fanned out"
+    for bundles, shards in caches.values():
+        assert len(bundles) <= 1 and not shards
 
 
 def test_dropped_sharded_indexes_leave_one_index_of_shards(fanned_out):
     for seed in range(ROUNDS):
         index = ShardedIndex(_words(seed, 80), "levenshtein", shards=2)
         index.bulk_knn(_words(100 + seed, 8), 2)
-        # two shard corpora and two shard bundles live per round
+        # per round: the two shard corpora the AESA builds fanned out
+        # over, and the two shard bundles of the scatter
         assert len(fanned_out.live_keys()) == 4
         del index
         gc.collect()
         assert not fanned_out.live_keys()
     caches = _worker_caches()
-    assert any(bundles for _, bundles, _ in caches.values()), "never scattered"
-    for blocks, bundles, shards in caches.values():
-        assert len(blocks) <= 2 and len(bundles) <= 2 and len(shards) <= 2
+    assert any(shards for _, shards in caches.values()), "never scattered"
+    for bundles, shards in caches.values():
+        assert len(bundles) <= 4 and len(shards) <= 2

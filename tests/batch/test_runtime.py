@@ -76,7 +76,7 @@ def test_publish_and_attach_roundtrip(fresh_runtime, corpus):
     for got, want in zip(attached.gather(x_ids, y_ids), store.gather(x_ids, y_ids)):
         assert np.array_equal(got, want)
     runtime.release_attachment(ephemeral)
-    fresh_runtime.release_block(token.extra)
+    fresh_runtime.release_arrays(token.extra)
 
 
 def test_worker_fn_memoised():
@@ -181,11 +181,12 @@ def test_supervised_map_happy_path(fresh_runtime):
 
 def test_supervised_map_reports_failed_chunks(fresh_runtime, monkeypatch):
     monkeypatch.setattr(runtime, "_POOL_RETRIES", 1)
-    before = runtime.DEGRADATION.snapshot()["pool_errors"]
-    out = fresh_runtime.supervised_map(_boom, [1, 2], 2)
-    if out is None:  # pragma: no cover - fork unavailable on this host
+    if fresh_runtime.pool(2) is None:  # pragma: no cover - no fork here
         pytest.skip("process pool unavailable")
-    results, failed = out
+    before = runtime.DEGRADATION.snapshot()["pool_errors"]
+    # the retry round announces itself
+    with pytest.warns(runtime.DegradedExecutionWarning, match="retry 1/1"):
+        results, failed = fresh_runtime.supervised_map(_boom, [1, 2], 2)
     assert failed == [0, 1]
     assert results == [None, None]
     assert runtime.DEGRADATION.snapshot()["pool_errors"] > before
@@ -233,15 +234,15 @@ def test_discard_pool_joins_workers(fresh_runtime):
 def test_release_tolerates_externally_unlinked_segments(fresh_runtime, corpus):
     """Satellite regression: a segment some other actor already removed
     (reaper in another process, manual rm, atexit-after-explicit races)
-    must not break release_block or shutdown."""
+    must not break release_arrays or shutdown."""
     token = fresh_runtime.publish_store(corpus.store())
     if token is None:  # pragma: no cover - no shared memory on this host
         pytest.skip("shared memory unavailable")
-    path = os.path.join("/dev/shm", token.corpus.rows_x.shm_name)
+    path = os.path.join("/dev/shm", token.corpus.specs[0][1].shm_name)
     if os.path.exists(path):
         os.unlink(path)  # simulate the racing unlink
-    fresh_runtime.release_block(token.corpus)  # must not raise
-    fresh_runtime.release_block(token.corpus)  # idempotent re-release
+    fresh_runtime.release_arrays(token.corpus)  # must not raise
+    fresh_runtime.release_arrays(token.corpus)  # idempotent re-release
     fresh_runtime.shutdown()  # and shutdown stays clean too
     fresh_runtime.shutdown()  # including a second (atexit-style) pass
 
@@ -251,7 +252,8 @@ def test_segment_names_carry_the_session_prefix(fresh_runtime, corpus):
     if token is None:  # pragma: no cover - no shared memory on this host
         pytest.skip("shared memory unavailable")
     prefix = f"repro-{os.getpid()}-"
-    for spec in (token.corpus.rows_x, token.corpus.rows_y, token.corpus.lengths):
+    assert len(token.corpus.specs) == 3  # the block's three arrays
+    for _, spec in token.corpus.specs:
         assert spec.shm_name.startswith(prefix)
 
 
@@ -264,16 +266,16 @@ def test_stale_worker_attachment_is_refreshed(fresh_runtime, corpus):
         pytest.skip("shared memory unavailable")
     attached, _ = runtime.attach_store(first)
     key = first.corpus.key
-    assert key in runtime._ATTACHED_BLOCKS
-    generation = runtime._ATTACHED_BLOCKS[key][0]
+    assert key in runtime._ATTACHED_ARRAYS
+    generation = runtime._ATTACHED_ARRAYS[key][0]
     fresh_runtime.shutdown()  # unlinks segments, bumps the generation
     second = fresh_runtime.publish_store(store)
     assert second.corpus.key == key, "republication must reuse the key"
     assert second.corpus.generation != generation
     again, _ = runtime.attach_store(second)  # must re-attach, not reuse
-    assert runtime._ATTACHED_BLOCKS[key][0] == second.corpus.generation
+    assert runtime._ATTACHED_ARRAYS[key][0] == second.corpus.generation
     assert again.n_corpus == len(corpus)
-    runtime._ATTACHED_BLOCKS.pop(key, None)
+    runtime._ATTACHED_ARRAYS.pop(key, None)
 
 
 def test_corpus_segments_released_on_garbage_collection(fresh_runtime):
@@ -287,11 +289,7 @@ def test_corpus_segments_released_on_garbage_collection(fresh_runtime):
     token = fresh_runtime.publish_store(corpus.store())
     if token is None:  # pragma: no cover - no shared memory on this host
         pytest.skip("shared memory unavailable")
-    names = {
-        token.corpus.rows_x.shm_name,
-        token.corpus.rows_y.shm_name,
-        token.corpus.lengths.shm_name,
-    }
+    names = {spec.shm_name for _, spec in token.corpus.specs}
     assert any(shm.name in names for shm in fresh_runtime._published)
     del corpus, token
     gc.collect()
@@ -299,7 +297,7 @@ def test_corpus_segments_released_on_garbage_collection(fresh_runtime):
 
 
 def test_publish_arrays_roundtrip(fresh_runtime):
-    """A named-array bundle (the sharded tier's structure transport)
+    """A named-array bundle (the runtime's one publication format)
     publishes, attaches by name and caches per generation."""
     arrays = {
         "pivots": np.arange(12, dtype=np.int64),
@@ -322,8 +320,9 @@ def test_publish_arrays_roundtrip(fresh_runtime):
 
 
 def test_stale_arrays_attachment_is_refreshed(fresh_runtime):
-    """Generation verification applies to array bundles exactly as to
-    corpus blocks: a shutdown invalidates cached worker attachments."""
+    """Generation verification applies to any persistent bundle, not
+    only to corpus blocks: a shutdown invalidates cached worker
+    attachments."""
     arrays = {"a": np.arange(6, dtype=np.float64)}
     first = fresh_runtime.publish_arrays(arrays, persistent=True, key="t-stale")
     if first is None:  # pragma: no cover - no shared memory on this host
@@ -357,7 +356,7 @@ pairwise_values_ids("levenshtein", corpus.store(), x, y, workers=2)
 token = corpus.shm_token[1]
 rt._discard_pool()  # the workers exit
 time.sleep(1.0)
-names = (token.rows_x.shm_name, token.rows_y.shm_name, token.lengths.shm_name)
+names = [spec.shm_name for _, spec in token.specs]
 print(sum(os.path.exists("/dev/shm/" + name) for name in names))
 """
 

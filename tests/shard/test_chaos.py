@@ -4,10 +4,11 @@ bit-identical.
 Each test computes a serial-scatter reference (faults unset, no process
 pool), then re-runs the same workload with a fault armed --
 shard worker tasks raising, engine workers crashing or hanging, a live
-pool worker SIGKILLed mid-scatter, the gather order skewed -- and
-asserts the merged answers (neighbours, distances AND per-query
-computation counts) never change; only the degradation counters and the
-``IndexServer`` metrics may move.
+pool worker SIGKILLed mid-scatter, the gather order skewed, a shard
+bundle failing to publish or to attach, the runtime shut down between
+scatters -- and asserts the merged answers (neighbours, distances AND
+per-query computation counts) never change; only the degradation
+counters and the ``IndexServer`` metrics may move.
 """
 
 import asyncio
@@ -24,7 +25,7 @@ import repro.batch.faults as faults
 import repro.batch.runtime as runtime
 from repro.batch import DEGRADATION, DegradedExecutionWarning
 from repro.core.levenshtein import levenshtein_distance
-from repro.shard import ShardedIndex
+from repro.shard import ShardedIndex, scatter
 
 pytestmark = pytest.mark.filterwarnings(
     "ignore::repro.batch.runtime.DegradedExecutionWarning"
@@ -237,3 +238,106 @@ def test_served_sharded_queries_under_faults(monkeypatch):
     ]
     assert got == reference
     assert metrics["degraded_batches"] > 0
+
+
+def test_shard_publish_failure_scatters_in_the_master(monkeypatch):
+    """A shard bundle that fails to publish part-way (its fourth array)
+    sends the first scatter to the master: identical answers,
+    ``publish_failures`` counted, and none of the partly published
+    bundle's segments left behind."""
+    if not os.path.isdir("/dev/shm"):  # pragma: no cover - not Linux
+        pytest.skip("no /dev/shm on this platform")
+    items = _word_corpus()
+    queries = _word_corpus(n=30, seed=71)
+    want = _serial_reference(monkeypatch, items, queries)
+    index = _build(items)
+    # this seed's publish_fail stream first fires on its fourth draw:
+    # the first shard bundle's fourth array
+    _arm(monkeypatch, "publish_fail:p=0.2,seed=34")
+    created = []
+    publishing = []
+    real_publish_shard = scatter.publish_shard
+    real_publish_array = runtime.EngineRuntime._publish_array
+
+    def publish_shard(*args):
+        publishing.append(True)
+        try:
+            return real_publish_shard(*args)
+        finally:
+            publishing.pop()
+
+    def publish_array(self, arr, reusable=False):
+        spec = real_publish_array(self, arr, reusable)
+        if spec is not None and publishing:
+            created.append(spec.shm_name)
+        return spec
+
+    monkeypatch.setattr(scatter, "publish_shard", publish_shard)
+    monkeypatch.setattr(runtime.EngineRuntime, "_publish_array", publish_array)
+    before = DEGRADATION.snapshot()["publish_failures"]
+    knn = _results_key(index.bulk_knn(queries, 3))
+    assert index._publish_cache is None, "the scatter did not fall back"
+    assert len(created) == 3  # the bundle's first three arrays
+    assert not any(os.path.exists(f"/dev/shm/{name}") for name in created)
+    owned = {shm.name for shm in runtime.get_runtime()._published}
+    assert owned.isdisjoint(created)
+    assert DEGRADATION.snapshot()["publish_failures"] > before
+    assert knn == want[0]
+    assert _results_key(index.bulk_range_search(queries, 3.0)) == want[1]
+
+
+def test_shm_attach_failure_in_a_shard_task_ends_in_the_master(monkeypatch):
+    """Every fresh pool worker fails its first shared-memory attach, so
+    shard tasks fail on the pool and its retry: the runtime's ladder
+    ends in the master with ``shard_fallbacks`` counted and identical
+    answers."""
+    items = _word_corpus()
+    queries = _word_corpus(n=30, seed=72)
+    want = _serial_reference(monkeypatch, items, queries)
+    index = _build(items)
+    _arm(monkeypatch, "shm_attach_fail:once")
+    before = DEGRADATION.snapshot()["shard_fallbacks"]
+    assert _drive(index, queries) == want
+    assert DEGRADATION.snapshot()["shard_fallbacks"] > before
+    assert index._publish_cache is not None  # it did publish and scatter
+
+
+def test_runtime_shutdown_between_scatters_rebuilds_the_shard(monkeypatch):
+    """A runtime shutdown between two scatters unlinks every shard
+    bundle: the next scatter republishes them under the new generation,
+    and a shard rebuilt from the old bundle is dropped and rebuilt from
+    the new one, answering with unchanged results and counts."""
+    items = _word_corpus()
+    queries = _word_corpus(n=20, seed=73)
+    want = _serial_reference(monkeypatch, items, queries)
+    monkeypatch.setenv("REPRO_MIN_PAIRS_PER_WORKER", "20")
+    monkeypatch.setattr(engine, "_cpu_count", lambda: 4)
+    rt = runtime.get_runtime()
+    rt.shutdown()
+    index = _build(items)
+    assert _drive(index, queries) == want
+    first = index._publish_cache[1]
+    assert {t.generation for t in first} == {runtime.publish_generation()}
+    try:
+        # rebuild shard 0 in-process, exactly as a pool worker does
+        old = scatter._attached_shard(first[0], rt.live_keys())
+        assert scatter._attached_shard(first[0], rt.live_keys()) is old
+        rt.shutdown()
+        assert _drive(index, queries) == want
+        second = index._publish_cache[1]
+        assert [t.key for t in second] == [t.key for t in first]
+        generation = runtime.publish_generation()
+        assert {t.generation for t in second} == {generation}
+        assert generation > first[0].generation
+        stale = DEGRADATION.snapshot()["stale_attachments"]
+        rebuilt = scatter._attached_shard(second[0], rt.live_keys())
+        assert rebuilt is not old
+        # one cached bundle per shard went stale, corpus included
+        assert DEGRADATION.snapshot()["stale_attachments"] == stale + 1
+        master = index._shards[0].index
+        for mode, arg in (("knn", 3), ("range", 3.0)):
+            assert scatter.run_shard_local(
+                rebuilt, queries, mode, arg
+            ) == scatter.run_shard_local(master, queries, mode, arg)
+    finally:
+        runtime.drop_released(frozenset())

@@ -187,13 +187,15 @@ def test_k_larger_than_shard_size():
     assert _results(a) == _results(b)
 
 
-def test_auto_structure_env_defaults(monkeypatch):
-    """With no explicit shard count the env knobs drive resolution and
-    ``auto`` picks AESA under the gate."""
-    monkeypatch.setenv("REPRO_SHARD_COUNT", "3")
-    monkeypatch.setenv("REPRO_SHARD_MIN_ITEMS", "10")
+def test_auto_structure_defaults(monkeypatch):
+    """With no explicit shard count the module defaults drive
+    resolution and ``auto`` picks AESA under the gate."""
+    import repro.shard.sharded as module
+
+    monkeypatch.setattr(module, "_DEFAULT_SHARDS", 3)
     items = REGIMES["word"](60, seed=21)
-    sharded = ShardedIndex(items, lev)
+    assert ShardedIndex(items, lev).n_shards == 1  # 32 items per shard
+    sharded = ShardedIndex(items, lev, min_shard_items=10)
     assert sharded.n_shards == 3
     assert all(isinstance(s.index, AesaIndex) for s in sharded._shards)
     flat = ExhaustiveIndex(items, lev)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.shard import partition_indices, resolve_shard_count
+import repro.shard.sharded as sharded
 from repro.shard.sharded import _resolve_structure
 
 
@@ -44,15 +45,18 @@ def test_partition_rejects_bad_counts():
 
 
 def test_resolve_shard_count_explicit_wins(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_COUNT", "8")
+    monkeypatch.setattr(sharded, "_DEFAULT_SHARDS", 8)
     assert resolve_shard_count(1000, shards=2) == 2
     # explicit counts clamp to the corpus but ignore the min-items floor
     assert resolve_shard_count(3, shards=8) == 3
 
 
-def test_resolve_shard_count_env_and_min_items(monkeypatch):
-    monkeypatch.setenv("REPRO_SHARD_COUNT", "8")
-    monkeypatch.setenv("REPRO_SHARD_MIN_ITEMS", "100")
+def test_resolve_shard_count_default_and_min_items(monkeypatch):
+    assert resolve_shard_count(1000, None) == 4
+    assert resolve_shard_count(100, None) == 3  # 32 items per shard at least
+    assert resolve_shard_count(1000, None, min_shard_items=400) == 2
+    monkeypatch.setattr(sharded, "_DEFAULT_SHARDS", 8)
+    monkeypatch.setattr(sharded, "_DEFAULT_MIN_ITEMS", 100)
     assert resolve_shard_count(1000, None) == 8
     assert resolve_shard_count(250, None) == 2
     # tiny corpora collapse to one shard instead of paying scatter cost
